@@ -34,6 +34,7 @@ from .hypersurface import (
     HolomorphicHyperplane,
     MeanCurvatureData,
     NormalFrame,
+    SampleStack,
     SurfaceSample,
     codazzi_residual,
     conjugate,

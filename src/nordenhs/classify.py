@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NordenSpace, apply_J, metric_g, metric_gt
+from .core import NordenSpace, apply_J, bilinear, metric_g, tangent_reps, to_complex
 from .errors import (
     EmptySampleSet,
     NearZeroLambdaMu,
@@ -17,11 +17,10 @@ from .errors import (
 )
 from .hypersurface import (
     HSphere,
-    HolomorphicHyperplane,
-    containment_residual,
+    SampleStack,
     h_umbilicity_deviation,
     make_hyperplane,
-    tangent_rep,
+    scaled_containment_residual,
 )
 
 VERDICT_SPHERE = "HSphere"
@@ -29,12 +28,16 @@ VERDICT_HYPERPLANE = "HolomorphicHyperplane"
 VERDICT_NOT_UMBILICAL = "NotHUmbilical"
 VERDICT_NON_CONSTANT = "NonConstantInvariants"
 VERDICT_DIM_TOO_SMALL = "DimensionTooSmall"
+VERDICT_OFF_SURFACE = "SamplesOffSurface"
 
 LAMBDA_MU_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
 class SampleSet:
+    """Samples of one space: a sequence of SurfaceSample records or a
+    SampleStack."""
+
     space: NordenSpace
     samples: tuple
     provenance: str = ""
@@ -60,25 +63,31 @@ class ClassificationResult:
     notes: tuple = ()
 
 
+def shape_invariants(stack):
+    """Per-sample invariants of a SampleStack in one batched pass: an
+    (N, 4) array of (lambda, mu, nu, nut) from the traces of the shape
+    operators, and the h-umbilicity deviations relative to max(1, max|A|)."""
+    _, J_rep, _ = tangent_reps(stack.tangent_bases)
+    A = stack.A
+    two_n = A.shape[-1]
+    lam = np.trace(A, axis1=1, axis2=2) / two_n
+    mu = -np.trace(A @ J_rep, axis1=1, axis2=2) / two_n
+    per = np.column_stack([lam, mu, lam * lam - mu * mu, -2.0 * lam * mu])
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    return per, h_umbilicity_deviation(A, J_rep) / scale
+
+
 def estimate_invariants(sample, space):
     """(lambda, mu, nu, nut) from the traces of the shape operator."""
-    _, _, J_rep, _ = tangent_rep(sample.tangent_basis, space)
-    two_n = sample.A.shape[0]
-    lam = float(np.trace(sample.A)) / two_n
-    mu = -float(np.trace(sample.A @ J_rep)) / two_n
-    return lam, mu, lam * lam - mu * mu, -2.0 * lam * mu
+    per, _ = shape_invariants(SampleStack.of([sample]))
+    return tuple(per[0].tolist())
 
 
 def umbilicity_check(sample_set, tol=1e-6):
     """Per-sample h-umbilicity deviations; (passed, deviations, worst_index)."""
     if len(sample_set.samples) == 0:
         raise EmptySampleSet("no samples")
-    devs = []
-    for smp in sample_set.samples:
-        _, _, J_rep, _ = tangent_rep(smp.tangent_basis, sample_set.space)
-        scale = max(1.0, float(np.max(np.abs(smp.A))))
-        devs.append(h_umbilicity_deviation(smp.A, J_rep) / scale)
-    devs = np.array(devs)
+    _, devs = shape_invariants(SampleStack.of(sample_set.samples))
     worst = int(np.argmax(devs))
     return bool(devs[worst] <= tol), devs, worst
 
@@ -89,20 +98,13 @@ def pair_crosscheck(pairs, ambient, observed):
         nu' - nu  = mu_j mu_k - lambda_j lambda_k
         nut' - nut = lambda_j mu_k + lambda_k mu_j   (j != k).
     """
-    pairs = [(float(l), float(m)) for l, m in pairs]
-    if len(pairs) < 2:
+    lam, mu = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+    if len(lam) < 2:
         raise EmptySampleSet("need at least two (lambda, mu) pairs")
-    res = 0.0
-    for j in range(len(pairs)):
-        for k in range(len(pairs)):
-            if j == k:
-                continue
-            lj, mj = pairs[j]
-            lk, mk = pairs[k]
-            r1 = (ambient.nu - observed.nu) - (mj * mk - lj * lk)
-            r2 = (ambient.nut - observed.nut) - (lj * mk + lk * mj)
-            res = max(res, abs(r1), abs(r2))
-    return res
+    r1 = (ambient.nu - observed.nu) - (np.outer(mu, mu) - np.outer(lam, lam))
+    r2 = (ambient.nut - observed.nut) - (np.outer(lam, mu) + np.outer(mu, lam))
+    off = ~np.eye(len(lam), dtype=bool)
+    return float(max(np.max(np.abs(r1[off])), np.max(np.abs(r2[off]))))
 
 
 def reconstruct_sphere(lam, mu, witness):
@@ -120,38 +122,42 @@ def reconstruct_sphere(lam, mu, witness):
     )
 
 
+def _offsets(xi, P):
+    """(g(xi, p), gt(xi, p)) for every row p of P."""
+    off = bilinear(to_complex(P), to_complex(xi))
+    return off.real, off.imag
+
+
+def _plane_residual(plane, P):
+    """Largest offset residual of each point relative to
+    max(1, |d| + |dt| + |p|)."""
+    ds, dts = _offsets(plane.xi, P)
+    scale = np.maximum(abs(plane.d) + abs(plane.dt) + np.linalg.norm(P, axis=-1), 1.0)
+    return np.maximum(np.abs(ds - plane.d), np.abs(dts - plane.dt)) / scale
+
+
 def reconstruct_hyperplane(sample_set, tol=1e-6):
     """Average the (constant) normal field and the plane offsets."""
-    samples = sample_set.samples
-    if len(samples) == 0:
+    if len(sample_set.samples) == 0:
         raise EmptySampleSet("no samples")
-    xi0 = samples[0].frame.xi
-    xis = []
-    for smp in samples:
-        xi = smp.frame.xi
-        if float(xi @ xi0) < 0:
-            xi = -xi
-        xis.append(xi)
-    xis = np.stack(xis)
+    stack = SampleStack.of(sample_set.samples)
+    xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
     xi_mean = xis.mean(axis=0)
     spread = float(np.max(np.abs(xis - xi_mean)))
-    if spread > tol:
+    if not spread <= tol:
         raise NonConstantNormal(f"normal spread {spread:.3e} exceeds tol")
-    nrm = metric_g(xi_mean, xi_mean)
-    xi_mean = xi_mean / np.sqrt(nrm)
-    ds = [metric_g(xi_mean, smp.point) for smp in samples]
-    dts = [metric_gt(xi_mean, smp.point) for smp in samples]
-    d_spread = max(
-        float(np.max(ds) - np.min(ds)), float(np.max(dts) - np.min(dts))
-    )
-    if d_spread > tol * max(1.0, float(np.max(np.abs(ds + dts)))):
+    xi_mean = xi_mean / np.sqrt(metric_g(xi_mean, xi_mean))
+    ds, dts = _offsets(xi_mean, stack.points)
+    d_spread = max(float(np.ptp(ds)), float(np.ptp(dts)))
+    if d_spread > tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))):
         raise NonConstantNormal(f"offset spread {d_spread:.3e} exceeds tol")
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
 
 
 def classify(sample_set, tolerances=None):
     """Full pipeline: dimension gate, invariant estimation, constancy and
-    umbilicity tests, then sphere or hyperplane reconstruction."""
+    umbilicity tests, sphere or hyperplane reconstruction, then the
+    containment of every sample in the recovered surface."""
     tols = tolerances or Tolerances()
     space = sample_set.space
     if space.dim < 8:
@@ -161,79 +167,59 @@ def classify(sample_set, tolerances=None):
         )
     if len(sample_set.samples) == 0:
         raise EmptySampleSet("no samples")
+    stack = SampleStack.of(sample_set.samples)
 
-    per = [estimate_invariants(s, space) for s in sample_set.samples]
-    nus = np.array([p[2] for p in per])
-    nuts = np.array([p[3] for p in per])
-    spread = max(
-        float(np.max(np.abs(nus - nus.mean()))),
-        float(np.max(np.abs(nuts - nuts.mean()))),
-    )
-    if spread > tols.constancy:
+    per, devs = shape_invariants(stack)
+    per_sample = tuple(map(tuple, per.tolist()))
+    spread = float(np.max(np.abs(per[:, 2:] - per[:, 2:].mean(axis=0))))
+    if not spread <= tols.constancy:
         return ClassificationResult(
             verdict=VERDICT_NON_CONSTANT,
-            per_sample=tuple(per),
+            per_sample=per_sample,
             constancy_spread=spread,
         )
 
-    ok, devs, worst = umbilicity_check(sample_set, tol=tols.umbilicity)
-    umb_res = float(np.max(devs))
-    if not ok:
+    worst = int(np.argmax(devs))
+    umb_res = float(devs[worst])
+    if not umb_res <= tols.umbilicity:
         return ClassificationResult(
             verdict=VERDICT_NOT_UMBILICAL,
-            per_sample=tuple(per),
+            per_sample=per_sample,
             umbilicity_residual=umb_res,
             constancy_spread=spread,
             notes=(f"worst sample index {worst}",),
         )
 
-    lam = float(np.mean([p[0] for p in per]))
-    mu = float(np.mean([p[1] for p in per]))
-    nu = float(nus.mean())
-    nut = float(nuts.mean())
-    geodesic = max(
-        float(np.max(np.abs(s.A))) for s in sample_set.samples
-    ) <= tols.umbilicity
+    lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
+    geodesic = float(np.max(np.abs(stack.A))) <= tols.umbilicity
     notes = []
     if geodesic:
         notes.append("totally geodesic (A = 0): curvatures equal ambient (0, 0)")
 
     if lam * lam + mu * mu > LAMBDA_MU_THRESHOLD:
-        witness = sample_set.samples[int(np.argmin(devs))]
-        sphere = reconstruct_sphere(lam, mu, witness)
-        cres = 0.0
-        for smp in sample_set.samples:
-            rg, rgt = containment_residual(sphere, smp.point)
-            cres = max(cres, abs(rg), abs(rgt))
+        verdict = VERDICT_SPHERE
+        recovered = reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
+        cres = float(np.max(scaled_containment_residual(recovered, stack.points)))
         den = nu * nu + nut * nut
         if den > 0:
             notes.append(
                 "curvature-route parameters: "
                 f"a={nu / den:.12g}, b={-nut / den:.12g}"
             )
-        return ClassificationResult(
-            verdict=VERDICT_SPHERE,
-            recovered=sphere,
-            per_sample=tuple(per),
-            containment_residual=cres,
-            umbilicity_residual=umb_res,
-            constancy_spread=spread,
-            totally_geodesic=geodesic,
-            notes=tuple(notes),
+    else:
+        verdict = VERDICT_HYPERPLANE
+        recovered = reconstruct_hyperplane(
+            SampleSet(space=space, samples=stack), tol=tols.normal_spread
         )
-
-    plane = reconstruct_hyperplane(sample_set, tol=tols.normal_spread)
-    cres = 0.0
-    for smp in sample_set.samples:
-        cres = max(
-            cres,
-            abs(metric_g(plane.xi, smp.point) - plane.d),
-            abs(metric_gt(plane.xi, smp.point) - plane.dt),
-        )
+        cres = float(np.max(_plane_residual(recovered, stack.points)))
+    if not cres <= tols.containment:
+        notes = [f"no single {verdict} holds the samples: containment "
+                 f"residual {cres:.3e} > tol {tols.containment:.3e}"]
+        verdict, recovered = VERDICT_OFF_SURFACE, None
     return ClassificationResult(
-        verdict=VERDICT_HYPERPLANE,
-        recovered=plane,
-        per_sample=tuple(per),
+        verdict=verdict,
+        recovered=recovered,
+        per_sample=per_sample,
         containment_residual=cres,
         umbilicity_residual=umb_res,
         constancy_spread=spread,

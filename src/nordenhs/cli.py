@@ -19,7 +19,7 @@ from .classify import (
     VERDICT_SPHERE,
     classify,
 )
-from .core import h_proper_decomposition
+from .core import NordenSpace, h_proper_decomposition
 from .errors import (
     FormatError,
     IsotropicParameters,
@@ -71,6 +71,9 @@ def cmd_sphere_info(args):
 
 
 def cmd_sample(args):
+    if args.count < 1:
+        _err(f"--count must be at least 1, got {args.count}")
+        return 2
     try:
         center = np.zeros(2 * args.m)
         if args.center_file:
@@ -134,7 +137,7 @@ def cmd_verify(args):
     )
     try:
         checks = verify.run_suite(args.suite, **params)
-    except KeyError as exc:
+    except (KeyError, NordenError) as exc:
         _err(str(exc))
         return 2
     results = [
@@ -172,8 +175,6 @@ def cmd_classify(args):
     except FormatError as exc:
         _err(str(exc))
         return 3
-    from .core import NordenSpace
-
     tols = Tolerances(
         constancy=args.tol,
         umbilicity=args.tol,
@@ -182,9 +183,7 @@ def cmd_classify(args):
     ) if args.tol is not None else Tolerances()
     try:
         result = classify(
-            SampleSet(
-                space=NordenSpace(m), samples=tuple(samples), provenance=args.input
-            ),
+            SampleSet(space=NordenSpace(m), samples=samples, provenance=args.input),
             tols,
         )
     except NordenError as exc:

@@ -75,10 +75,10 @@ def metric_gt(u, v):
 
 
 def apply_J(u):
-    """(x; y) -> (y; -x).  Applying twice gives -u exactly."""
+    """(x; y) -> (y; -x) along the last axis.  Applying twice gives -u exactly."""
     u = np.asarray(u, dtype=float)
-    m = u.shape[0] // 2
-    return np.concatenate([u[m:], -u[:m]])
+    m = u.shape[-1] // 2
+    return np.concatenate([u[..., m:], -u[..., :m]], axis=-1)
 
 
 def complex_scale(c, u):
@@ -92,21 +92,22 @@ def complex_scale(c, u):
 
 
 def q_value(u):
-    """Complex bilinear square q(u) = g(u,u) + i gt(u,u)."""
-    return complex(metric_g(u, u), metric_gt(u, u))
+    """Complex bilinear square q(u) = g(u,u) + i gt(u,u), along the last axis."""
+    z = to_complex(u)
+    return bilinear(z, z)
 
 
 def to_complex(u):
-    """Real (x; y) -> complex x + i y."""
+    """Real (x; y) -> complex x + i y, along the last axis."""
     u = np.asarray(u, dtype=float)
-    m = u.shape[0] // 2
-    return u[:m] + 1j * u[m:]
+    m = u.shape[-1] // 2
+    return u[..., :m] + 1j * u[..., m:]
 
 
 def from_complex(z):
-    """Complex vector -> real (Re z; Im z)."""
+    """Complex vectors -> real (Re z; Im z), along the last axis."""
     z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def complex_op_to_real(C):
@@ -129,8 +130,12 @@ def real_op_to_complex(S):
 
 
 def bilinear(z, w):
-    """Non-conjugating complex bilinear form z^T w."""
-    return complex(np.dot(z, w))
+    """Non-conjugating complex bilinear form z^T w along the last axis.
+
+    Stacks pair row by row and broadcast against a single vector.  For
+    z = to_complex(u), w = to_complex(v) it equals g(u, v) + i gt(u, v).
+    """
+    return np.sum(np.asarray(z) * np.asarray(w), axis=-1)
 
 
 def _scale(M):
@@ -180,19 +185,28 @@ def is_adapted_basis(vectors, tol=DEFAULT_TOL):
     if V.ndim != 2 or V.shape[0] % 2 != 0 or V.shape[1] % 2 != 0:
         raise DimensionMismatch("expected 2k vectors of even length")
     k = V.shape[0] // 2
-    X = V[:k]
-    JX = V[k:]
     s = max(1.0, float(np.max(np.abs(V))))
-    for i in range(k):
-        if np.max(np.abs(JX[i] - apply_J(X[i]))) > tol * s:
-            return False
-    for i in range(k):
-        for j in range(k):
-            if abs(metric_g(X[i], X[j]) - (1.0 if i == j else 0.0)) > tol * s * s:
-                return False
-            if abs(metric_gt(X[i], X[j])) > tol * s * s:
-                return False
-    return True
+    if np.max(np.abs(V[k:] - apply_J(V[:k]))) > tol * s:
+        return False
+    Z = to_complex(V[:k])
+    gram = Z @ Z.T - np.eye(k)  # g(x_i, x_j) - delta_ij + i gt(x_i, x_j)
+    return max(np.max(np.abs(gram.real)), np.max(np.abs(gram.imag))) <= tol * s * s
+
+
+def tangent_reps(T):
+    """(coords, J_rep, G_t) for a stack of tangent bases T (N, 2n, 2m) with
+    the vectors as rows: G_t the g-Gram matrices, coords (N, 2n, 2m) the
+    maps from ambient tangent vectors to basis coordinates, J_rep the
+    matrices of J in the bases."""
+    T = np.asarray(T, dtype=float)
+    m = T.shape[-1] // 2
+    TG = T.copy()  # rows of T^T G, G = diag(I, -I)
+    TG[..., m:] *= -1.0
+    Gt = TG @ np.swapaxes(T, -1, -2)
+    if (np.abs(np.linalg.det(Gt)) < 1e-12).any():
+        raise DegenerateBasis("tangent basis g-degenerate")
+    coords = np.linalg.solve(Gt, TG)
+    return coords, coords @ np.swapaxes(apply_J(T), -1, -2), Gt
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +271,11 @@ def bilinear_orthonormalize(W, iso_tol=ISO_TOL, max_combos=16):
 
     Pivots on the candidate with the largest |B(v,v)| / ||v||^2; when every
     candidate is isotropic, deterministic pseudo-random combinations are
-    tried before giving up.  Raises NotHDiagonalizable when the span admits
-    no anisotropic vector (diagonalization in an adapted basis is then impossible).
+    tried before giving up.  The column the pivot came from (for a
+    combination, the one with the largest coefficient) leaves the
+    candidates, so the rest still span the remaining directions.  Raises
+    NotHDiagonalizable when the span admits no anisotropic vector
+    (diagonalization in an adapted basis is then impossible).
     """
     W = np.asarray(W, dtype=complex)
     cols = [W[:, j].copy() for j in range(W.shape[1])]
@@ -272,44 +289,31 @@ def bilinear_orthonormalize(W, iso_tol=ISO_TOL, max_combos=16):
             for e in out:
                 w = w - np.dot(w, e) * e
             cand.append(w)
-        best = None
-        best_ratio = -1.0
+        ratios = []
         for w in cand:
             nrm2 = float(np.real(np.vdot(w, w)))
-            if nrm2 < 1e-24:
-                continue
-            ratio = abs(np.dot(w, w)) / nrm2
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best = w
-        if best is None or best_ratio < iso_tol:
+            ratios.append(abs(np.dot(w, w)) / nrm2 if nrm2 >= 1e-24 else -1.0)
+        pick = int(np.argmax(ratios))
+        best = cand[pick]
+        if ratios[pick] < iso_tol:
             # every single candidate is isotropic; try mixtures
-            found = False
             for _ in range(max_combos):
                 coeffs = rng.standard_normal(len(cand)) + 1j * rng.standard_normal(
                     len(cand)
                 )
                 w = sum(c * v for c, v in zip(coeffs, cand))
                 nrm2 = float(np.real(np.vdot(w, w)))
-                if nrm2 < 1e-24:
-                    continue
-                if abs(np.dot(w, w)) / nrm2 >= iso_tol:
+                if nrm2 >= 1e-24 and abs(np.dot(w, w)) / nrm2 >= iso_tol:
                     best = w
-                    found = True
+                    pick = int(np.argmax(np.abs(coeffs)))
                     break
-            if not found:
+            else:
                 raise NotHDiagonalizable(
                     "eigenspace contains only isotropic vectors"
                 )
         e = best / _principal_sqrt(np.dot(best, best))
-        e = _fix_sign(e)
-        out.append(e)
-        # drop the candidate column closest to the chosen pivot
-        drop = int(
-            np.argmax([abs(np.dot(np.conj(e), v)) / (np.linalg.norm(v) + 1e-300)
-                       for v in cols])
-        )
-        cols.pop(drop)
+        out.append(_fix_sign(e))
+        cols.pop(pick)
     return out
 
 

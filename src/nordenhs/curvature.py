@@ -12,12 +12,12 @@ import numpy as np
 from . import _kernels
 from .core import (
     DEFAULT_TOL,
-    NordenSpace,
     apply_J,
     is_adapted_basis,
     metric_g,
     metric_gt,
     random_complex_orthogonal,
+    tangent_reps,
     to_complex,
     from_complex,
 )
@@ -107,19 +107,13 @@ class GaussShapeCurvature:
 
     def __init__(self, A, tangent_basis, ambient, tol=DEFAULT_TOL):
         self.A = np.asarray(A, dtype=float)
-        self.T = np.column_stack([np.asarray(t, dtype=float) for t in tangent_basis])
+        rows = np.asarray(tangent_basis, dtype=float)
+        self.T = rows.T
         self.ambient = ambient
-        dim2n = self.A.shape[0]
-        if self.T.shape[1] != dim2n:
+        if len(rows) != self.A.shape[0]:
             raise DimensionMismatch("tangent basis size does not match A")
-        m = self.T.shape[0] // 2
-        sp = NordenSpace(m)
-        G = sp.metric_matrix()
-        Gt = self.T.T @ G @ self.T
-        if abs(np.linalg.det(Gt)) < 1e-12:
-            raise DegenerateBasis("tangent basis g-degenerate")
-        self.coords = np.linalg.solve(Gt, self.T.T @ G)  # ambient -> coords
-        self.J_rep = self.coords @ sp.j_matrix() @ self.T
+        # coords: ambient tangent vectors -> basis coordinates
+        self.coords, self.J_rep, Gt = (x[0] for x in tangent_reps(rows[None]))
         s = max(1.0, float(np.max(np.abs(self.A))))
         if np.max(np.abs(self.A @ self.J_rep - self.J_rep @ self.A)) > 1e-6 * s:
             raise NotHSymmetric("A does not commute with J on the tangent space")

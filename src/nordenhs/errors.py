@@ -41,10 +41,6 @@ class BadInputNormalization(NordenError):
     """Input normal pair does not satisfy the normalization preconditions."""
 
 
-class GramSchmidtFailure(NordenError):
-    """Orthogonalization failed after the bounded number of retries."""
-
-
 class SamplingExhausted(NordenError):
     """Rejection sampling hit its retry bound."""
 

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     NordenSpace,
     apply_J,
     bilinear,
-    complex_scale,
     from_complex,
     metric_g,
     metric_gt,
     q_value,
+    tangent_reps,
     to_complex,
 )
 from .curvature import SpaceFormParams
@@ -27,7 +26,6 @@ from .errors import (
     BadInputNormalization,
     DegenerateBasis,
     DimensionMismatch,
-    GramSchmidtFailure,
     IsotropicParameters,
     PointNotOnSurface,
     SamplingExhausted,
@@ -65,13 +63,53 @@ class NormalFrame:
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """Second-order record: point, normal frame, tangent basis and the
-    shape operator A expressed in tangent-basis coordinates."""
+    """Second-order record: point, normal frame, tangent basis (2n vectors)
+    and the shape operator A expressed in tangent-basis coordinates."""
 
     point: np.ndarray
     frame: NormalFrame
     tangent_basis: tuple
     A: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SampleStack:
+    """N second-order records as arrays: points and unit normals xi
+    (N, 2m), tangent bases (N, 2n, 2m) with the vectors as rows and shape
+    operators (N, 2n, 2n).  Indexing and iteration give SurfaceSample
+    records."""
+
+    points: np.ndarray
+    xi: np.ndarray
+    tangent_bases: np.ndarray
+    A: np.ndarray
+
+    @classmethod
+    def of(cls, samples):
+        """The stack of a sequence of SurfaceSample records (or the stack)."""
+        if isinstance(samples, cls):
+            return samples
+        return cls(
+            points=np.array([s.point for s in samples], dtype=float),
+            xi=np.array([s.frame.xi for s in samples], dtype=float),
+            tangent_bases=np.array([s.tangent_basis for s in samples], dtype=float),
+            A=np.array([s.A for s in samples], dtype=float),
+        )
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, i):
+        p, xi = self.points[i], self.xi[i]
+        return SurfaceSample(
+            point=p,
+            frame=NormalFrame(point=p, xi=xi, jxi=apply_J(xi)),
+            tangent_basis=self.tangent_bases[i],
+            A=self.A[i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -122,66 +160,89 @@ def lambda_mu(s):
     r2 = s.a * s.a + s.b * s.b
     r = np.sqrt(r2)
     lam = np.sqrt(max(0.0, (r + s.a) / (2.0 * r2)))
-    mu_mag = np.sqrt(max(0.0, (r - s.a) / (2.0 * r2)))
-    if lam < 1e-15:
-        mu = mu_mag
-    elif s.b >= 0:
-        mu = mu_mag
-    else:
-        mu = -mu_mag
+    mu = np.sqrt(max(0.0, (r - s.a) / (2.0 * r2)))
+    if lam >= 1e-15 and s.b < 0:
+        mu = -mu
     return float(lam), float(mu)
 
 
 def containment_residual(s, p):
+    """(g(Z, Z) - a, gt(Z, Z) - b) with Z = p - z0, for a point or a stack."""
+    q = q_value(np.asarray(p, dtype=float) - s.center)
+    return q.real - s.a, q.imag - s.b
+
+
+def scaled_containment_residual(s, p):
+    """Largest containment residual relative to max(1, |a| + |b| + |Z|^2)."""
     w = np.asarray(p, dtype=float) - s.center
-    return metric_g(w, w) - s.a, metric_gt(w, w) - s.b
+    rg, rgt = containment_residual(s, p)
+    scale = np.maximum(abs(s.a) + abs(s.b) + np.sum(w * w, axis=-1), 1.0)
+    return np.maximum(np.abs(rg), np.abs(rgt)) / scale
 
 
 def contains(s, p, tol=1e-8):
-    rg, rgt = containment_residual(s, p)
-    scale = abs(s.a) + abs(s.b) + float((np.asarray(p) - s.center) @ (np.asarray(p) - s.center))
-    return max(abs(rg), abs(rgt)) <= tol * max(scale, 1.0)
+    return scaled_containment_residual(s, p) <= tol
+
+
+def _on_surface(s, P, tol):
+    """P as a float array; PointNotOnSurface unless every point is on s."""
+    P = np.asarray(P, dtype=float)
+    bad = ~contains(s, P, tol=tol)
+    if bad.any():
+        rg, rgt = containment_residual(s, P[np.unravel_index(np.argmax(bad), bad.shape)])
+        raise PointNotOnSurface(f"residuals g: {rg:.3e}, gt: {rgt:.3e}")
+    return P
+
+
+def _isotropic(W):
+    """Rows of W too close to the isotropic cone to be rescaled."""
+    return np.abs(q_value(W)) < 1e-10 * np.maximum(np.sum(W * W, axis=-1), 1e-300)
+
+
+def _rescale(s, W):
+    """z0 + c W, with the complex factor c = sqrt((a + ib) / q(W)) per row
+    landing exactly on the quadric."""
+    c = np.sqrt(complex(s.a, s.b) / q_value(W))
+    return s.center + from_complex(c[..., None] * to_complex(W))
 
 
 def project_to_sphere(s, p):
-    """Rescale p - z0 by the complex factor landing exactly on the quadric."""
-    w = np.asarray(p, dtype=float) - s.center
-    q = q_value(w)
-    if abs(q) < 1e-10 * max(float(w @ w), 1e-300):
+    """Rescale p - z0 (a point or a stack) onto the quadric."""
+    W = np.asarray(p, dtype=float) - s.center
+    if _isotropic(W).any():
         raise SamplingExhausted("isotropic direction cannot be projected")
-    c = np.sqrt(complex(s.a, s.b) / q)
-    return s.center + complex_scale(c, w)
+    return _rescale(s, W)
 
 
 def sample(s, count, seed):
-    """Draw `count` points on the sphere by Gaussian directions rescaled
-    onto the quadric.  Deterministic per seed."""
+    """Draw `count` points on the sphere, as a (count, 2m) array, by Gaussian
+    directions rescaled onto the quadric.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
     bound = 100 * max(count, 1) + 100
-    while len(out) < count:
-        attempts += 1
-        if attempts > bound:
+    kept = [np.empty((0, s.space.dim))]
+    have = drawn = 0
+    while have < count:
+        if drawn >= bound:
             raise SamplingExhausted("sphere sampling rejection bound exceeded")
-        w = rng.standard_normal(s.space.dim)
-        q = q_value(w)
-        if abs(q) < 1e-10 * float(w @ w):
-            continue
-        c = np.sqrt(complex(s.a, s.b) / q)
-        out.append(s.center + complex_scale(c, w))
-    return out
+        W = rng.standard_normal((min(count - have, bound - drawn), s.space.dim))
+        drawn += len(W)
+        W = W[~_isotropic(W)]
+        kept.append(W)
+        have += len(W)
+    return _rescale(s, np.concatenate(kept))
+
+
+def _normals(s, P):
+    """Canonical normals xi = -lambda Z - mu JZ, Z = p - z0."""
+    lam, mu = lambda_mu(s)
+    Z = P - s.center
+    return -lam * Z - mu * apply_J(Z)
 
 
 def normal_frame(s, p, tol=1e-8):
     """Canonical frame xi = -lambda Z - mu JZ, Z = p - z0."""
-    p = np.asarray(p, dtype=float)
-    if not contains(s, p, tol=tol):
-        rg, rgt = containment_residual(s, p)
-        raise PointNotOnSurface(f"residuals g: {rg:.3e}, gt: {rgt:.3e}")
-    lam, mu = lambda_mu(s)
-    Z = p - s.center
-    xi = -lam * Z - mu * apply_J(Z)
+    p = _on_surface(s, p, tol)
+    xi = _normals(s, p)
     return NormalFrame(point=p, xi=xi, jxi=apply_J(xi))
 
 
@@ -201,45 +262,36 @@ def normalize_normal_frame(eta, jeta, tol=1e-8):
     return xi, apply_J(xi)
 
 
-def _complement_basis_complex(zeta, m, max_retries=8):
-    """Complex (m-1)-basis of the bilinear-orthogonal complement of zeta,
-    orthonormal for the bilinear form."""
-    from .core import bilinear_orthonormalize
-    from .errors import NotHDiagonalizable
+def _complement_bases(zeta):
+    """Adapted bases (N, 2(m-1), 2m), as rows, of the bilinear-orthogonal
+    complements of the complex directions zeta (N, m).
 
+    The complex orthogonal reflection H = I - 2 w w^T / (w^T w) with
+    w = e_k - zh, zh = zeta / sqrt(q(zeta)), swaps e_k and zh, so its
+    columns j != k are bilinear-orthonormal and orthogonal to zeta.  Taking
+    k = argmax |1 - zh_k| keeps w^T w = 2 (1 - zh_k) away from 0: zh^T zh = 1
+    rules out zh_k close to 1 for every k when m >= 2.
+    """
     qz = bilinear(zeta, zeta)
-    if abs(qz) < 1e-12 * float(np.real(np.vdot(zeta, zeta))):
+    if (np.abs(qz) < 1e-12 * np.sum(np.abs(zeta) ** 2, axis=-1)).any():
         raise DegenerateBasis("isotropic normal direction")
-    rng = np.random.default_rng(0xBA5E)
-    for attempt in range(max_retries):
-        if attempt == 0:
-            cand = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-        else:
-            cand = [
-                rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                for _ in range(m)
-            ]
-        proj = [v - (bilinear(v, zeta) / qz) * zeta for v in cand]
-        # drop the direction most aligned with zeta
-        drop = int(np.argmax([abs(bilinear(c, zeta)) for c in cand]))
-        proj.pop(drop)
-        try:
-            return bilinear_orthonormalize(np.column_stack(proj))
-        except NotHDiagonalizable:
-            continue
-    raise GramSchmidtFailure("could not build an anisotropic complement basis")
+    count, m = zeta.shape
+    zh = zeta / np.sqrt(qz)[:, None]
+    k = np.argmax(np.abs(1.0 - zh), axis=1)
+    w = -zh
+    w[np.arange(count), k] += 1.0
+    H = np.eye(m) - (2.0 / bilinear(w, w))[:, None, None] * (w[:, :, None] * w[:, None, :])
+    # H is symmetric: rows j != k are its columns j != k
+    keep = np.arange(m - 1) + (np.arange(m - 1) >= k[:, None])
+    X = from_complex(np.take_along_axis(H, keep[:, :, None], axis=1))
+    return np.concatenate([X, apply_J(X)], axis=1)
 
 
 def tangent_adapted_basis(s, p, tol=1e-8):
-    """Adapted basis of the tangent space at p: 2(m-1) vectors orthogonal
-    to p - z0 and J(p - z0)."""
-    p = np.asarray(p, dtype=float)
-    if not contains(s, p, tol=tol):
-        raise PointNotOnSurface("point fails the quadric equations")
-    zeta = to_complex(p - s.center)
-    zs = _complement_basis_complex(zeta, s.space.m)
-    xs = [from_complex(z) for z in zs]
-    return xs + [apply_J(x) for x in xs]
+    """Adapted basis of the tangent space at p: 2(m-1) vectors (rows)
+    x_1..x_n, Jx_1..Jx_n orthogonal to p - z0 and J(p - z0)."""
+    p = _on_surface(s, p, tol)
+    return _complement_bases(to_complex(p - s.center)[None])[0]
 
 
 def adapted_j_rep(n):
@@ -251,15 +303,12 @@ def adapted_j_rep(n):
 
 
 def tangent_rep(tangent_basis, space):
-    """(T, coords, J_rep, G_t) for a general tangent basis."""
-    T = np.column_stack([np.asarray(t, dtype=float) for t in tangent_basis])
-    G = space.metric_matrix()
-    Gt = T.T @ G @ T
-    if abs(np.linalg.det(Gt)) < 1e-12:
-        raise DegenerateBasis("tangent basis g-degenerate")
-    coords = np.linalg.solve(Gt, T.T @ G)
-    J_rep = coords @ space.j_matrix() @ T
-    return T, coords, J_rep, Gt
+    """(T, coords, J_rep, G_t) for one tangent basis; T has the vectors as
+    columns."""
+    T = np.asarray(tangent_basis, dtype=float)
+    if T.ndim != 2 or T.shape[1] != space.dim:
+        raise DimensionMismatch(f"expected tangent vectors of length {space.dim}")
+    return (T.T, *(x[0] for x in tangent_reps(T[None])))
 
 
 def shape_operator_closed(s):
@@ -268,56 +317,70 @@ def shape_operator_closed(s):
 
 
 def default_fd_step(s, p):
-    return 1e-5 * (1.0 + float(np.linalg.norm(np.asarray(p) - s.center)))
+    return 1e-5 * (1.0 + np.linalg.norm(np.asarray(p) - s.center, axis=-1))
 
 
-def shape_operator_fd(s, p, tangent_basis, step=None):
-    """Central-difference Weingarten map in tangent-basis coordinates.
+def shape_operators_fd(s, P, T, step=None):
+    """Central-difference Weingarten maps (N, 2n, 2n) in tangent-basis
+    coordinates at a stack of points P (N, 2m) with bases T (N, 2n, 2m).
 
     Moves along each basis direction, re-projects onto the quadric by the
     exact complex rescaling, differentiates the canonical normal field and
     projects back onto the tangent space.
     """
-    p = np.asarray(p, dtype=float)
-    h = default_fd_step(s, p) if step is None else float(step)
-    scale = 1.0 + float(np.linalg.norm(p - s.center))
-    if h <= 1e-12 * scale:
-        raise StepSizeError(f"step {h:.3e} too small")
-    if h > 0.05 * scale:
-        raise StepSizeError(f"step {h:.3e} too large")
-    T, coords, _, _ = tangent_rep(tangent_basis, s.space)
-    cols = []
-    for t in tangent_basis:
-        t = np.asarray(t, dtype=float)
-        qp = project_to_sphere(s, p + h * t)
-        qm = project_to_sphere(s, p - h * t)
-        dxi = (normal_frame(s, qp).xi - normal_frame(s, qm).xi) / (2.0 * h)
-        cols.append(coords @ (-dxi))
-    return np.column_stack(cols)
+    P = np.asarray(P, dtype=float)
+    T = np.asarray(T, dtype=float)
+    scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
+    h = default_fd_step(s, P) if step is None else np.full(len(P), float(step))
+    for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
+        if bad.any():
+            raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")
+    coords, _, _ = tangent_reps(T)
+    dP = h[:, None, None] * T
+    xi_p = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] + dP), 1e-8))
+    xi_m = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] - dP), 1e-8))
+    dxi = (xi_p - xi_m) / (2.0 * h[:, None, None])  # row i: along t_i
+    return -coords @ np.swapaxes(dxi, 1, 2)
+
+
+def shape_operator_fd(s, p, tangent_basis, step=None):
+    """Central-difference Weingarten map at one point (shape_operators_fd)."""
+    P, T = (np.asarray(x, dtype=float)[None] for x in (p, tangent_basis))
+    return shape_operators_fd(s, P, T, step=step)[0]
+
+
+def surface_samples(s, P, fd=False, step=None, tol=1e-8):
+    """Second-order records at a stack of points of an h-sphere."""
+    P = _on_surface(s, P, tol)
+    T = _complement_bases(to_complex(P - s.center))
+    if fd:
+        A = shape_operators_fd(s, P, T, step=step)
+    else:
+        n = T.shape[1] // 2
+        lam, mu = lambda_mu(s)
+        A = np.tile(lam * np.eye(2 * n) + mu * adapted_j_rep(n), (len(P), 1, 1))
+    return SampleStack(points=P, xi=_normals(s, P), tangent_bases=T, A=A)
 
 
 def surface_sample(s, p, fd=False, step=None, tol=1e-8):
     """Full second-order record at a point of an h-sphere."""
-    p = np.asarray(p, dtype=float)
-    frame = normal_frame(s, p, tol=tol)
-    basis = tangent_adapted_basis(s, p, tol=tol)
-    n = len(basis) // 2
-    if fd:
-        A = shape_operator_fd(s, p, basis, step=step)
-    else:
-        lam, mu = lambda_mu(s)
-        A = lam * np.eye(2 * n) + mu * adapted_j_rep(n)
-    return SurfaceSample(point=p, frame=frame, tangent_basis=tuple(basis), A=A)
+    return surface_samples(s, np.asarray(p, dtype=float)[None], fd=fd, step=step, tol=tol)[0]
 
 
 def make_surface_samples(s, count, seed, fd=False, step=None):
-    return [surface_sample(s, p, fd=fd, step=step) for p in sample(s, count, seed)]
+    return surface_samples(s, sample(s, count, seed), fd=fd, step=step)
+
+
+def _ambient_shape_operators(stack):
+    """The shape operators of a SampleStack acting on ambient tangent
+    vectors, (N, 2m, 2m)."""
+    coords, _, _ = tangent_reps(stack.tangent_bases)
+    return np.swapaxes(stack.tangent_bases, 1, 2) @ stack.A @ coords
 
 
 def ambient_shape_operator(sample, space):
     """A as an operator on ambient tangent vectors."""
-    T, coords, _, _ = tangent_rep(sample.tangent_basis, space)
-    return T @ sample.A @ coords
+    return _ambient_shape_operators(SampleStack.of([sample]))[0]
 
 
 def second_fundamental(sample, space):
@@ -365,12 +428,13 @@ def mean_curvature(sample, space):
 
 
 def h_umbilicity_deviation(A, J_rep):
-    """Max-norm distance of A from (trA/2n) I - (tr(AoJ)/2n) J."""
-    two_n = A.shape[0]
-    tr_a = np.trace(A)
-    tr_aj = np.trace(A @ J_rep)
+    """Max-norm distance of A from (trA/2n) I - (tr(AoJ)/2n) J, for one
+    matrix or each of a stack."""
+    two_n = A.shape[-1]
+    tr_a = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
+    tr_aj = np.trace(A @ J_rep, axis1=-2, axis2=-1)[..., None, None]
     model = (tr_a / two_n) * np.eye(two_n) - (tr_aj / two_n) * J_rep
-    return float(np.max(np.abs(A - model)))
+    return np.max(np.abs(A - model), axis=(-2, -1))
 
 
 def is_h_umbilical(sample, space, tol=1e-8):
@@ -379,15 +443,14 @@ def is_h_umbilical(sample, space, tol=1e-8):
     return h_umbilicity_deviation(sample.A, J_rep) <= tol * scale
 
 
-def _tangential_projection(frame):
-    """Projector onto the tangent space given a canonical normal frame."""
-    xi = frame.xi
-    jxi = frame.jxi
-
-    def proj(v):
-        return v - metric_g(v, xi) * xi + metric_g(v, jxi) * jxi
-
-    return proj
+def _tangential_projectors(Xi):
+    """Projectors v -> v - g(v, xi) xi + g(v, Jxi) Jxi onto the tangent
+    spaces with canonical normals Xi (N, 2m)."""
+    m = Xi.shape[-1] // 2
+    g = np.r_[np.ones(m), -np.ones(m)]
+    JXi = apply_J(Xi)
+    return (np.eye(2 * m) - Xi[:, :, None] * (g * Xi)[:, None, :]
+            + JXi[:, :, None] * (g * JXi)[:, None, :])
 
 
 def codazzi_residual(s, p, step=1e-4, inner_step=None):
@@ -399,48 +462,22 @@ def codazzi_residual(s, p, step=1e-4, inner_step=None):
     error of the A-field varies smoothly with h and the residual shows its
     second-order decrease before hitting round-off.
     """
-    if inner_step is None:
-        inner_step = float(step)
-    p = np.asarray(p, dtype=float)
-    basis = tangent_adapted_basis(s, p)
-    proj_p = _tangential_projection(normal_frame(s, p))
-    sample_p = surface_sample(s, p, fd=True, step=inner_step)
-    A_p = ambient_shape_operator(sample_p, s.space)
     h = float(step)
-
-    # per direction: projected points, ambient A there, tangential projectors
-    data = []
-    for t in basis:
-        qp = project_to_sphere(s, p + h * np.asarray(t))
-        qm = project_to_sphere(s, p - h * np.asarray(t))
-        sp_ = surface_sample(s, qp, fd=True, step=inner_step)
-        sm_ = surface_sample(s, qm, fd=True, step=inner_step)
-        data.append(
-            (
-                ambient_shape_operator(sp_, s.space),
-                ambient_shape_operator(sm_, s.space),
-                _tangential_projection(sp_.frame),
-                _tangential_projection(sm_.frame),
-            )
-        )
-
-    def nabla_A(i, y):
-        """(grad_{t_i} A) y via the extension of y by tangential projection."""
-        Ap_, Am_, projp, projm = data[i]
-        y = np.asarray(y, dtype=float)
-        yp = projp(y)
-        ym = projm(y)
-        d_ay = (Ap_ @ yp - Am_ @ ym) / (2.0 * h)
-        d_y = (yp - ym) / (2.0 * h)
-        return proj_p(d_ay) - A_p @ proj_p(d_y)
-
-    res = 0.0
-    n2 = len(basis)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            r = nabla_A(i, basis[j]) - nabla_A(j, basis[i])
-            res = max(res, float(np.max(np.abs(r))))
-    return res
+    p = np.asarray(p, dtype=float)
+    T = tangent_adapted_basis(s, p)
+    # p, then its neighbours p + h t_i and p - h t_i on the quadric
+    Q = np.concatenate([p[None], project_to_sphere(s, p + h * T),
+                        project_to_sphere(s, p - h * T)])
+    st = surface_samples(s, Q, fd=True, step=h if inner_step is None else inner_step)
+    A = _ambient_shape_operators(st)
+    proj = _tangential_projectors(st.xi)
+    # y extended by tangential projection: (grad_{t_i} A) y = nabla[i] y
+    n2 = len(T)
+    d_a = (A[1:n2 + 1] @ proj[1:n2 + 1] - A[n2 + 1:] @ proj[n2 + 1:]) / (2.0 * h)
+    d_y = (proj[1:n2 + 1] - proj[n2 + 1:]) / (2.0 * h)
+    nabla = proj[0] @ d_a - A[0] @ proj[0] @ d_y
+    R = nabla @ T.T  # R[i, :, j] = (grad_{t_i} A) t_j
+    return float(np.max(np.abs(R - R.transpose(2, 1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -466,31 +503,18 @@ def hyperplane_base_point(hp):
 
 
 def hyperplane_tangent_basis(hp):
-    """Adapted basis of the (constant) tangent space."""
-    zeta = to_complex(hp.xi)
-    zs = _complement_basis_complex(zeta, hp.space.m)
-    xs = [from_complex(z) for z in zs]
-    return xs + [apply_J(x) for x in xs]
+    """Adapted basis of the (constant) tangent space, as rows."""
+    return _complement_bases(to_complex(hp.xi)[None])[0]
 
 
 def hyperplane_samples(hp, count, seed, spread=2.0):
     """Totally geodesic samples (A = 0) of a holomorphic hyperplane."""
     rng = np.random.default_rng(seed)
-    base = hyperplane_base_point(hp)
-    basis = hyperplane_tangent_basis(hp)
-    n = len(basis) // 2
-    frame_xi = hp.xi
-    out = []
-    for _ in range(count):
-        coeffs = rng.uniform(-spread, spread, size=len(basis))
-        p = base + sum(c * t for c, t in zip(coeffs, basis))
-        frame = NormalFrame(point=p, xi=frame_xi, jxi=apply_J(frame_xi))
-        out.append(
-            SurfaceSample(
-                point=p,
-                frame=frame,
-                tangent_basis=tuple(basis),
-                A=np.zeros((2 * n, 2 * n)),
-            )
-        )
-    return out
+    T = hyperplane_tangent_basis(hp)
+    coeffs = rng.uniform(-spread, spread, size=(count, len(T)))
+    return SampleStack(
+        points=hyperplane_base_point(hp) + coeffs @ T,
+        xi=np.tile(hp.xi, (count, 1)),
+        tangent_bases=np.tile(T, (count, 1, 1)),
+        A=np.zeros((count, len(T), len(T))),
+    )

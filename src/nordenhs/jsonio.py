@@ -4,15 +4,15 @@ Floats are written with 17 significant digits so files round-trip doubles
 exactly and repeated runs are byte-identical.
 """
 
+import functools
 import json
 import math
+import os
 
 import numpy as np
 
-from .core import NordenSpace
 from .errors import FormatError
-from .hypersurface import NormalFrame, SurfaceSample
-from .core import apply_J
+from .hypersurface import SampleStack
 
 VERSION = 1
 
@@ -33,34 +33,74 @@ def _fmt(x):
     raise FormatError(f"unsupported scalar {type(x)}")
 
 
-def dumps_canonical(obj, indent=0):
-    """Deterministic JSON writer (17-significant-digit floats)."""
+@functools.lru_cache(maxsize=64)
+def _array_template(shape, indent):
+    """printf template of a float array of this shape, laid out as
+    dumps_canonical lays out the equal nested lists."""
+    if not shape[0]:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    row = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + "  " * indent + "]"
+
+
+@functools.lru_cache(maxsize=256)
+def _key(k):
+    return json.dumps(str(k))
+
+
+def _write(obj, indent, write):
+    """Pass the canonical text of obj, in pieces, to write()."""
     pad = "  " * indent
     pad1 = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        if not np.isfinite(obj).all():
+            raise FormatError("non-finite number in output")
+        write(_array_template(obj.shape, indent) % tuple(obj.ravel().tolist()))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{pad1}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+            write("{}")
+            return
+        sep = "{\n"
+        for k, v in obj.items():
+            write(f"{sep}{pad1}{_key(k)}: ")
+            _write(v, indent + 1, write)
+            sep = ",\n"
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
         if all(isinstance(v, (int, float, np.integer, np.floating)) and
                not isinstance(v, bool) for v in seq):
-            return "[" + ", ".join(_fmt(v) for v in seq) + "]"
-        items = [f"{pad1}{dumps_canonical(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _fmt(obj)
+            write("[" + ", ".join(_fmt(v) for v in seq) + "]")
+        else:
+            sep = "[\n"
+            for v in seq:
+                write(sep + pad1)
+                _write(v, indent + 1, write)
+                sep = ",\n"
+            write("\n" + pad + "]")
+    else:
+        write(_fmt(obj))
+
+
+def dumps_canonical(obj, indent=0):
+    """Deterministic JSON writer (17-significant-digit floats)."""
+    parts = []
+    _write(obj, indent, parts.append)
+    return "".join(parts)
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
-        fh.write("\n")
+    """Write the canonical text of obj and a newline, piece by piece; a
+    document that cannot be written leaves no file behind."""
+    try:
+        with open(path, "w") as fh:
+            _write(obj, 0, fh.write)
+            fh.write("\n")
+    except FormatError:
+        os.remove(path)
+        raise
 
 
 def points_to_doc(m, points):
@@ -68,21 +108,17 @@ def points_to_doc(m, points):
         "version": VERSION,
         "m": int(m),
         "kind": "points",
-        "points": [list(map(float, p)) for p in points],
+        "points": np.asarray(points, dtype=float).reshape(-1, 2 * m),
     }
 
 
 def samples_to_doc(m, samples):
-    recs = []
-    for s in samples:
-        recs.append(
-            {
-                "point": list(map(float, s.point)),
-                "xi": list(map(float, s.frame.xi)),
-                "tangent_basis": [list(map(float, t)) for t in s.tangent_basis],
-                "A": [list(map(float, row)) for row in np.asarray(s.A)],
-            }
-        )
+    """Sample document of a SampleStack or a sequence of SurfaceSample."""
+    st = SampleStack.of(samples)
+    recs = [
+        {"point": p, "xi": xi, "tangent_basis": t, "A": A}
+        for p, xi, t, A in zip(st.points, st.xi, st.tangent_bases, st.A)
+    ]
     return {"version": VERSION, "m": int(m), "kind": "samples", "samples": recs}
 
 
@@ -91,17 +127,39 @@ def _require(cond, msg):
         raise FormatError(msg)
 
 
+def _reject_constant(name):
+    raise FormatError(f"non-finite number {name} in input")
+
+
+def _read(path):
+    """Parse a JSON file; NaN and Infinity are rejected."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _floats(rows, shape, msg):
+    """rows as a finite float array of shape (len(rows), *shape)."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{msg}: {exc}") from exc
+    if not rows:
+        arr = arr.reshape((0, *shape))
+    _require(arr.shape[1:] == shape, msg)
+    _require(np.isfinite(arr).all(), "non-finite number in input")
+    return arr
+
+
 def load_pointcloud(path):
     """Read and validate a PointCloudFile; returns (m, kind, payload).
 
-    kind "points" yields a list of arrays; kind "samples" yields a list of
-    SurfaceSample records.
+    kind "points" yields an (N, 2m) array; kind "samples" yields a
+    SampleStack.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    doc = _read(path)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("version") == VERSION, "unsupported or missing version")
     m = doc.get("m")
@@ -111,56 +169,25 @@ def load_pointcloud(path):
     if kind == "points":
         pts = doc.get("points")
         _require(isinstance(pts, list), "missing points array")
-        out = []
-        for p in pts:
-            _require(
-                isinstance(p, list) and len(p) == dim,
-                f"point length must be {dim}",
-            )
-            out.append(np.asarray(p, dtype=float))
-        return m, kind, out
+        return m, kind, _floats(pts, (dim,), f"point length must be {dim}")
     if kind == "samples":
         recs = doc.get("samples")
         _require(isinstance(recs, list), "missing samples array")
-        out = []
-        for rec in recs:
-            _require(isinstance(rec, dict), "sample must be an object")
-            for key in ("point", "xi", "tangent_basis", "A"):
-                _require(key in rec, f"sample missing field {key}")
-            p = np.asarray(rec["point"], dtype=float)
-            xi = np.asarray(rec["xi"], dtype=float)
-            _require(p.shape == (dim,), f"point length must be {dim}")
-            _require(xi.shape == (dim,), f"xi length must be {dim}")
-            tb = [np.asarray(t, dtype=float) for t in rec["tangent_basis"]]
-            two_n = len(tb)
-            _require(
-                two_n == dim - 2 and all(t.shape == (dim,) for t in tb),
-                f"tangent basis must hold {dim - 2} vectors of length {dim}",
-            )
-            A = np.asarray(rec["A"], dtype=float)
-            _require(A.shape == (two_n, two_n), "A must be 2n x 2n")
-            frame = NormalFrame(point=p, xi=xi, jxi=apply_J(xi))
-            out.append(
-                SurfaceSample(point=p, frame=frame, tangent_basis=tuple(tb), A=A)
-            )
-        return m, kind, out
+        shapes = {"point": (dim,), "xi": (dim,), "tangent_basis": (dim - 2, dim),
+                  "A": (dim - 2, dim - 2)}
+        _require(all(isinstance(r, dict) and shapes.keys() <= r.keys() for r in recs),
+                 f"every sample must be an object with fields {', '.join(shapes)}")
+        return m, kind, SampleStack(*(
+            _floats([r[key] for r in recs], shape, f"{key} must have shape {shape}")
+            for key, shape in shapes.items()
+        ))
     raise FormatError(f"unknown kind {kind!r}")
 
 
 def load_matrix(path):
     """Read a square matrix from JSON ({"matrix": [[...]]} or a bare array)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    doc = _read(path)
     raw = doc.get("matrix") if isinstance(doc, dict) else doc
-    try:
-        M = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"not a numeric matrix: {exc}") from exc
-    _require(
-        M.ndim == 2 and M.shape[0] == M.shape[1] and M.shape[0] % 2 == 0,
-        "matrix must be square with even size",
-    )
-    return M
+    msg = "matrix must be square with even size"
+    _require(isinstance(raw, list) and raw and len(raw) % 2 == 0, msg)
+    return _floats(raw, (len(raw),), msg)

@@ -18,19 +18,18 @@ from .core import (
 )
 from .curvature import (
     SpaceFormParams,
-    TangentPlane,
     gauss_curvature_from_shape,
-    pi_tensors,
+    ricci,
     sample_totally_real_planes,
     sectional_batch_planes,
     space_form_curvature,
 )
 from .hypersurface import (
-    adapted_j_rep,
     ambient_shape_operator,
     codazzi_residual,
     lambda_mu,
     make_h_sphere,
+    make_surface_samples,
     mean_curvature,
     normal_frame,
     normalize_normal_frame,
@@ -38,7 +37,6 @@ from .hypersurface import (
     second_fundamental,
     shape_operator_wrt,
     surface_sample,
-    tangent_rep,
     theoretical_curvatures,
 )
 
@@ -103,29 +101,19 @@ def suite_frame(m=4, seed=0, count=100):
     g(xi,xi) = 1, g(Jxi,Jxi) = -1, g(xi,Jxi) = 0; sphere frames satisfy it."""
     rng = np.random.default_rng(seed)
     sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
-    pts = sample(sph, count, seed + 1)
+    frames = [normal_frame(sph, p) for p in sample(sph, count, seed + 1)]
+
+    def frame_error(xi, jxi):
+        return max(abs(metric_g(xi, xi) - 1.0), abs(metric_g(jxi, jxi) + 1.0),
+                   abs(metric_g(xi, jxi)))
+
     r_norm = 0.0
     sinh_targets = [0.0, 0.75, -2.0] + list(rng.uniform(-3, 3, size=10))
-    for p, s_t in zip(pts, sinh_targets * (count // len(sinh_targets) + 1)):
-        fr = normal_frame(sph, p)
+    for fr, s_t in zip(frames, sinh_targets * (count // len(sinh_targets) + 1)):
         t = -0.5 * np.arcsinh(s_t)  # g(eta, J eta) = -sinh(2t)
         eta = np.cosh(t) * fr.xi + np.sinh(t) * fr.jxi
-        xi, jxi = normalize_normal_frame(eta, apply_J(eta))
-        r_norm = max(
-            r_norm,
-            abs(metric_g(xi, xi) - 1.0),
-            abs(metric_g(jxi, jxi) + 1.0),
-            abs(metric_g(xi, jxi)),
-        )
-    r_sphere = 0.0
-    for p in pts:
-        fr = normal_frame(sph, p)
-        r_sphere = max(
-            r_sphere,
-            abs(metric_g(fr.xi, fr.xi) - 1.0),
-            abs(metric_g(fr.jxi, fr.jxi) + 1.0),
-            abs(metric_g(fr.xi, fr.jxi)),
-        )
+        r_norm = max(r_norm, frame_error(*normalize_normal_frame(eta, apply_J(eta))))
+    r_sphere = max(frame_error(fr.xi, fr.jxi) for fr in frames)
     return [
         Check("normalized frame satisfies the frame relations", r_norm, 1e-10),
         Check("canonical sphere frame satisfies the frame relations", r_sphere, 1e-10),
@@ -139,8 +127,7 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
     params = theoretical_curvatures(sph)
     flat = SpaceFormParams(0.0, 0.0)
     r_k = r_kt = 0.0
-    for i, p in enumerate(sample(sph, points, seed)):
-        smp = surface_sample(sph, p, fd=fd, step=step)
+    for i, smp in enumerate(make_surface_samples(sph, points, seed, fd=fd, step=step)):
         R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
         pls = sample_totally_real_planes(
             list(smp.tangent_basis), planes, seed + 1000 + i
@@ -165,15 +152,11 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     flat = SpaceFormParams(0.0, 0.0)
     R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
     Rsf = space_form_curvature(SpaceFormParams(lam * lam - mu * mu, -2.0 * lam * mu))
-    basis = list(smp.tangent_basis)
+    B = smp.tangent_basis
     rng = np.random.default_rng(seed)
-    n2 = len(basis)
     r_eq = r_anti = r_j = 0.0
     for _ in range(quads):
-        x, y, z, u = (
-            sum(c * t for c, t in zip(rng.uniform(-1, 1, n2), basis))
-            for _ in range(4)
-        )
+        x, y, z, u = rng.uniform(-1, 1, (4, len(B))) @ B
         v = R(x, y, z, u)
         scale = max(
             1.0,
@@ -200,13 +183,11 @@ def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
     p = sample(sph, 1, seed)[0]
     smp = surface_sample(sph, p)
     sigma = second_fundamental(smp, sph.space)
-    basis = list(smp.tangent_basis)
+    B = smp.tangent_basis
     rng = np.random.default_rng(seed)
-    n2 = len(basis)
     res = 0.0
     for _ in range(count):
-        x = sum(c * t for c, t in zip(rng.uniform(-1, 1, n2), basis))
-        y = sum(c * t for c, t in zip(rng.uniform(-1, 1, n2), basis))
+        x, y = rng.uniform(-1, 1, (2, len(B))) @ B
         s_xy = sigma(x, y)
         scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
         res = max(
@@ -219,31 +200,22 @@ def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
 
 def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
     """Hypersurface Ricci identity with flat ambient on an h-sphere."""
-    from .curvature import ricci
-
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     p = sample(sph, 1, seed)[0]
     smp = surface_sample(sph, p)
     flat = SpaceFormParams(0.0, 0.0)
     R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
-    basis = list(smp.tangent_basis)
-    rho = ricci(R, basis)
+    B = smp.tangent_basis
+    rho = ricci(R, B)
     A_amb = ambient_shape_operator(smp, sph.space)
-    _, _, J_rep, _ = tangent_rep(smp.tangent_basis, sph.space)
-    two_n = len(basis)
-    tr_a = float(np.trace(smp.A))
-    tr_aj = float(np.trace(smp.A @ J_rep))
-    res = 0.0
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            ax = A_amb @ x
-            rhs = (
-                tr_a * metric_g(ax, y)
-                - tr_aj * metric_g(ax, apply_J(y))
-                - 2.0 * metric_g(A_amb @ ax, y)
-            )
-            res = max(res, abs(rho[i, j] - rhs))
-    return [Check("Ricci identity (flat ambient)", res, 1e-8)]
+    mcd = mean_curvature(smp, sph.space)
+    tr_a, tr_aj = mcd.traceA, mcd.traceAJ
+    # rows A b_i and A A b_i, paired by g with the rows b_j and J b_j
+    AB = B @ A_amb.T
+    G = sph.space.metric_matrix()
+    rhs = (tr_a * AB @ G @ B.T - tr_aj * AB @ G @ apply_J(B).T
+           - 2.0 * (AB @ A_amb.T) @ G @ B.T)
+    return [Check("Ricci identity (flat ambient)", float(np.max(np.abs(rho - rhs))), 1e-8)]
 
 
 def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):
@@ -273,32 +245,20 @@ def suite_umbilic(m=4, seed=0):
     umbilical with respect to JH (the 'H or JH' alternative resolves to JH
     under the canonical frame orientation).
     """
-    res = []
+    def scalar_deviation(M):
+        return float(np.max(np.abs(M - (np.trace(M) / len(M)) * np.eye(len(M)))))
+
     sph1 = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
-    p = sample(sph1, 1, seed)[0]
-    smp = surface_sample(sph1, p)
+    smp = surface_sample(sph1, sample(sph1, 1, seed)[0])
     a_xi = shape_operator_wrt(smp, sph1.space, smp.frame.xi)
-    two_n = a_xi.shape[0]
-    dev1 = float(
-        np.max(np.abs(a_xi - (np.trace(a_xi) / two_n) * np.eye(two_n)))
-    )
-    res.append(Check("(1,0): A_xi proportional to I", dev1, 1e-9))
+    res = [Check("(1,0): A_xi proportional to I", scalar_deviation(a_xi), 1e-9)]
 
     sph2 = make_h_sphere(np.zeros(2 * m), 0.0, 1.0)
-    p = sample(sph2, 1, seed + 1)[0]
-    smp = surface_sample(sph2, p)
+    smp = surface_sample(sph2, sample(sph2, 1, seed + 1)[0])
     mcd = mean_curvature(smp, sph2.space)
     res.append(Check("(0,1): g(H,H) = 0", abs(mcd.gHH), 1e-12))
-    devs = []
-    for eta in (mcd.H, mcd.JH):
-        a_eta = shape_operator_wrt(smp, sph2.space, eta)
-        devs.append(
-            float(
-                np.max(
-                    np.abs(a_eta - (np.trace(a_eta) / two_n) * np.eye(two_n))
-                )
-            )
-        )
+    devs = [scalar_deviation(shape_operator_wrt(smp, sph2.space, eta))
+            for eta in (mcd.H, mcd.JH)]
     res.append(Check("(0,1): A_H or A_JH proportional to I", min(devs), 1e-9))
     return res
 

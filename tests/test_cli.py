@@ -104,6 +104,17 @@ class TestSample:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_count_below_one_rejected(self, capsys, tmp_path, count):
+        f = tmp_path / "p.json"
+        code, out, err = run_cli(
+            capsys, "sample", "--a", "3", "--b", "4", "--count", count,
+            "--out", str(f),
+        )
+        assert code == 2
+        assert "--count" in err
+        assert not f.exists() and not out
+
     def test_bad_center_file(self, capsys, tmp_path):
         f = tmp_path / "c.json"
         f.write_text("{not json")
@@ -125,6 +136,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "nope")
         assert code == 2
         assert "unknown suite" in err
+
+    def test_library_error_is_exit_2(self, capsys):
+        # at m = 2 no totally real plane exists: SamplingExhausted
+        code, out, err = run_cli(capsys, "verify", "all", "--m", "2")
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "rejection bound" in err
 
     def test_failing_tolerance_reported(self, capsys):
         # impossible tolerance forces a failure report on stderr
@@ -230,6 +249,56 @@ class TestJsonIO:
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             jsonio.dumps_canonical({"x": float("nan")})
+
+    def test_array_rows_match_list_layout(self):
+        A = np.array([[0.1, -0.0, 1e300], [2.0, 1.0 / 3.0, -2.5e-17]])
+        doc = {"A": A, "rows": [A[0], np.zeros(0)], "x": A[1, 1]}
+        listed = {"A": A.tolist(), "rows": [A[0].tolist(), []], "x": A[1, 1]}
+        assert jsonio.dumps_canonical(doc) == jsonio.dumps_canonical(listed)
+
+    def test_non_finite_array_rejected(self, tmp_path):
+        doc = {"m": 4, "x": np.array([[1.0, np.inf]])}
+        with pytest.raises(FormatError):
+            jsonio.dumps_canonical(doc)
+        f = tmp_path / "x.json"
+        with pytest.raises(FormatError):
+            jsonio.write_json(str(f), doc)
+        assert not f.exists()
+
+    @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_point_rejected(self, capsys, tmp_path, bad):
+        f = tmp_path / "s.json"
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        text = jsonio.dumps_canonical(
+            jsonio.samples_to_doc(4, make_surface_samples(sph, 3, 1))
+        )
+        doc = json.loads(text)
+        doc["samples"][1]["point"][2] = "BAD"
+        f.write_text(json.dumps(doc).replace('"BAD"', bad))
+        with pytest.raises(FormatError):
+            jsonio.load_pointcloud(str(f))
+        code, _, err = run_cli(capsys, "classify", "--in", str(f))
+        assert code == 3
+        assert "non-finite" in err
+
+    def test_non_finite_matrix_rejected(self, capsys, tmp_path):
+        f = tmp_path / "op.json"
+        f.write_text('[[1.0, 0.0], [0.0, NaN]]')
+        with pytest.raises(FormatError):
+            jsonio.load_matrix(str(f))
+        code, _, _ = run_cli(capsys, "decompose", "--in", str(f))
+        assert code == 3
+
+    def test_ragged_samples_rejected(self, tmp_path):
+        f = tmp_path / "s.json"
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        doc = json.loads(jsonio.dumps_canonical(
+            jsonio.samples_to_doc(4, make_surface_samples(sph, 2, 1))
+        ))
+        doc["samples"][1]["A"][0] = [1.0]
+        f.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            jsonio.load_pointcloud(str(f))
 
     def test_version_gate(self, tmp_path):
         f = tmp_path / "v.json"

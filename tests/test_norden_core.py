@@ -195,6 +195,16 @@ class TestBilinearOrthonormalize:
                 expect = 1.0 if i == j else 0.0
                 assert complex(u @ v) == pytest.approx(expect, abs=1e-10)
 
+    def test_generic_square_inputs(self):
+        # the column a pivot came from is the one dropped; dropping another
+        # left isotropic leftovers and raised on generic full-rank input
+        for m in (2, 4, 6):
+            for seed in range(1, 60):
+                rng = np.random.default_rng(seed)
+                W = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                V = np.column_stack(bilinear_orthonormalize(W))
+                assert np.max(np.abs(V.T @ V - np.eye(m))) <= 1e-10
+
     def test_isotropic_line_raises(self):
         z = np.array([1.0, 1j], dtype=complex)  # z^T z = 0
         with pytest.raises(NotHDiagonalizable):
