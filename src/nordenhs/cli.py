@@ -154,7 +154,7 @@ def cmd_verify(args):
         {
             "command": f"verify {args.suite}",
             "seed": args.seed,
-            "params": {k: v for k, v in params.items() if v is not None},
+            "params": verify.applied_params(args.suite, params),
             "results": results,
             "passed": ok,
         }

@@ -49,29 +49,31 @@ class NordenSpace:
         return J
 
 
-def _check_same_dim(u, v):
-    if u.shape != v.shape or u.ndim != 1 or u.shape[0] % 2 != 0:
+def _halves(u, v):
+    """(u, v, m) as float arrays whose last axes have the same even length 2m."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.ndim < 1 or v.ndim < 1 or u.shape[-1] != v.shape[-1] or u.shape[-1] % 2:
         raise DimensionMismatch(
             f"expected equal even-length vectors, got {u.shape} and {v.shape}"
         )
+    return u, v, u.shape[-1] // 2
 
 
 def metric_g(u, v):
-    """Norden metric: sum x_u x_v - sum y_u y_v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_same_dim(u, v)
-    m = u.shape[0] // 2
-    return float(u[:m] @ v[:m] - u[m:] @ v[m:])
+    """Norden metric sum x_u x_v - sum y_u y_v, along the last axis.
+
+    Stacks pair row by row and broadcast against each other, so
+    metric_g(X[..., :, None, :], Y[..., None, :, :]) is a Gram matrix.
+    """
+    u, v, m = _halves(u, v)
+    return np.vecdot(u[..., :m], v[..., :m]) - np.vecdot(u[..., m:], v[..., m:])
 
 
 def metric_gt(u, v):
-    """Associated metric gt(u, v) = g(Ju, v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_same_dim(u, v)
-    m = u.shape[0] // 2
-    return float(u[m:] @ v[:m] + u[:m] @ v[m:])
+    """Associated metric gt(u, v) = g(Ju, v), along the last axis."""
+    u, v, m = _halves(u, v)
+    return np.vecdot(u[..., m:], v[..., :m]) + np.vecdot(u[..., :m], v[..., m:])
 
 
 def apply_J(u):
@@ -85,8 +87,9 @@ def complex_scale(c, u):
     """Multiply by the complex scalar c under the C^m identification.
 
     i corresponds to -J, hence c = re + i*im acts as re*I - im*J.
+    Stacks of scalars c (...) scale stacks of vectors u (..., 2m) row by row.
     """
-    c = complex(c)
+    c = np.asarray(c, dtype=complex)[..., None]
     u = np.asarray(u, dtype=float)
     return c.real * u - c.imag * apply_J(u)
 

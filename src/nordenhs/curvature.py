@@ -1,25 +1,27 @@
-"""Curvature machinery: pi-tensors, space-form and Gauss-equation tensors,
-sectional curvatures on totally real planes, constancy reports, Ricci.
+"""Curvature machinery: pi-tensors, the Gauss-equation curvature tensor (a
+space form is the case A = 0), sectional curvatures on totally real planes,
+constancy reports, Ricci.
 
-Curvature tensors are exposed as evaluators over quadruples of vectors;
-nothing is materialized as a 4-index array.
+Everything acts on vectors along the last axis, so stacks of vectors (and
+of shape operators) evaluate in one call; nothing is materialized as a
+4-index array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     DEFAULT_TOL,
     apply_J,
+    from_complex,
     is_adapted_basis,
     metric_g,
     metric_gt,
+    pseudo_orthonormalize,
     random_complex_orthogonal,
     tangent_reps,
     to_complex,
-    from_complex,
 )
 from .errors import (
     DegeneratePlane,
@@ -28,7 +30,6 @@ from .errors import (
     NotHSymmetric,
     SamplingExhausted,
 )
-from .core import pseudo_orthonormalize
 
 PLANE_DEGENERACY_THRESHOLD = 1e-8
 
@@ -43,7 +44,8 @@ class SpaceFormParams:
 
 @dataclass(frozen=True)
 class TangentPlane:
-    """A 2-plane spanned by x and y."""
+    """A 2-plane spanned by x and y, or a stack of planes when x and y are
+    stacks (..., 2m)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -73,120 +75,107 @@ def pi_tensors(x, y, z, u):
     return p1, p2, p3
 
 
-class SpaceFormCurvature:
-    """R = nu (pi1 - pi2) + nut pi3."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def __call__(self, x, y, z, u):
-        p1, p2, p3 = pi_tensors(x, y, z, u)
-        return self.params.nu * (p1 - p2) + self.params.nut * p3
-
-    def apply_shape(self, X):
-        """Shape-operator images for the batched kernel (zero here)."""
-        return np.zeros_like(X)
-
-    def sectional_batch(self, X, Y):
-        X = _kernels._ascontig(X)
-        Y = _kernels._ascontig(Y)
-        Z = np.zeros_like(X)
-        return _kernels.sectional_batch(
-            X, Y, Z, Z, self.params.nu, self.params.nut
-        )
-
-
 class GaussShapeCurvature:
-    """Tensor of a hypersurface recovered from the Gauss equation:
+    """Curvature tensor of a hypersurface by the Gauss equation:
 
         R(x,y,z,u) = R'(x,y,z,u) + pi1(Ax,Ay,z,u) - pi2(Ax,Ay,z,u)
 
-    with R' the ambient space form.  A is given on a tangent basis; the
-    evaluator accepts ambient vectors lying in that tangent space.
+    with R' = nu (pi1 - pi2) + nut pi3 the ambient space form and A_ambient
+    the shape operator acting on ambient tangent vectors.  A = 0
+    (A_ambient None) is the space form R' itself.  A stack of shape
+    operators (..., 2m, 2m) is a stack of tensors; its leading axes
+    broadcast against those of the vectors.
     """
 
-    def __init__(self, A, tangent_basis, ambient, tol=DEFAULT_TOL):
-        self.A = np.asarray(A, dtype=float)
-        rows = np.asarray(tangent_basis, dtype=float)
-        self.T = rows.T
+    def __init__(self, ambient, A_ambient=None):
         self.ambient = ambient
-        if len(rows) != self.A.shape[0]:
-            raise DimensionMismatch("tangent basis size does not match A")
-        # coords: ambient tangent vectors -> basis coordinates
-        self.coords, self.J_rep, Gt = (x[0] for x in tangent_reps(rows[None]))
-        s = max(1.0, float(np.max(np.abs(self.A))))
-        if np.max(np.abs(self.A @ self.J_rep - self.J_rep @ self.A)) > 1e-6 * s:
-            raise NotHSymmetric("A does not commute with J on the tangent space")
-        if np.max(np.abs(Gt @ self.A - self.A.T @ Gt)) > 1e-6 * s:
-            raise NotHSymmetric("A is not g-self-adjoint on the tangent space")
-        # ambient-acting form of A (valid on tangent vectors)
-        self.A_ambient = self.T @ self.A @ self.coords
-
-    def apply_shape(self, X):
-        return X @ self.A_ambient.T
+        self.A_ambient = A_ambient
 
     def __call__(self, x, y, z, u):
-        ax = self.A_ambient @ np.asarray(x, dtype=float)
-        ay = self.A_ambient @ np.asarray(y, dtype=float)
         p1, p2, p3 = pi_tensors(x, y, z, u)
-        rp = self.ambient.nu * (p1 - p2) + self.ambient.nut * p3
+        r = self.ambient.nu * (p1 - p2) + self.ambient.nut * p3
+        if self.A_ambient is None:
+            return r
+        ax, ay = (np.einsum("...ij,...j->...i", self.A_ambient, v) for v in (x, y))
         q1, q2, _ = pi_tensors(ax, ay, z, u)
-        return rp + q1 - q2
-
-    def sectional_batch(self, X, Y):
-        X = _kernels._ascontig(X)
-        Y = _kernels._ascontig(Y)
-        AX = _kernels._ascontig(self.apply_shape(X))
-        AY = _kernels._ascontig(self.apply_shape(Y))
-        return _kernels.sectional_batch(
-            X, Y, AX, AY, self.ambient.nu, self.ambient.nut
-        )
+        return r + q1 - q2
 
 
 def space_form_curvature(params):
-    return SpaceFormCurvature(params)
+    """R = nu (pi1 - pi2) + nut pi3: the Gauss tensor with A = 0."""
+    return GaussShapeCurvature(params)
 
 
 def gauss_curvature_from_shape(A, tangent_basis, ambient, tol=DEFAULT_TOL):
-    return GaussShapeCurvature(A, tangent_basis, ambient, tol=tol)
+    """Gauss tensor of the shape operator A given on a tangent basis (rows);
+    it evaluates ambient vectors lying in that tangent space.  Stacks of A
+    (..., 2n, 2n) and of bases (..., 2n, 2m) give a stack of tensors."""
+    A = np.asarray(A, dtype=float)
+    rows = np.asarray(tangent_basis, dtype=float)
+    if rows.shape[-2] != A.shape[-1]:
+        raise DimensionMismatch("tangent basis size does not match A")
+    # coords: ambient tangent vectors -> basis coordinates
+    coords, J_rep, Gt = tangent_reps(rows)
+    s = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+
+    def off(M):
+        return (np.abs(M).max(axis=(-2, -1)) > 1e-6 * s).any()
+
+    if off(A @ J_rep - J_rep @ A):
+        raise NotHSymmetric("A does not commute with J on the tangent space")
+    if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt):
+        raise NotHSymmetric("A is not g-self-adjoint on the tangent space")
+    # ambient-acting form of A (valid on tangent vectors)
+    return GaussShapeCurvature(ambient, np.swapaxes(rows, -1, -2) @ A @ coords)
 
 
-def curvature_tilde(R, x, y, z, u):
-    """Rt(x,y,z,u) = R(x,y,z,Ju)."""
-    return R(x, y, z, apply_J(u))
+def _sectional(R, x, y, threshold):
+    """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
+    K = R(x,y,y,x)/pi1, Kt = R(x,y,y,Jx)/pi1 with pi1 = pi1(x,y,y,x).  ok is
+    False, and K, Kt are NaN, where |pi1| is within threshold * |x|^2 |y|^2."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    den = pi_tensors(x, y, y, x)[0]
+    scale = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
+    ok = np.abs(den) > threshold * np.maximum(scale, 1e-300)
+    safe = np.where(ok, den, np.nan)
+    return R(x, y, y, x) / safe, R(x, y, y, apply_J(x)) / safe, den, ok
 
 
 def sectional_curvatures(R, plane, threshold=PLANE_DEGENERACY_THRESHOLD):
     """(K, Kt) of a non-degenerate 2-plane."""
-    x = np.asarray(plane.x, dtype=float)
-    y = np.asarray(plane.y, dtype=float)
-    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
-    scale = float(np.sqrt(x @ x) * np.sqrt(y @ y)) ** 2
-    if abs(den) <= threshold * max(scale, 1e-300):
+    K, Kt, den, ok = _sectional(R, plane.x, plane.y, threshold)
+    if not ok:
         raise DegeneratePlane(f"pi1 denominator {den:.3e} below threshold")
-    K = R(x, y, y, x) / den
-    Kt = R(x, y, y, apply_J(x)) / den
     return float(K), float(Kt)
+
+
+def sectional_batch_planes(R, planes, threshold=PLANE_DEGENERACY_THRESHOLD):
+    """(K, Kt) over a list of planes, or over a TangentPlane of stacks,
+    as flat arrays with the degenerate planes dropped."""
+    if not isinstance(planes, TangentPlane):
+        planes = TangentPlane(np.array([p.x for p in planes], dtype=float),
+                              np.array([p.y for p in planes], dtype=float))
+    K, Kt, _, ok = _sectional(R, planes.x, planes.y, threshold)
+    return K[ok], Kt[ok]
 
 
 def is_totally_real(plane, tol=DEFAULT_TOL):
     """gt vanishes on the plane, the plane is g-non-degenerate, and it is
-    transversal to its J-image."""
+    transversal to its J-image.  For a TangentPlane of stacks the answer is
+    a boolean array."""
     x = np.asarray(plane.x, dtype=float)
     y = np.asarray(plane.y, dtype=float)
-    scale = max(float(x @ x), float(y @ y), 1e-300)
-    if abs(metric_gt(x, x)) > tol * scale:
-        return False
-    if abs(metric_gt(x, y)) > tol * scale:
-        return False
-    if abs(metric_gt(y, y)) > tol * scale:
-        return False
-    vecs = [x, y, apply_J(x), apply_J(y)]
-    G = np.array([[metric_g(a, b) for b in vecs] for a in vecs])
-    if abs(np.linalg.det(G)) < 1e-10 * scale ** 4:
-        return False
-    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
-    return abs(den) > PLANE_DEGENERACY_THRESHOLD * scale
+    scale = np.maximum(np.maximum(np.sum(x * x, -1), np.sum(y * y, -1)), 1e-300)
+    gt_max = np.max(np.abs([metric_gt(x, x), metric_gt(x, y), metric_gt(y, y)]), axis=0)
+    V = np.stack([x, y, apply_J(x), apply_J(y)], axis=-2)
+    G = metric_g(V[..., :, None, :], V[..., None, :, :])
+    ok = (
+        (gt_max <= tol * scale)
+        & (np.abs(np.linalg.det(G)) >= 1e-10 * scale ** 4)
+        & (np.abs(pi_tensors(x, y, y, x)[0]) > PLANE_DEGENERACY_THRESHOLD * scale)
+    )
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 # fixed catalog of complex-orthogonal rotations used by the plane sampler
@@ -211,63 +200,46 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
     keeps the basis adapted, so the x-half always spans a totally real
-    subspace.  Deterministic per seed.
+    subspace.  Candidates are drawn one attempt at a time from the seed's
+    stream and tested in blocks; the planes are the first `count` accepted
+    candidates, at most 50 count + 100 attempts in.  Deterministic per seed.
     """
     V = np.asarray(adapted_basis, dtype=float)
     if not is_adapted_basis(V, tol=max(tol, 1e-8)):
         raise DegenerateBasis("input is not an adapted basis")
     n = V.shape[0] // 2
-    Zs = np.column_stack([to_complex(v) for v in V[:n]])  # m-dim complex reps
+    Zs = np.column_stack(to_complex(V[:n]))  # m-dim complex reps
     rng = np.random.default_rng(seed)
-    catalog = _rotation_catalog(n)
-    planes = []
-    attempts = 0
+    rotated = [Zs @ Rc for Rc in _rotation_catalog(n)]  # rotated x-halves
     max_attempts = 50 * max(count, 1) + 100
-    while len(planes) < count:
-        attempts += 1
-        if attempts > max_attempts:
+    attempts = 0
+    X = Y = np.empty((0, V.shape[1]))
+    while len(X) < count:
+        # a few spare candidates, so that one block usually suffices
+        block = min(max_attempts - attempts, count - len(X) + 8)
+        if block <= 0:
             raise SamplingExhausted("plane sampling rejection bound exceeded")
-        Rc = catalog[rng.integers(len(catalog))]
-        Xrot = Zs @ Rc  # columns: rotated x-half in complex form
-        c1 = rng.uniform(-1.0, 1.0, size=n)
-        c2 = rng.uniform(-1.0, 1.0, size=n)
-        gram = np.array([[c1 @ c1, c1 @ c2], [c1 @ c2, c2 @ c2]])
-        if np.linalg.det(gram) < 1e-6:
-            continue
-        x = from_complex(Xrot @ c1)
-        y = from_complex(Xrot @ c2)
-        plane = TangentPlane(x=x, y=y)
-        if not is_totally_real(plane, tol=tol):
-            continue
-        planes.append(plane)
-    return planes
-
-
-def sectional_batch_planes(R, planes, threshold=PLANE_DEGENERACY_THRESHOLD):
-    """Vectorized (K, Kt) over a list of planes, degenerate ones dropped."""
-    X = np.stack([p.x for p in planes])
-    Y = np.stack([p.y for p in planes])
-    num, numt, den = R.sectional_batch(X, Y)
-    scale = np.einsum("ij,ij->i", X, X) * np.einsum("ij,ij->i", Y, Y)
-    ok = np.abs(den) > threshold * np.maximum(scale, 1e-300)
-    return num[ok] / den[ok], numt[ok] / den[ok]
+        attempts += block
+        cs, zs = [], []
+        for _ in range(block):
+            Xrot = rotated[rng.integers(len(rotated))]
+            c = rng.uniform(-1.0, 1.0, size=(2, n))
+            cs.append(c)
+            zs.append((Xrot @ c[0], Xrot @ c[1]))
+        C = np.array(cs)
+        x, y = np.moveaxis(from_complex(np.array(zs)), 1, 0)
+        ok = np.linalg.det(C @ np.swapaxes(C, -1, -2)) >= 1e-6
+        ok &= is_totally_real(TangentPlane(x, y), tol=tol)
+        X = np.concatenate([X, x[ok]])
+        Y = np.concatenate([Y, y[ok]])
+    return [TangentPlane(x=x, y=y) for x, y in zip(X[:count], Y[:count])]
 
 
 def curvature_constancy_report(R, planes):
     """Mean and max deviation of (K, Kt) over the given planes."""
-    ks = []
-    kts = []
-    for p in planes:
-        try:
-            K, Kt = sectional_curvatures(R, p)
-        except DegeneratePlane:
-            continue
-        ks.append(K)
-        kts.append(Kt)
+    ks, kts = sectional_batch_planes(R, planes) if len(planes) else ((), ())
     if len(ks) < 1:
         raise DegeneratePlane("all planes degenerate")
-    ks = np.array(ks)
-    kts = np.array(kts)
     return CurvatureStats(
         nu=float(ks.mean()),
         nut=float(kts.mean()),
@@ -284,13 +256,8 @@ def ricci(R, basis):
     contraction is fixed so the hypersurface Ricci identity holds on the
     Kotel'nikov-Study sphere.
     """
-    basis = [np.asarray(b, dtype=float) for b in basis]
+    basis = np.asarray(basis, dtype=float)
     frame, signs = pseudo_orthonormalize(basis)
-    k = len(basis)
-    rho = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            rho[i, j] = sum(
-                eps * R(E, basis[i], basis[j], E) for E, eps in zip(frame, signs)
-            )
-    return rho
+    E = np.array(frame)[:, None, None, :]
+    terms = R(E, basis[None, :, None, :], basis[None, None, :, :], E)
+    return (np.array(signs)[:, None, None] * terms).sum(axis=0)

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateBasis,
     DimensionMismatch,
     IsotropicParameters,
+    NordenError,
     PointNotOnSurface,
     SamplingExhausted,
     StepSizeError,
@@ -126,6 +127,8 @@ def make_h_sphere(center, a, b):
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.shape[0] % 2 != 0 or center.shape[0] < 4:
         raise DimensionMismatch("center must have even length >= 4")
+    if not (np.isfinite(center).all() and np.isfinite(a) and np.isfinite(b)):
+        raise NordenError(f"a, b and the center must be finite, got a={a}, b={b}")
     if a * a + b * b <= 1e-24:
         raise IsotropicParameters("(a, b) = (0, 0) is not an h-sphere")
     return HSphere(

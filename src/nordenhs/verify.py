@@ -4,6 +4,7 @@ Each suite returns a list of Check records; a suite passes when every
 check's residual is within its tolerance.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,14 @@ from .core import (
 )
 from .curvature import (
     SpaceFormParams,
+    TangentPlane,
     gauss_curvature_from_shape,
     ricci,
     sample_totally_real_planes,
     sectional_batch_planes,
     space_form_curvature,
 )
+from .errors import NordenError
 from .hypersurface import (
     ambient_shape_operator,
     codazzi_residual,
@@ -62,27 +65,18 @@ def suite_metrics(m=4, seed=0, count=1000):
     dim = 2 * m
     U = _random_vectors(rng, count, dim)
     V = _random_vectors(rng, count, dim)
-    r_anti = r_assoc = r_sym = r_square = 0.0
-    for u, v in zip(U, V):
-        s = max(1.0, float(u @ u), float(v @ v))
-        r_anti = max(
-            r_anti,
-            abs(metric_g(apply_J(u), apply_J(v)) + metric_g(u, v)) / s,
-        )
-        r_assoc = max(
-            r_assoc, abs(metric_gt(u, v) - metric_g(apply_J(u), v)) / s
-        )
-        r_sym = max(
-            r_sym,
-            abs(metric_g(u, v) - metric_g(v, u)) / s,
-            abs(metric_gt(u, v) - metric_gt(v, u)) / s,
-        )
-        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r_square = max(
-            r_square,
-            abs(q_value(complex_scale(c, u)) - c * c * q_value(u))
-            / max(1.0, abs(c) ** 2 * float(u @ u)),
-        )
+    re, im = rng.uniform(-2, 2, (count, 2)).T
+    c = re + 1j * im
+    s = np.maximum(1.0, np.maximum(np.sum(U * U, -1), np.sum(V * V, -1)))
+    g, gt = metric_g, metric_gt
+    r_anti = np.max(np.abs(g(apply_J(U), apply_J(V)) + g(U, V)) / s)
+    r_assoc = np.max(np.abs(gt(U, V) - g(apply_J(U), V)) / s)
+    r_sym = max(np.max(np.abs(g(U, V) - g(V, U)) / s),
+                np.max(np.abs(gt(U, V) - gt(V, U)) / s))
+    r_square = np.max(
+        np.abs(q_value(complex_scale(c, U)) - c * c * q_value(U))
+        / np.maximum(1.0, np.abs(c) ** 2 * np.sum(U * U, -1))
+    )
     eig = np.linalg.eigvalsh(NordenSpace(m).metric_matrix())
     r_sig = float(
         np.max(np.abs(np.sort(eig) - np.concatenate([-np.ones(m), np.ones(m)])))
@@ -123,18 +117,23 @@ def suite_frame(m=4, seed=0, count=100):
 def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
                     fd=False, step=None, tol=None):
     """Sampled totally real sectional curvatures against the closed form."""
+    if points < 1 or planes < 1:
+        raise NordenError(
+            f"points and planes must be at least 1, got {points} and {planes}"
+        )
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     params = theoretical_curvatures(sph)
-    flat = SpaceFormParams(0.0, 0.0)
-    r_k = r_kt = 0.0
-    for i, smp in enumerate(make_surface_samples(sph, points, seed, fd=fd, step=step)):
-        R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
-        pls = sample_totally_real_planes(
-            list(smp.tangent_basis), planes, seed + 1000 + i
-        )
-        K, Kt = sectional_batch_planes(R, pls)
-        r_k = max(r_k, float(np.max(np.abs(K - params.nu))))
-        r_kt = max(r_kt, float(np.max(np.abs(Kt - params.nut))))
+    st = make_surface_samples(sph, points, seed, fd=fd, step=step)
+    R = gauss_curvature_from_shape(st.A, st.tangent_bases, SpaceFormParams(0.0, 0.0))
+    pls = np.array([
+        [(p.x, p.y) for p in sample_totally_real_planes(T, planes, seed + 1000 + i)]
+        for i, T in enumerate(st.tangent_bases)
+    ])
+    # (x or y, plane, point, 2m): the point axis meets the stack of tensors
+    X, Y = pls.transpose(2, 1, 0, 3)
+    K, Kt = sectional_batch_planes(R, TangentPlane(X, Y))
+    r_k = float(np.max(np.abs(K - params.nu)))
+    r_kt = float(np.max(np.abs(Kt - params.nut)))
     tol = tol if tol is not None else (1e-5 if fd else 1e-9)
     return [
         Check(f"max |K - {params.nu:g}|", r_k, tol),
@@ -154,22 +153,14 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     Rsf = space_form_curvature(SpaceFormParams(lam * lam - mu * mu, -2.0 * lam * mu))
     B = smp.tangent_basis
     rng = np.random.default_rng(seed)
-    r_eq = r_anti = r_j = 0.0
-    for _ in range(quads):
-        x, y, z, u = rng.uniform(-1, 1, (4, len(B))) @ B
-        v = R(x, y, z, u)
-        scale = max(
-            1.0,
-            float(np.linalg.norm(x) * np.linalg.norm(y)
-                  * np.linalg.norm(z) * np.linalg.norm(u)) ** 2,
-        )
-        r_eq = max(r_eq, abs(v - Rsf(x, y, z, u)) / scale)
-        r_anti = max(
-            r_anti,
-            abs(v + R(y, x, z, u)) / scale,
-            abs(v + R(x, y, u, z)) / scale,
-        )
-        r_j = max(r_j, abs(v + R(x, y, apply_J(z), apply_J(u))) / scale)
+    W = np.moveaxis(rng.uniform(-1, 1, (quads, 4, len(B))) @ B, 1, 0)
+    x, y, z, u = W
+    scale = np.maximum(1.0, np.prod(np.linalg.norm(W, axis=-1), axis=0) ** 2)
+    v = R(x, y, z, u)
+    r_eq = np.max(np.abs(v - Rsf(x, y, z, u)) / scale)
+    r_anti = max(np.max(np.abs(v + R(y, x, z, u)) / scale),
+                 np.max(np.abs(v + R(x, y, u, z)) / scale))
+    r_j = np.max(np.abs(v + R(x, y, apply_J(z), apply_J(u))) / scale)
     return [
         Check("Gauss tensor equals space form", r_eq, 1e-9),
         Check("pair antisymmetry", r_anti, 1e-10),
@@ -275,20 +266,30 @@ SUITES = {
 }
 
 
-def run_suite(name, **params):
+def _suites(name):
     if name == "all":
-        checks = []
-        for fn in SUITES.values():
-            checks.extend(_call_filtered(fn, params))
-        return checks
+        return list(SUITES.values())
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
-    return _call_filtered(SUITES[name], params)
+    return [SUITES[name]]
 
 
-def _call_filtered(fn, params):
-    import inspect
+def _accepted(fn, params):
+    names = inspect.signature(fn).parameters
+    return {k: v for k, v in params.items() if k in names and v is not None}
 
-    sig = inspect.signature(fn)
-    kwargs = {k: v for k, v in params.items() if k in sig.parameters and v is not None}
-    return fn(**kwargs)
+
+def run_suite(name, **params):
+    checks = []
+    for fn in _suites(name):
+        checks.extend(fn(**_accepted(fn, params)))
+    return checks
+
+
+def applied_params(name, params):
+    """The set entries of params that run_suite(name, **params) passes on
+    to a suite, in their given order."""
+    used = set()
+    for fn in _suites(name):
+        used.update(_accepted(fn, params))
+    return {k: v for k, v in params.items() if k in used}

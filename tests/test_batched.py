@@ -1,4 +1,5 @@
-"""The batched sample/frame/basis/classify layer against per-point loops."""
+"""The batched sample/frame/basis/classify and curvature layers against
+per-item loops."""
 
 import json
 
@@ -13,7 +14,27 @@ from nordenhs.classify import (
     shape_invariants,
 )
 from nordenhs.cli import main
-from nordenhs.core import apply_J, from_complex, is_adapted_basis, to_complex
+from nordenhs.core import (
+    apply_J,
+    from_complex,
+    is_adapted_basis,
+    metric_g,
+    metric_gt,
+    random_complex_orthogonal,
+    to_complex,
+)
+from nordenhs.curvature import (
+    SpaceFormParams,
+    TangentPlane,
+    gauss_curvature_from_shape,
+    is_totally_real,
+    pi_tensors,
+    ricci,
+    sample_totally_real_planes,
+    sectional_batch_planes,
+    sectional_curvatures,
+    space_form_curvature,
+)
 from nordenhs.hypersurface import (
     SampleStack,
     lambda_mu,
@@ -228,3 +249,188 @@ def test_two_centres_cli_exit_4(capsys, tmp_path):
     assert doc["verdict"] == VERDICT_OFF_SURFACE
     assert "recovered" not in doc
     assert "containment residual" in doc["notes"][0]
+
+
+# ---------------------------------------------------------------------------
+# curvature layer against a per-item reference built from 1-D pairings
+# ---------------------------------------------------------------------------
+
+def ref_pi(x, y, z, u):
+    g, gt = metric_g, metric_gt
+    return (
+        g(y, z) * g(x, u) - g(x, z) * g(y, u),
+        gt(y, z) * gt(x, u) - gt(x, z) * gt(y, u),
+        -g(y, z) * gt(x, u) + g(x, z) * gt(y, u) - gt(y, z) * g(x, u) + gt(x, z) * g(y, u),
+    )
+
+
+def ref_tensor(nu, nut, A_amb=None):
+    """Gauss tensor of the ambient-acting shape operator A_amb (None: A = 0)
+    over a space form (nu, nut), one quadruple of 1-D vectors at a time."""
+    def R(x, y, z, u):
+        p1, p2, p3 = ref_pi(x, y, z, u)
+        r = nu * (p1 - p2) + nut * p3
+        if A_amb is not None:
+            q1, q2, _ = ref_pi(A_amb @ x, A_amb @ y, z, u)
+            r += q1 - q2
+        return r
+    return R
+
+
+def ref_ambient_shape(smp):
+    T = np.asarray(smp.tangent_basis).T
+    m = T.shape[0] // 2
+    G = np.diag(np.r_[np.ones(m), -np.ones(m)])
+    return T @ np.asarray(smp.A) @ np.linalg.solve(T.T @ G @ T, T.T @ G)
+
+
+def ref_sectional(R, x, y):
+    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
+    return R(x, y, y, x) / den, R(x, y, y, apply_J(x)) / den
+
+
+def ref_totally_real(x, y, tol):
+    scale = max(float(x @ x), float(y @ y), 1e-300)
+    if max(abs(metric_gt(a, b)) for a, b in ((x, x), (x, y), (y, y))) > tol * scale:
+        return False
+    vecs = [x, y, apply_J(x), apply_J(y)]
+    G = np.array([[metric_g(a, b) for b in vecs] for a in vecs])
+    if abs(np.linalg.det(G)) < 1e-10 * scale ** 4:
+        return False
+    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
+    return abs(den) > 1e-8 * scale
+
+
+def ref_ricci(R, basis):
+    frame, signs = [], []
+    for v in basis:
+        w = v.copy()
+        for e, eps in zip(frame, signs):
+            w = w - eps * metric_g(w, e) * e
+        n2 = metric_g(w, w)
+        frame.append(w / np.sqrt(abs(n2)))
+        signs.append(np.sign(n2))
+    return np.array([[sum(eps * R(E, bi, bj, E) for E, eps in zip(frame, signs))
+                      for bj in basis] for bi in basis])
+
+
+def ref_sampler(adapted_basis, count, seed, tol=1e-9):
+    """The per-attempt plane sampler: draw, test, keep, one candidate at a time."""
+    V = np.asarray(adapted_basis, dtype=float)
+    n = V.shape[0] // 2
+    Zs = np.column_stack([to_complex(v) for v in V[:n]])
+    crng = np.random.default_rng(0x1985 + n)
+    catalog = [np.eye(n, dtype=complex)] + [
+        random_complex_orthogonal(n, crng, im_scale=0.3) for _ in range(11)
+    ]
+    rng = np.random.default_rng(seed)
+    planes = []
+    while len(planes) < count:
+        Xrot = Zs @ catalog[rng.integers(len(catalog))]
+        c1 = rng.uniform(-1.0, 1.0, size=n)
+        c2 = rng.uniform(-1.0, 1.0, size=n)
+        if np.linalg.det(np.array([[c1 @ c1, c1 @ c2], [c1 @ c2, c2 @ c2]])) < 1e-6:
+            continue
+        x = from_complex(Xrot @ c1)
+        y = from_complex(Xrot @ c2)
+        if ref_totally_real(x, y, tol):
+            planes.append((x, y))
+    return planes
+
+
+def close(got, want):
+    want = np.asarray(want, dtype=float)
+    return np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def sphere_stack(a, b, count, seed, m=4):
+    return make_surface_samples(make_h_sphere(np.zeros(2 * m), a, b), count, seed)
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_tensors_match_reference(a, b):
+    st = sphere_stack(a, b, 6, seed=21)
+    rng = np.random.default_rng(22)
+    x, y, z, u = rng.uniform(-1, 1, (4, 6, 40, 6)) @ st.tangent_bases
+    # x[i, k]: k-th tangent vector at point i
+    got = pi_tensors(x, y, z, u)
+    for i, k in np.ndindex(6, 40):
+        assert close([p[i, k] for p in got], ref_pi(x[i, k], y[i, k], z[i, k], u[i, k]))
+    flat = SpaceFormParams(0.0, 0.0)
+    stacked = gauss_curvature_from_shape(st.A, st.tangent_bases, flat)
+    sf = space_form_curvature(SpaceFormParams(0.12, -0.16))
+    ref_sf = ref_tensor(0.12, -0.16)
+    v_stack = stacked(*(w.transpose(1, 0, 2) for w in (x, y, z, u)))  # (40, 6)
+    v_sf = sf(x, y, z, u)
+    for i, smp in enumerate(st):
+        one = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
+        ref = ref_tensor(0.0, 0.0, ref_ambient_shape(smp))
+        want = [ref(x[i, k], y[i, k], z[i, k], u[i, k]) for k in range(40)]
+        assert close(one(x[i], y[i], z[i], u[i]), want)
+        assert close(v_stack[:, i], want)
+        assert close(v_sf[i], [ref_sf(x[i, k], y[i, k], z[i, k], u[i, k]) for k in range(40)])
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_sectional_and_ricci_match_reference(a, b):
+    st = sphere_stack(a, b, 4, seed=23)
+    flat = SpaceFormParams(0.0, 0.0)
+    pls = [sample_totally_real_planes(T, 30, seed=24 + i) for i, T in enumerate(st.tangent_bases)]
+    XY = np.array([[(p.x, p.y) for p in ps] for ps in pls]).transpose(2, 1, 0, 3)
+    K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A, st.tangent_bases, flat),
+                                   TangentPlane(*XY))
+    Rs = [gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat) for smp in st]
+    refs = [ref_tensor(0.0, 0.0, ref_ambient_shape(smp)) for smp in st]
+    want = []
+    for j in range(30):
+        for i in range(4):
+            kk = ref_sectional(refs[i], pls[i][j].x, pls[i][j].y)
+            assert close(sectional_curvatures(Rs[i], pls[i][j]), kk)
+            want.append(kk)
+    assert close(np.stack([K, Kt], axis=1), want)
+    for smp in st:
+        B = np.asarray(smp.tangent_basis)
+        R = gauss_curvature_from_shape(smp.A, B, flat)
+        assert close(ricci(R, B), ref_ricci(ref_tensor(0.0, 0.0, ref_ambient_shape(smp)), B))
+        sf = space_form_curvature(SpaceFormParams(-0.3, 0.7))
+        assert close(ricci(sf, B), ref_ricci(ref_tensor(-0.3, 0.7), B))
+
+
+def test_totally_real_matches_reference():
+    rng = np.random.default_rng(25)
+    st = sphere_stack(3.0, 4.0, 1, seed=26)
+    good = [(p.x, p.y) for p in sample_totally_real_planes(st.tangent_bases[0], 40, seed=27)]
+    e = np.eye(8)
+    special = [(e[0], apply_J(e[0])), (e[0] + e[4], e[1]), (e[0], 2.0 * e[0]),
+               (e[0], e[1]), (e[0] + 1e-12 * e[4], e[1]),
+               # nearly degenerate: the Gram determinant decides these two
+               (e[0] + e[2], e[0] + e[2] + 1e-3 * e[1]), (e[0] + e[2], e[0] + e[2] + 1e-2 * e[1])]
+    noisy = [(x + 1e-6 * rng.standard_normal(8), y) for x, y in good[:10]]
+    pairs = good + special + noisy + list(rng.uniform(-1, 1, (20, 2, 8)))
+    X, Y = np.array(pairs).transpose(1, 0, 2)
+    for tol in (1e-9, 1e-5):
+        got = is_totally_real(TangentPlane(X, Y), tol=tol)
+        want = [ref_totally_real(x, y, tol) for x, y in pairs]
+        assert got.tolist() == want
+        assert [is_totally_real(TangentPlane(x, y), tol=tol) for x, y in pairs] == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("basis,count,seed", [
+    ("standard4", 30, 42),
+    ("standard3", 25, 8),
+    ("sphere4", 50, 1000),
+    ("sphere5", 40, 7),
+])
+def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
+    m = int(basis[-1])
+    if basis.startswith("standard"):
+        V = np.eye(2 * m)
+        B = np.vstack([V[:m - 1], apply_J(V[:m - 1])])
+    else:
+        B = sphere_stack(-1.137, 1.885, 1, seed=28, m=m).tangent_bases[0]
+    got = sample_totally_real_planes(B, count, seed)
+    want = ref_sampler(B, count, seed)
+    assert len(got) == count
+    for p, (x, y) in zip(got, want):
+        assert np.array_equal(p.x, x) and np.array_equal(p.y, y)

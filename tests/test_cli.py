@@ -54,6 +54,22 @@ class TestSphereInfo:
         assert err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sphere", "info", "--a", "inf", "--b", "0"),
+    ("sphere", "info", "--a", "nan", "--b", "1"),
+    ("sample", "--a", "3", "--b=-inf", "--count", "5"),
+    ("sample", "--a", "nan", "--b", "1", "--count", "5"),
+    ("verify", "all", "--a", "inf"),
+    ("verify", "curvature", "--b", "nan"),
+])
+def test_non_finite_sphere_params_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "must be finite" in err
+
+
 class TestSample:
     def test_deterministic_bytes(self, capsys, tmp_path):
         f1 = tmp_path / "a.json"
@@ -144,6 +160,23 @@ class TestVerify:
         assert not out
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "rejection bound" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--planes", "0"), ("--planes", "-3"), ("--points", "0"),
+    ])
+    def test_empty_curvature_counts_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", "curvature", *flags)
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1 and "at least 1" in err
+
+    def test_params_echo_only_applied(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "metrics", "--a", "3", "--m", "3")
+        assert code == 0
+        assert json.loads(out)["params"] == {"m": 3, "seed": 0}
+        code, out, _ = run_cli(capsys, "verify", "all", "--a", "3", "--planes", "4")
+        assert code == 0
+        assert json.loads(out)["params"] == {"a": 3.0, "planes": 4, "seed": 0, "fd": False}
 
     def test_failing_tolerance_reported(self, capsys):
         # impossible tolerance forces a failure report on stderr
