@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import jsonio, verify
+from . import __version__, jsonio, verify
 from .classify import (
     SampleSet,
     Tolerances,
@@ -36,6 +36,10 @@ from .hypersurface import (
 )
 
 
+# written into every report (not into point or sample documents)
+VERSIONS = {"version": __version__, "numpy": np.__version__}
+
+
 def _emit(doc):
     sys.stdout.write(jsonio.dumps_canonical(doc))
     sys.stdout.write("\n")
@@ -56,6 +60,7 @@ def cmd_sphere_info(args):
     _emit(
         {
             "command": "sphere info",
+            **VERSIONS,
             "a": sph.a,
             "b": sph.b,
             "m": args.m,
@@ -109,6 +114,7 @@ def cmd_sample(args):
         return 2
     report = {
         "command": "sample",
+        **VERSIONS,
         "a": sph.a,
         "b": sph.b,
         "m": args.m,
@@ -153,6 +159,7 @@ def cmd_verify(args):
     _emit(
         {
             "command": f"verify {args.suite}",
+            **VERSIONS,
             "seed": args.seed,
             "params": verify.applied_params(args.suite, params),
             "results": results,
@@ -195,6 +202,7 @@ def cmd_classify(args):
 
     doc = {
         "command": "classify",
+        **VERSIONS,
         "input": args.input,
         "verdict": result.verdict,
         "constancy_spread": _opt(result.constancy_spread),
@@ -243,6 +251,7 @@ def cmd_decompose(args):
     _emit(
         {
             "command": "decompose",
+            **VERSIONS,
             "pairs": [[lam, mu] for lam, mu in dec.pairs],
             "basis": [list(map(float, x)) for x in dec.basis],
         }

@@ -167,13 +167,15 @@ def is_totally_real(plane, tol=DEFAULT_TOL):
     x = np.asarray(plane.x, dtype=float)
     y = np.asarray(plane.y, dtype=float)
     scale = np.maximum(np.maximum(np.sum(x * x, -1), np.sum(y * y, -1)), 1e-300)
-    gt_max = np.max(np.abs([metric_gt(x, x), metric_gt(x, y), metric_gt(y, y)]), axis=0)
     V = np.stack([x, y, apply_J(x), apply_J(y)], axis=-2)
     G = metric_g(V[..., :, None, :], V[..., None, :, :])
+    # gt(x, x), gt(x, y), gt(y, y) = g(Jx, x), g(Jx, y), g(Jy, y)
+    gt_max = np.max(np.abs(G[..., [2, 2, 3], [0, 1, 1]]), axis=-1)
+    pi1 = G[..., 1, 1] * G[..., 0, 0] - G[..., 0, 1] * G[..., 1, 0]
     ok = (
         (gt_max <= tol * scale)
         & (np.abs(np.linalg.det(G)) >= 1e-10 * scale ** 4)
-        & (np.abs(pi_tensors(x, y, y, x)[0]) > PLANE_DEGENERACY_THRESHOLD * scale)
+        & (np.abs(pi1) > PLANE_DEGENERACY_THRESHOLD * scale)
     )
     return bool(ok) if np.ndim(ok) == 0 else ok
 
@@ -210,7 +212,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     n = V.shape[0] // 2
     Zs = np.column_stack(to_complex(V[:n]))  # m-dim complex reps
     rng = np.random.default_rng(seed)
-    rotated = [Zs @ Rc for Rc in _rotation_catalog(n)]  # rotated x-halves
+    rotated = np.array([Zs @ Rc for Rc in _rotation_catalog(n)])  # (12, m, n)
     max_attempts = 50 * max(count, 1) + 100
     attempts = 0
     X = Y = np.empty((0, V.shape[1]))
@@ -220,14 +222,14 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         if block <= 0:
             raise SamplingExhausted("plane sampling rejection bound exceeded")
         attempts += block
-        cs, zs = [], []
-        for _ in range(block):
-            Xrot = rotated[rng.integers(len(rotated))]
-            c = rng.uniform(-1.0, 1.0, size=(2, n))
-            cs.append(c)
-            zs.append((Xrot @ c[0], Xrot @ c[1]))
-        C = np.array(cs)
-        x, y = np.moveaxis(from_complex(np.array(zs)), 1, 0)
+        idx = np.empty(block, dtype=np.intp)
+        C = np.empty((block, 2, n))
+        for k in range(block):
+            idx[k] = rng.integers(len(rotated))
+            C[k] = rng.uniform(-1.0, 1.0, size=(2, n))
+        # one mat-vec per candidate vector, as the per-attempt Xrot @ c
+        Z = (rotated[idx][:, None] @ C[..., None])[..., 0]
+        x, y = np.moveaxis(from_complex(Z), 1, 0)
         ok = np.linalg.det(C @ np.swapaxes(C, -1, -2)) >= 1e-6
         ok &= is_totally_real(TangentPlane(x, y), tol=tol)
         X = np.concatenate([X, x[ok]])

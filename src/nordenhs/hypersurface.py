@@ -243,7 +243,8 @@ def _normals(s, P):
 
 
 def normal_frame(s, p, tol=1e-8):
-    """Canonical frame xi = -lambda Z - mu JZ, Z = p - z0."""
+    """Canonical frame xi = -lambda Z - mu JZ, Z = p - z0, at a point or at
+    each point of a stack."""
     p = _on_surface(s, p, tol)
     xi = _normals(s, p)
     return NormalFrame(point=p, xi=xi, jxi=apply_J(xi))
@@ -251,17 +252,18 @@ def normal_frame(s, p, tol=1e-8):
 
 def normalize_normal_frame(eta, jeta, tol=1e-8):
     """Rotate a pair (eta, J eta) with g(eta,eta)=1 into a frame satisfying
-    g(xi,xi) = -g(Jxi,Jxi) = 1 and g(xi,Jxi) = 0."""
+    g(xi,xi) = -g(Jxi,Jxi) = 1 and g(xi,Jxi) = 0, along the last axis.
+    BadInputNormalization if any pair of a stack fails a check."""
     eta = np.asarray(eta, dtype=float)
     jeta = np.asarray(jeta, dtype=float)
-    if np.max(np.abs(jeta - apply_J(eta))) > tol * max(1.0, float(np.max(np.abs(eta)))):
+    off_j = np.max(np.abs(jeta - apply_J(eta)), axis=-1)
+    if (off_j > tol * np.maximum(1.0, np.max(np.abs(eta), axis=-1))).any():
         raise BadInputNormalization("second vector is not J of the first")
-    if abs(metric_g(eta, eta) - 1.0) > tol or abs(metric_g(jeta, jeta) + 1.0) > tol:
+    if ((np.abs(metric_g(eta, eta) - 1.0) > tol)
+            | (np.abs(metric_g(jeta, jeta) + 1.0) > tol)).any():
         raise BadInputNormalization("eta is not g-unit")
-    sinh_t = metric_gt(eta, eta)  # g(eta, J eta) = gt(eta, eta)
-    t = np.arcsinh(sinh_t)
-    ch = np.cosh(t)
-    xi = (np.cosh(t / 2.0) * eta + np.sinh(t / 2.0) * jeta) / ch
+    t = np.arcsinh(metric_gt(eta, eta))[..., None]  # g(eta, J eta) = gt(eta, eta)
+    xi = (np.cosh(t / 2.0) * eta + np.sinh(t / 2.0) * jeta) / np.cosh(t)
     return xi, apply_J(xi)
 
 
@@ -387,14 +389,15 @@ def ambient_shape_operator(sample, space):
 
 
 def second_fundamental(sample, space):
-    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi for ambient tangent x, y."""
+    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi for ambient tangent x, y,
+    or for stacks of them along the last axis."""
     A_amb = ambient_shape_operator(sample, space)
     xi = sample.frame.xi
     jxi = sample.frame.jxi
 
     def sigma(x, y):
-        ax = A_amb @ np.asarray(x, dtype=float)
-        return metric_g(ax, y) * xi - metric_gt(ax, y) * jxi
+        ax = np.asarray(x, dtype=float) @ A_amb.T
+        return metric_g(ax, y)[..., None] * xi - metric_gt(ax, y)[..., None] * jxi
 
     return sigma
 

@@ -59,6 +59,11 @@ def _random_vectors(rng, count, dim, scale=2.0):
     return rng.uniform(-scale, scale, size=(count, dim))
 
 
+def _require_count(count):
+    if count < 1:
+        raise NordenError(f"count must be at least 1, got {count}")
+
+
 def suite_metrics(m=4, seed=0, count=1000):
     """Algebraic identities of (g, gt, J) and complex scaling."""
     rng = np.random.default_rng(seed)
@@ -93,24 +98,24 @@ def suite_metrics(m=4, seed=0, count=1000):
 def suite_frame(m=4, seed=0, count=100):
     """Frame normalization yields the canonical normalization
     g(xi,xi) = 1, g(Jxi,Jxi) = -1, g(xi,Jxi) = 0; sphere frames satisfy it."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
     sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
-    frames = [normal_frame(sph, p) for p in sample(sph, count, seed + 1)]
+    fr = normal_frame(sph, sample(sph, count, seed + 1))
 
     def frame_error(xi, jxi):
-        return max(abs(metric_g(xi, xi) - 1.0), abs(metric_g(jxi, jxi) + 1.0),
-                   abs(metric_g(xi, jxi)))
+        return float(np.max(np.abs([metric_g(xi, xi) - 1.0, metric_g(jxi, jxi) + 1.0,
+                                    metric_g(xi, jxi)])))
 
-    r_norm = 0.0
     sinh_targets = [0.0, 0.75, -2.0] + list(rng.uniform(-3, 3, size=10))
-    for fr, s_t in zip(frames, sinh_targets * (count // len(sinh_targets) + 1)):
-        t = -0.5 * np.arcsinh(s_t)  # g(eta, J eta) = -sinh(2t)
-        eta = np.cosh(t) * fr.xi + np.sinh(t) * fr.jxi
-        r_norm = max(r_norm, frame_error(*normalize_normal_frame(eta, apply_J(eta))))
-    r_sphere = max(frame_error(fr.xi, fr.jxi) for fr in frames)
+    # frame k gets target k mod 13, so g(eta, J eta) = -sinh(2t)
+    t = -0.5 * np.arcsinh(np.resize(sinh_targets, count))[:, None]
+    eta = np.cosh(t) * fr.xi + np.sinh(t) * fr.jxi
+    r_norm = frame_error(*normalize_normal_frame(eta, apply_J(eta)))
     return [
         Check("normalized frame satisfies the frame relations", r_norm, 1e-10),
-        Check("canonical sphere frame satisfies the frame relations", r_sphere, 1e-10),
+        Check("canonical sphere frame satisfies the frame relations",
+              frame_error(fr.xi, fr.jxi), 1e-10),
     ]
 
 
@@ -170,22 +175,17 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
 
 def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
     """J-compatibility of the second fundamental form."""
+    _require_count(count)
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     p = sample(sph, 1, seed)[0]
     smp = surface_sample(sph, p)
     sigma = second_fundamental(smp, sph.space)
     B = smp.tangent_basis
     rng = np.random.default_rng(seed)
-    res = 0.0
-    for _ in range(count):
-        x, y = rng.uniform(-1, 1, (2, len(B))) @ B
-        s_xy = sigma(x, y)
-        scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
-        res = max(
-            res,
-            float(np.max(np.abs(sigma(x, apply_J(y)) - apply_J(s_xy)))) / scale,
-            float(np.max(np.abs(sigma(apply_J(x), y) - apply_J(s_xy)))) / scale,
-        )
+    x, y = np.moveaxis(rng.uniform(-1, 1, (count, 2, len(B))) @ B, 1, 0)
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
+    dev = np.stack([sigma(x, apply_J(y)), sigma(apply_J(x), y)]) - apply_J(sigma(x, y))
+    res = float(np.max(np.max(np.abs(dev), axis=-1) / scale))
     return [Check("sigma(x,Jy)=sigma(Jx,y)=J sigma(x,y)", res, 1e-10)]
 
 
@@ -214,18 +214,22 @@ def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     p = sample(sph, 1, seed)[0]
     r_at = codazzi_residual(sph, p, step=step)
-    # order check in the truncation-dominated regime: each step/4 refinement
-    # should cut the residual at least quadratically (factor >= 4 observed
-    # margin of the asymptotic 16)
     hs = (1.6e-2, 4e-3, 1e-3)
     rs = [codazzi_residual(sph, p, step=h) for h in hs]
-    worst_ratio = max(
-        rs[i + 1] / max(rs[i], 1e-300) for i in range(len(rs) - 1)
-    )
-    return [
-        Check(f"Codazzi residual at h={step:g}", r_at, 1e-4),
-        Check("second-order decrease (r(h/4)/r(h) <= 1/4)", worst_ratio, 0.25),
-    ]
+    if m == 2:
+        # n = 1: the truncation error vanishes identically and every r(h) is
+        # round-off, so a ratio of two of them says nothing about the order
+        order = Check("Codazzi residual at h=" + ", ".join(f"{h:g}" for h in hs),
+                      max(rs), 1e-4)
+    else:
+        # order check in the truncation-dominated regime: each step/4
+        # refinement should cut the residual at least quadratically (factor
+        # >= 4 observed margin of the asymptotic 16)
+        worst_ratio = max(
+            rs[i + 1] / max(rs[i], 1e-300) for i in range(len(rs) - 1)
+        )
+        order = Check("second-order decrease (r(h/4)/r(h) <= 1/4)", worst_ratio, 0.25)
+    return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-4), order]
 
 
 def suite_umbilic(m=4, seed=0):

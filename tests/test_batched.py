@@ -35,17 +35,22 @@ from nordenhs.curvature import (
     sectional_curvatures,
     space_form_curvature,
 )
+from nordenhs.errors import BadInputNormalization, NordenError
 from nordenhs.hypersurface import (
     SampleStack,
     lambda_mu,
     make_h_sphere,
     make_surface_samples,
+    normal_frame,
+    normalize_normal_frame,
     project_to_sphere,
     sample,
+    second_fundamental,
     shape_operators_fd,
     surface_sample,
     surface_samples,
 )
+from nordenhs.verify import suite_frame, suite_sigma
 
 GRID = [(1.0, 0.0), (0.0, 1.0), (3.0, 4.0), (-1.137, 1.885), (2.0, -3.0)]
 
@@ -434,3 +439,132 @@ def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
     assert len(got) == count
     for p, (x, y) in zip(got, want):
         assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
+
+
+# ---------------------------------------------------------------------------
+# second fundamental form, frame normalization and their suites against
+# per-item loops
+# ---------------------------------------------------------------------------
+
+def loop_sigma(smp):
+    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi for one pair of 1-D vectors."""
+    A_amb = ref_ambient_shape(smp)
+    xi, jxi = smp.frame.xi, smp.frame.jxi
+
+    def sigma(x, y):
+        ax = A_amb @ x
+        return metric_g(ax, y) * xi - metric_gt(ax, y) * jxi
+    return sigma
+
+
+def loop_normalize(eta, jeta, tol=1e-8):
+    """The frame normalization of one pair (eta, J eta)."""
+    if np.max(np.abs(jeta - apply_J(eta))) > tol * max(1.0, float(np.max(np.abs(eta)))):
+        raise BadInputNormalization("second vector is not J of the first")
+    if abs(metric_g(eta, eta) - 1.0) > tol or abs(metric_g(jeta, jeta) + 1.0) > tol:
+        raise BadInputNormalization("eta is not g-unit")
+    t = np.arcsinh(metric_gt(eta, eta))
+    xi = (np.cosh(t / 2.0) * eta + np.sinh(t / 2.0) * jeta) / np.cosh(t)
+    return xi, apply_J(xi)
+
+
+def loop_frame_error(xi, jxi):
+    return max(abs(metric_g(xi, xi) - 1.0), abs(metric_g(jxi, jxi) + 1.0),
+               abs(metric_g(xi, jxi)))
+
+
+def loop_suite_frame(m, seed, count):
+    rng = np.random.default_rng(seed)
+    sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
+    frames = [(loop_frame(sph, p), apply_J(loop_frame(sph, p)))
+              for p in sample(sph, count, seed + 1)]
+    r_norm = 0.0
+    sinh_targets = [0.0, 0.75, -2.0] + list(rng.uniform(-3, 3, size=10))
+    for (xi, jxi), s_t in zip(frames, sinh_targets * (count // len(sinh_targets) + 1)):
+        t = -0.5 * np.arcsinh(s_t)
+        eta = np.cosh(t) * xi + np.sinh(t) * jxi
+        r_norm = max(r_norm, loop_frame_error(*loop_normalize(eta, apply_J(eta))))
+    return r_norm, max(loop_frame_error(xi, jxi) for xi, jxi in frames)
+
+
+def loop_suite_sigma(a, b, m, seed, count):
+    sph = make_h_sphere(np.zeros(2 * m), a, b)
+    smp = surface_sample(sph, sample(sph, 1, seed)[0])
+    sigma = loop_sigma(smp)
+    B = smp.tangent_basis
+    rng = np.random.default_rng(seed)
+    res = 0.0
+    for _ in range(count):
+        x, y = rng.uniform(-1, 1, (2, len(B))) @ B
+        s_xy = sigma(x, y)
+        scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
+        res = max(res,
+                  float(np.max(np.abs(sigma(x, apply_J(y)) - apply_J(s_xy)))) / scale,
+                  float(np.max(np.abs(sigma(apply_J(x), y) - apply_J(s_xy)))) / scale)
+    return res
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_sigma_matches_per_pair_closure(a, b):
+    sph = make_h_sphere(np.zeros(8), a, b)
+    smp = surface_sample(sph, sample(sph, 1, 29)[0])
+    x, y = np.random.default_rng(30).uniform(-1, 1, (2, 5, 7, 6)) @ smp.tangent_basis
+    got = second_fundamental(smp, sph.space)(x, y)
+    ref = loop_sigma(smp)
+    assert got.shape == (5, 7, 8)
+    for i, k in np.ndindex(5, 7):
+        assert close(got[i, k], ref(x[i, k], y[i, k]))
+    assert close(second_fundamental(smp, sph.space)(x[0, 0], y[0, 0]), ref(x[0, 0], y[0, 0]))
+
+
+def boosted_normals(count, seed, m=4):
+    """Unit normals eta = cosh t xi + sinh t J xi of the sphere (1, 0)."""
+    sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
+    fr = normal_frame(sph, sample(sph, count, seed))
+    t = np.random.default_rng(seed).uniform(-1.5, 1.5, (count, 1))
+    return np.cosh(t) * fr.xi + np.sinh(t) * fr.jxi
+
+
+def test_normalize_stack_matches_rows_bit_for_bit():
+    eta = boosted_normals(40, seed=31)
+    xi, jxi = normalize_normal_frame(eta, apply_J(eta))
+    for k, e in enumerate(eta):
+        for got, want in ((normalize_normal_frame(e, apply_J(e)), (xi[k], jxi[k])),
+                          (loop_normalize(e, apply_J(e)), (xi[k], jxi[k]))):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("row", [0, 17, 39])
+@pytest.mark.parametrize("fault", ["non-unit", "not J"])
+def test_normalize_stack_rejects_one_bad_row(row, fault):
+    eta = boosted_normals(40, seed=32)
+    jeta = apply_J(eta)
+    if fault == "non-unit":
+        eta[row] *= 1.5
+        jeta[row] *= 1.5
+    else:
+        jeta[row] = eta[row]
+    with pytest.raises(BadInputNormalization):
+        normalize_normal_frame(eta, jeta)
+    with pytest.raises(BadInputNormalization):
+        loop_normalize(eta[row], jeta[row])
+
+
+@pytest.mark.parametrize("m,seed,count", [(4, 0, 100), (3, 5, 27), (5, 11, 1)])
+def test_suite_frame_matches_loop(m, seed, count):
+    r_norm, r_sphere = (c.residual for c in suite_frame(m=m, seed=seed, count=count))
+    assert (r_norm, r_sphere) == loop_suite_frame(m, seed, count)
+
+
+@pytest.mark.parametrize("a,b,m,seed,count", [
+    (3.0, 4.0, 4, 0, 200), (-1.137, 1.885, 3, 7, 50), (2.0, -3.0, 5, 3, 1),
+])
+def test_suite_sigma_matches_loop(a, b, m, seed, count):
+    [check] = suite_sigma(a=a, b=b, m=m, seed=seed, count=count)
+    assert abs(check.residual - loop_suite_sigma(a, b, m, seed, count)) <= 1e-15
+
+
+@pytest.mark.parametrize("suite", [suite_frame, suite_sigma])
+def test_suites_reject_empty_count(suite):
+    with pytest.raises(NordenError, match="at least 1"):
+        suite(count=0)

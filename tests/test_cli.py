@@ -1,10 +1,14 @@
 """Tests for the command-line interface and the JSON wire format."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nordenhs
 from nordenhs import jsonio
 from nordenhs.cli import main
 from nordenhs.core import complex_op_to_real, NordenSpace
@@ -346,3 +350,63 @@ class TestJsonIO:
         )
         with pytest.raises(FormatError):
             jsonio.load_pointcloud(str(f))
+
+
+def _report_argv(kind, tmp_path):
+    """argv of a command whose report is `kind`, with its input files."""
+    if kind == "sphere info":
+        return ["sphere", "info", "--a", "3", "--b", "4"]
+    samples = tmp_path / "s.json"
+    if kind == "sample":
+        return ["sample", "--a", "3", "--b", "4", "--count", "3", "--out", str(samples)]
+    if kind == "verify":
+        return ["verify", "metrics", "--m", "2"]
+    if kind == "classify":
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        jsonio.write_json(str(samples), jsonio.samples_to_doc(4, make_surface_samples(sph, 5, 1)))
+        return ["classify", "--in", str(samples)]
+    op = tmp_path / "op.json"
+    jsonio.write_json(str(op), {"matrix": [list(map(float, r)) for r in np.eye(8)]})
+    return ["decompose", "--in", str(op)]
+
+
+@pytest.mark.parametrize("kind", ["sphere info", "sample", "verify", "classify", "decompose"])
+def test_report_names_versions(capsys, tmp_path, kind):
+    code, out, _ = run_cli(capsys, *_report_argv(kind, tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["command"].startswith(kind)
+    assert doc["version"] == nordenhs.__version__
+    assert doc["numpy"] == np.__version__
+
+
+def test_sample_document_on_stdout_has_no_versions(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--a", "3", "--b", "4", "--count", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"version", "m", "kind", "points"}
+    assert doc["version"] == 1
+
+
+def test_codazzi_at_m2_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "codazzi", "--m", "2")
+    assert code == 0
+    names = [r["name"] for r in json.loads(out)["results"]]
+    assert "second-order decrease (r(h/4)/r(h) <= 1/4)" not in names
+    code, out, _ = run_cli(capsys, "verify", "codazzi", "--m", "3")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results[1]["name"] == "second-order decrease (r(h/4)/r(h) <= 1/4)"
+    assert results[1]["tol"] == 0.25
+
+
+def test_python_dash_m(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nordenhs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "sphere info"
