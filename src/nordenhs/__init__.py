@@ -50,7 +50,6 @@ from .hypersurface import (
     normalize_normal_frame,
     sample,
     second_fundamental,
-    shape_operator_closed,
     shape_operator_fd,
     shape_operator_wrt,
     surface_sample,

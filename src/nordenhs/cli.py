@@ -22,7 +22,6 @@ from .classify import (
 from .core import NordenSpace, h_proper_decomposition
 from .errors import (
     FormatError,
-    IsotropicParameters,
     NordenError,
     NotHDiagonalizable,
     NotHSymmetric,
@@ -52,7 +51,7 @@ def _err(msg):
 def cmd_sphere_info(args):
     try:
         sph = make_h_sphere(np.zeros(2 * args.m), args.a, args.b)
-    except (IsotropicParameters, NordenError) as exc:
+    except NordenError as exc:
         _err(str(exc))
         return 2
     params = theoretical_curvatures(sph)

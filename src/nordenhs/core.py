@@ -145,11 +145,10 @@ def _scale(M):
     return max(1.0, float(np.max(np.abs(M))))
 
 
-def h_symmetry_residual(S, space=None):
+def h_symmetry_residual(S):
     """Max-norm residuals (commutator with J, g-self-adjointness)."""
     S = np.asarray(S, dtype=float)
-    m = S.shape[0] // 2
-    sp = space or NordenSpace(m)
+    sp = NordenSpace(S.shape[0] // 2)
     J = sp.j_matrix()
     G = sp.metric_matrix()
     r_comm = float(np.max(np.abs(S @ J - J @ S)))
@@ -182,18 +181,20 @@ def is_adapted_basis(vectors, tol=DEFAULT_TOL):
     """Check (x_1..x_m, Jx_1..Jx_m) ordering and the Gram relations.
 
     Requires the second half to equal J applied to the first half, with
-    g(x_i, x_j) = delta_ij and g(x_i, Jx_j) = 0 within tol.
+    g(x_i, x_j) = delta_ij and g(x_i, Jx_j) = 0 within tol.  For a stack of
+    bases (..., 2k, 2m) the answer is a boolean array.
     """
     V = np.asarray(vectors, dtype=float)
-    if V.ndim != 2 or V.shape[0] % 2 != 0 or V.shape[1] % 2 != 0:
+    if V.ndim < 2 or V.shape[-2] % 2 != 0 or V.shape[-1] % 2 != 0:
         raise DimensionMismatch("expected 2k vectors of even length")
-    k = V.shape[0] // 2
-    s = max(1.0, float(np.max(np.abs(V))))
-    if np.max(np.abs(V[k:] - apply_J(V[:k]))) > tol * s:
-        return False
-    Z = to_complex(V[:k])
-    gram = Z @ Z.T - np.eye(k)  # g(x_i, x_j) - delta_ij + i gt(x_i, x_j)
-    return max(np.max(np.abs(gram.real)), np.max(np.abs(gram.imag))) <= tol * s * s
+    k = V.shape[-2] // 2
+    s = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
+    Z = to_complex(V[..., :k, :])
+    gram = Z @ np.swapaxes(Z, -1, -2) - np.eye(k)  # g(x_i, x_j) - delta_ij + i gt(x_i, x_j)
+    off_j = np.abs(V[..., k:, :] - apply_J(V[..., :k, :])).max(axis=(-2, -1))
+    off_g = np.maximum(np.abs(gram.real), np.abs(gram.imag)).max(axis=(-2, -1))
+    ok = (off_j <= tol * s) & (off_g <= tol * s * s)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def tangent_reps(T):
@@ -232,13 +233,12 @@ def complex_givens(m, p, q, theta):
     return R
 
 
-def random_complex_orthogonal(m, rng, rotations=None, im_scale=0.4):
-    """Product of complex Givens rotations with bounded imaginary angles."""
+def random_complex_orthogonal(m, rng, im_scale=0.4):
+    """Product of 2m complex Givens rotations with bounded imaginary angles."""
     if m == 1:
         return np.eye(1, dtype=complex)
-    k = rotations if rotations is not None else 2 * m
     R = np.eye(m, dtype=complex)
-    for _ in range(k):
+    for _ in range(2 * m):
         p, q = rng.choice(m, size=2, replace=False)
         theta = rng.uniform(-np.pi, np.pi) + 1j * rng.uniform(-im_scale, im_scale)
         R = complex_givens(m, int(p), int(q), theta) @ R

@@ -45,10 +45,16 @@ class SpaceFormParams:
 @dataclass(frozen=True)
 class TangentPlane:
     """A 2-plane spanned by x and y, or a stack of planes when x and y are
-    stacks (..., 2m)."""
+    stacks (..., 2m); a stack indexes and iterates along its first axis."""
 
     x: np.ndarray
     y: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return TangentPlane(self.x[i], self.y[i])
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def space_form_curvature(params):
     return GaussShapeCurvature(params)
 
 
-def gauss_curvature_from_shape(A, tangent_basis, ambient, tol=DEFAULT_TOL):
+def gauss_curvature_from_shape(A, tangent_basis, ambient):
     """Gauss tensor of the shape operator A given on a tangent basis (rows);
     it evaluates ambient vectors lying in that tangent space.  Stacks of A
     (..., 2n, 2n) and of bases (..., 2n, 2m) give a stack of tensors."""
@@ -151,11 +157,8 @@ def sectional_curvatures(R, plane, threshold=PLANE_DEGENERACY_THRESHOLD):
 
 
 def sectional_batch_planes(R, planes, threshold=PLANE_DEGENERACY_THRESHOLD):
-    """(K, Kt) over a list of planes, or over a TangentPlane of stacks,
-    as flat arrays with the degenerate planes dropped."""
-    if not isinstance(planes, TangentPlane):
-        planes = TangentPlane(np.array([p.x for p in planes], dtype=float),
-                              np.array([p.y for p in planes], dtype=float))
+    """(K, Kt) over a TangentPlane of stacks, as flat arrays with the
+    degenerate planes dropped."""
     K, Kt, _, ok = _sectional(R, planes.x, planes.y, threshold)
     return K[ok], Kt[ok]
 
@@ -180,7 +183,8 @@ def is_totally_real(plane, tol=DEFAULT_TOL):
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-# fixed catalog of complex-orthogonal rotations used by the plane sampler
+# fixed (12, n, n) catalog of complex-orthogonal rotations used by the plane
+# sampler: the identity, then 11 random members
 _CATALOG_SEED = 0x1985
 _CATALOG_SIZE = 12
 _catalog_cache = {}
@@ -189,15 +193,17 @@ _catalog_cache = {}
 def _rotation_catalog(n):
     if n not in _catalog_cache:
         rng = np.random.default_rng(_CATALOG_SEED + n)
-        _catalog_cache[n] = [np.eye(n, dtype=complex)] + [
+        _catalog_cache[n] = np.array([np.eye(n, dtype=complex)] + [
             random_complex_orthogonal(n, rng, im_scale=0.3)
             for _ in range(_CATALOG_SIZE - 1)
-        ]
+        ])
     return _catalog_cache[n]
 
 
 def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
-    """Sample totally real planes inside span(adapted_basis).
+    """`count` totally real planes inside span(adapted_basis) (2n, 2m), as a
+    TangentPlane of stacks (count, 2m); for a stack of bases (..., 2n, 2m),
+    one seed per basis, (..., count, 2m).
 
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
@@ -207,39 +213,44 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     candidates, at most 50 count + 100 attempts in.  Deterministic per seed.
     """
     V = np.asarray(adapted_basis, dtype=float)
-    if not is_adapted_basis(V, tol=max(tol, 1e-8)):
+    seeds = np.asarray(seed)
+    if seeds.shape != V.shape[:-2]:
+        raise DimensionMismatch(f"need one seed per basis, got {seeds.shape} for {V.shape[:-2]}")
+    if not np.all(is_adapted_basis(V, tol=max(tol, 1e-8))):
         raise DegenerateBasis("input is not an adapted basis")
-    n = V.shape[0] // 2
-    Zs = np.column_stack(to_complex(V[:n]))  # m-dim complex reps
-    rng = np.random.default_rng(seed)
-    rotated = np.array([Zs @ Rc for Rc in _rotation_catalog(n)])  # (12, m, n)
+    n = V.shape[-2] // 2
+    # (..., 12, m, n): the m-dim complex reps of every basis, rotated
+    rotated = np.swapaxes(to_complex(V[..., None, :n, :]), -1, -2) @ _rotation_catalog(n)
     max_attempts = 50 * max(count, 1) + 100
-    attempts = 0
-    X = Y = np.empty((0, V.shape[1]))
-    while len(X) < count:
-        # a few spare candidates, so that one block usually suffices
-        block = min(max_attempts - attempts, count - len(X) + 8)
-        if block <= 0:
-            raise SamplingExhausted("plane sampling rejection bound exceeded")
-        attempts += block
-        idx = np.empty(block, dtype=np.intp)
-        C = np.empty((block, 2, n))
-        for k in range(block):
-            idx[k] = rng.integers(len(rotated))
-            C[k] = rng.uniform(-1.0, 1.0, size=(2, n))
-        # one mat-vec per candidate vector, as the per-attempt Xrot @ c
-        Z = (rotated[idx][:, None] @ C[..., None])[..., 0]
-        x, y = np.moveaxis(from_complex(Z), 1, 0)
-        ok = np.linalg.det(C @ np.swapaxes(C, -1, -2)) >= 1e-6
-        ok &= is_totally_real(TangentPlane(x, y), tol=tol)
-        X = np.concatenate([X, x[ok]])
-        Y = np.concatenate([Y, y[ok]])
-    return [TangentPlane(x=x, y=y) for x, y in zip(X[:count], Y[:count])]
+    out = np.empty(seeds.shape + (2, count, V.shape[-1]))
+    for i in np.ndindex(seeds.shape):
+        rng = np.random.default_rng(seeds[i])
+        have = attempts = 0
+        while have < count:
+            # a few spare candidates, so that one block usually suffices
+            block = min(max_attempts - attempts, count - have + 8)
+            if block <= 0:
+                raise SamplingExhausted("plane sampling rejection bound exceeded")
+            attempts += block
+            idx = np.empty(block, dtype=np.intp)
+            C = np.empty((block, 2, n))
+            for k in range(block):
+                idx[k] = rng.integers(_CATALOG_SIZE)
+                C[k] = rng.uniform(-1.0, 1.0, size=(2, n))
+            # one mat-vec per candidate vector, as the per-attempt Xrot @ c
+            Z = (rotated[i][idx][:, None] @ C[..., None])[..., 0]
+            xy = np.moveaxis(from_complex(Z), 1, 0)
+            ok = np.linalg.det(C @ np.swapaxes(C, -1, -2)) >= 1e-6
+            ok &= is_totally_real(TangentPlane(*xy), tol=tol)
+            new = xy[:, ok][:, :count - have]
+            out[i][:, have:have + new.shape[1]] = new
+            have += new.shape[1]
+    return TangentPlane(*np.moveaxis(out, -3, 0))
 
 
 def curvature_constancy_report(R, planes):
-    """Mean and max deviation of (K, Kt) over the given planes."""
-    ks, kts = sectional_batch_planes(R, planes) if len(planes) else ((), ())
+    """Mean and max deviation of (K, Kt) over a TangentPlane of stacks."""
+    ks, kts = sectional_batch_planes(R, planes)
     if len(ks) < 1:
         raise DegeneratePlane("all planes degenerate")
     return CurvatureStats(

@@ -26,11 +26,11 @@ class DegenerateBasis(NordenError):
 
 
 class IsotropicParameters(NordenError):
-    """(a, b) = (0, 0): the isotropic hypersurface is rejected."""
+    """(a, b) near (0, 0), the isotropic hypersurface, or a^2 + b^2 overflows."""
 
 
 class ZeroCurvatures(NordenError):
-    """(nu, nut) = (0, 0) describes a hyperplane, not an h-sphere."""
+    """(nu, nut) near (0, 0), a hyperplane, or nu^2 + nut^2 overflows."""
 
 
 class PointNotOnSurface(NordenError):

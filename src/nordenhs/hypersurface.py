@@ -77,8 +77,8 @@ class SurfaceSample:
 class SampleStack:
     """N second-order records as arrays: points and unit normals xi
     (N, 2m), tangent bases (N, 2n, 2m) with the vectors as rows and shape
-    operators (N, 2n, 2n).  Indexing and iteration give SurfaceSample
-    records."""
+    operators (N, 2n, 2n).  Indexing and iteration (through __getitem__)
+    give SurfaceSample records."""
 
     points: np.ndarray
     xi: np.ndarray
@@ -109,9 +109,6 @@ class SampleStack:
             A=self.A[i],
         )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class MeanCurvatureData:
@@ -123,27 +120,32 @@ class MeanCurvatureData:
     traceAJ: float
 
 
+def _require_radius(names, a, b, error):
+    """error unless a^2 + b^2 is finite and above 1e-24 (in Python floats,
+    which overflow to inf without a warning)."""
+    if not 1e-24 < float(a) * float(a) + float(b) * float(b) < float("inf"):
+        x, y = names
+        raise error(f"({x}, {y}) = ({float(a)!r}, {float(b)!r}) is not an h-sphere: "
+                    f"{x}^2 + {y}^2 must be finite and above 1e-24")
+
+
 def make_h_sphere(center, a, b):
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.shape[0] % 2 != 0 or center.shape[0] < 4:
         raise DimensionMismatch("center must have even length >= 4")
     if not (np.isfinite(center).all() and np.isfinite(a) and np.isfinite(b)):
         raise NordenError(f"a, b and the center must be finite, got a={a}, b={b}")
-    if a * a + b * b <= 1e-24:
-        raise IsotropicParameters("(a, b) = (0, 0) is not an h-sphere")
+    _require_radius(("a", "b"), a, b, IsotropicParameters)
     return HSphere(
         space=NordenSpace(center.shape[0] // 2), center=center, a=float(a), b=float(b)
     )
 
 
-def h_sphere_from_curvatures(nu, nut, center=None, m=4):
+def h_sphere_from_curvatures(nu, nut, m=4):
     """Sphere with prescribed constant curvatures (nu, nut)."""
-    if nu * nu + nut * nut <= 1e-24:
-        raise ZeroCurvatures("zero curvatures describe a hyperplane")
-    if center is None:
-        center = np.zeros(2 * m)
+    _require_radius(("nu", "nut"), nu, nut, ZeroCurvatures)
     den = nu * nu + nut * nut
-    return make_h_sphere(center, nu / den, -nut / den)
+    return make_h_sphere(np.zeros(2 * m), nu / den, -nut / den)
 
 
 def conjugate(s):
@@ -162,8 +164,9 @@ def lambda_mu(s):
     """
     r2 = s.a * s.a + s.b * s.b
     r = np.sqrt(r2)
-    lam = np.sqrt(max(0.0, (r + s.a) / (2.0 * r2)))
-    mu = np.sqrt(max(0.0, (r - s.a) / (2.0 * r2)))
+    # 0.5 x / r2 rounds as x / (2 r2), and 2 r2 may overflow
+    lam = np.sqrt(max(0.0, 0.5 * (r + s.a) / r2))
+    mu = np.sqrt(max(0.0, 0.5 * (r - s.a) / r2))
     if lam >= 1e-15 and s.b < 0:
         mu = -mu
     return float(lam), float(mu)
@@ -257,10 +260,11 @@ def normalize_normal_frame(eta, jeta, tol=1e-8):
     eta = np.asarray(eta, dtype=float)
     jeta = np.asarray(jeta, dtype=float)
     off_j = np.max(np.abs(jeta - apply_J(eta)), axis=-1)
-    if (off_j > tol * np.maximum(1.0, np.max(np.abs(eta), axis=-1))).any():
+    # not all(r <= tol) rather than any(r > tol), so that a NaN residual fails
+    if not (off_j <= tol * np.maximum(1.0, np.max(np.abs(eta), axis=-1))).all():
         raise BadInputNormalization("second vector is not J of the first")
-    if ((np.abs(metric_g(eta, eta) - 1.0) > tol)
-            | (np.abs(metric_g(jeta, jeta) + 1.0) > tol)).any():
+    if not ((np.abs(metric_g(eta, eta) - 1.0) <= tol)
+            & (np.abs(metric_g(jeta, jeta) + 1.0) <= tol)).all():
         raise BadInputNormalization("eta is not g-unit")
     t = np.arcsinh(metric_gt(eta, eta))[..., None]  # g(eta, J eta) = gt(eta, eta)
     xi = (np.cosh(t / 2.0) * eta + np.sinh(t / 2.0) * jeta) / np.cosh(t)
@@ -314,11 +318,6 @@ def tangent_rep(tangent_basis, space):
     if T.ndim != 2 or T.shape[1] != space.dim:
         raise DimensionMismatch(f"expected tangent vectors of length {space.dim}")
     return (T.T, *(x[0] for x in tangent_reps(T[None])))
-
-
-def shape_operator_closed(s):
-    """(lambda, mu) presenting A = lambda I + mu J on the tangent space."""
-    return lambda_mu(s)
 
 
 def default_fd_step(s, p):
@@ -459,14 +458,14 @@ def _tangential_projectors(Xi):
             + JXi[:, :, None] * (g * JXi)[:, None, :])
 
 
-def codazzi_residual(s, p, step=1e-4, inner_step=None):
+def codazzi_residual(s, p, step=1e-4):
     """Max over tangent basis pairs of ||(grad_x A) y - (grad_y A) x||.
 
     The shape-operator field is estimated by finite differences of the FD
-    Weingarten map; for h-spheres the analytic value is zero.  By default
-    the inner Weingarten step is tied to the outer step so the truncation
-    error of the A-field varies smoothly with h and the residual shows its
-    second-order decrease before hitting round-off.
+    Weingarten map; for h-spheres the analytic value is zero.  The inner
+    Weingarten step is the outer step, so the truncation error of the A-field
+    varies smoothly with h and the residual shows its second-order decrease
+    before hitting round-off.
     """
     h = float(step)
     p = np.asarray(p, dtype=float)
@@ -474,7 +473,7 @@ def codazzi_residual(s, p, step=1e-4, inner_step=None):
     # p, then its neighbours p + h t_i and p - h t_i on the quadric
     Q = np.concatenate([p[None], project_to_sphere(s, p + h * T),
                         project_to_sphere(s, p - h * T)])
-    st = surface_samples(s, Q, fd=True, step=h if inner_step is None else inner_step)
+    st = surface_samples(s, Q, fd=True, step=h)
     A = _ambient_shape_operators(st)
     proj = _tangential_projectors(st.xi)
     # y extended by tangential projection: (grad_{t_i} A) y = nabla[i] y
@@ -490,7 +489,7 @@ def codazzi_residual(s, p, step=1e-4, inner_step=None):
 # holomorphic hyperplanes
 # ---------------------------------------------------------------------------
 
-def make_hyperplane(xi, d, dt, tol=1e-9):
+def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
         raise DimensionMismatch("xi must have even length")

@@ -19,7 +19,6 @@ from .core import (
 )
 from .curvature import (
     SpaceFormParams,
-    TangentPlane,
     gauss_curvature_from_shape,
     ricci,
     sample_totally_real_planes,
@@ -39,7 +38,6 @@ from .hypersurface import (
     sample,
     second_fundamental,
     shape_operator_wrt,
-    surface_sample,
     theoretical_curvatures,
 )
 
@@ -55,10 +53,6 @@ class Check:
         return bool(self.residual <= self.tol)
 
 
-def _random_vectors(rng, count, dim, scale=2.0):
-    return rng.uniform(-scale, scale, size=(count, dim))
-
-
 def _require_count(count):
     if count < 1:
         raise NordenError(f"count must be at least 1, got {count}")
@@ -67,9 +61,7 @@ def _require_count(count):
 def suite_metrics(m=4, seed=0, count=1000):
     """Algebraic identities of (g, gt, J) and complex scaling."""
     rng = np.random.default_rng(seed)
-    dim = 2 * m
-    U = _random_vectors(rng, count, dim)
-    V = _random_vectors(rng, count, dim)
+    U, V = rng.uniform(-2.0, 2.0, (2, count, 2 * m))  # as two (count, 2m) draws
     re, im = rng.uniform(-2, 2, (count, 2)).T
     c = re + 1j * im
     s = np.maximum(1.0, np.maximum(np.sum(U * U, -1), np.sum(V * V, -1)))
@@ -122,6 +114,9 @@ def suite_frame(m=4, seed=0, count=100):
 def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
                     fd=False, step=None, tol=None):
     """Sampled totally real sectional curvatures against the closed form."""
+    if m < 3:
+        raise NordenError(f"the curvature suite needs m >= 3, got m={m}: "
+                          "no totally real plane exists below m = 3")
     if points < 1 or planes < 1:
         raise NordenError(
             f"points and planes must be at least 1, got {points} and {planes}"
@@ -129,14 +124,11 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     params = theoretical_curvatures(sph)
     st = make_surface_samples(sph, points, seed, fd=fd, step=step)
-    R = gauss_curvature_from_shape(st.A, st.tangent_bases, SpaceFormParams(0.0, 0.0))
-    pls = np.array([
-        [(p.x, p.y) for p in sample_totally_real_planes(T, planes, seed + 1000 + i)]
-        for i, T in enumerate(st.tangent_bases)
-    ])
-    # (x or y, plane, point, 2m): the point axis meets the stack of tensors
-    X, Y = pls.transpose(2, 1, 0, 3)
-    K, Kt = sectional_batch_planes(R, TangentPlane(X, Y))
+    # a (points, 1) stack of tensors meets the (points, planes) planes
+    R = gauss_curvature_from_shape(st.A[:, None], st.tangent_bases[:, None],
+                                   SpaceFormParams(0.0, 0.0))
+    pls = sample_totally_real_planes(st.tangent_bases, planes, seed + 1000 + np.arange(points))
+    K, Kt = sectional_batch_planes(R, pls)
     r_k = float(np.max(np.abs(K - params.nu)))
     r_kt = float(np.max(np.abs(Kt - params.nut)))
     tol = tol if tol is not None else (1e-5 if fd else 1e-9)
@@ -151,8 +143,7 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     with (lambda^2 - mu^2, -2 lambda mu); curvature symmetries hold."""
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     lam, mu = lambda_mu(sph)
-    p = sample(sph, 1, seed)[0]
-    smp = surface_sample(sph, p)
+    smp = make_surface_samples(sph, 1, seed)[0]
     flat = SpaceFormParams(0.0, 0.0)
     R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
     Rsf = space_form_curvature(SpaceFormParams(lam * lam - mu * mu, -2.0 * lam * mu))
@@ -177,8 +168,7 @@ def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
     """J-compatibility of the second fundamental form."""
     _require_count(count)
     sph = make_h_sphere(np.zeros(2 * m), a, b)
-    p = sample(sph, 1, seed)[0]
-    smp = surface_sample(sph, p)
+    smp = make_surface_samples(sph, 1, seed)[0]
     sigma = second_fundamental(smp, sph.space)
     B = smp.tangent_basis
     rng = np.random.default_rng(seed)
@@ -192,8 +182,7 @@ def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
 def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
     """Hypersurface Ricci identity with flat ambient on an h-sphere."""
     sph = make_h_sphere(np.zeros(2 * m), a, b)
-    p = sample(sph, 1, seed)[0]
-    smp = surface_sample(sph, p)
+    smp = make_surface_samples(sph, 1, seed)[0]
     flat = SpaceFormParams(0.0, 0.0)
     R = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
     B = smp.tangent_basis
@@ -244,12 +233,12 @@ def suite_umbilic(m=4, seed=0):
         return float(np.max(np.abs(M - (np.trace(M) / len(M)) * np.eye(len(M)))))
 
     sph1 = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
-    smp = surface_sample(sph1, sample(sph1, 1, seed)[0])
+    smp = make_surface_samples(sph1, 1, seed)[0]
     a_xi = shape_operator_wrt(smp, sph1.space, smp.frame.xi)
     res = [Check("(1,0): A_xi proportional to I", scalar_deviation(a_xi), 1e-9)]
 
     sph2 = make_h_sphere(np.zeros(2 * m), 0.0, 1.0)
-    smp = surface_sample(sph2, sample(sph2, 1, seed + 1)[0])
+    smp = make_surface_samples(sph2, 1, seed + 1)[0]
     mcd = mean_curvature(smp, sph2.space)
     res.append(Check("(0,1): g(H,H) = 0", abs(mcd.gHH), 1e-12))
     devs = [scalar_deviation(shape_operator_wrt(smp, sph2.space, eta))

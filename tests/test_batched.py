@@ -35,7 +35,12 @@ from nordenhs.curvature import (
     sectional_curvatures,
     space_form_curvature,
 )
-from nordenhs.errors import BadInputNormalization, NordenError
+from nordenhs.errors import (
+    BadInputNormalization,
+    DimensionMismatch,
+    NordenError,
+    SamplingExhausted,
+)
 from nordenhs.hypersurface import (
     SampleStack,
     lambda_mu,
@@ -49,8 +54,9 @@ from nordenhs.hypersurface import (
     shape_operators_fd,
     surface_sample,
     surface_samples,
+    theoretical_curvatures,
 )
-from nordenhs.verify import suite_frame, suite_sigma
+from nordenhs.verify import suite_curvature, suite_frame, suite_sigma
 
 GRID = [(1.0, 0.0), (0.0, 1.0), (3.0, 4.0), (-1.137, 1.885), (2.0, -3.0)]
 
@@ -441,6 +447,87 @@ def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
         assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
 
 
+@pytest.mark.parametrize("m,shape,count", [(4, (5,), 30), (3, (2, 3), 12), (5, (1,), 1)])
+def test_stacked_sampler_equals_single_calls(m, shape, count):
+    size = int(np.prod(shape))
+    bases = sphere_stack(-1.137, 1.885, size, seed=33, m=m).tangent_bases
+    bases = bases.reshape(shape + bases.shape[1:])
+    seeds = 500 + np.arange(size).reshape(shape)
+    got = sample_totally_real_planes(bases, count, seeds)
+    assert got.x.shape == got.y.shape == shape + (count, 2 * m)
+    for i in np.ndindex(shape):
+        one = sample_totally_real_planes(bases[i], count, seeds[i])
+        want = np.array(ref_sampler(bases[i], count, seeds[i]))
+        for v, w in ((got.x[i], one.x), (got.y[i], one.y),
+                     (got.x[i], want[:, 0]), (got.y[i], want[:, 1])):
+            assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_exhausted_basis_in_stack_raises(failing):
+    # with tol = 0 only exact zeros of gt pass: the real standard basis
+    # gives them (catalog identity), a sphere's tangent basis never does
+    e = np.eye(8)
+    standard = np.vstack([e[:3], apply_J(e[:3])])
+    bases = np.stack([standard] * 3)
+    bases[failing] = make_surface_samples(make_h_sphere(np.zeros(8), 3.0, 4.0), 1, 2).tangent_bases[0]
+    ok = sample_totally_real_planes(standard, 30, 5, tol=0.0)
+    assert len(ok) == 30
+    with pytest.raises(SamplingExhausted):
+        sample_totally_real_planes(bases, 30, np.array([5, 6, 7]), tol=0.0)
+
+
+def test_sampler_needs_one_seed_per_basis():
+    bases = sphere_stack(3.0, 4.0, 3, seed=34).tangent_bases
+    for seed in (7, np.arange(2), np.arange(6).reshape(3, 2)):
+        with pytest.raises(DimensionMismatch):
+            sample_totally_real_planes(bases, 5, seed)
+
+
+def test_stacked_adapted_basis_check_equals_single_calls():
+    bases = sphere_stack(-1.137, 1.885, 6, seed=35).tangent_bases.copy()
+    bases[1, 0] *= 1.0 + 1e-6  # not g-unit
+    bases[3, 4] = -bases[3, 4]  # not J of the first half
+    bases[4, 2, 5] = np.nan
+    bases = bases.reshape(2, 3, *bases.shape[1:])
+    # the 1e-6 stretch passes at tol = 1e-5 only
+    for tol, want in ((1e-9, [[True, False, True], [False, False, True]]),
+                      (1e-5, [[True, True, True], [False, False, True]])):
+        got = is_adapted_basis(bases, tol=tol)
+        assert got.tolist() == want
+        assert [[is_adapted_basis(B, tol=tol) for B in row] for row in bases] == want
+
+
+def loop_suite_curvature(a, b, m, points, planes, seed, fd=False):
+    """The curvature suite's residuals with one sampler call per point."""
+    sph = make_h_sphere(np.zeros(2 * m), a, b)
+    params = theoretical_curvatures(sph)
+    st = make_surface_samples(sph, points, seed, fd=fd)
+    R = gauss_curvature_from_shape(st.A, st.tangent_bases, SpaceFormParams(0.0, 0.0))
+    pls = np.array([ref_sampler(T, planes, seed + 1000 + i)
+                    for i, T in enumerate(st.tangent_bases)])
+    X, Y = pls.transpose(2, 1, 0, 3)
+    K, Kt = sectional_batch_planes(R, TangentPlane(X, Y))
+    return float(np.max(np.abs(K - params.nu))), float(np.max(np.abs(Kt - params.nut)))
+
+
+@pytest.mark.parametrize("a,b,m,points,planes,seed,fd", [
+    (3.0, 4.0, 4, 20, 50, 0, False),
+    (-1.137, 1.885, 3, 7, 13, 9, False),
+    (2.0, -3.0, 5, 4, 20, 3, True),
+])
+def test_suite_curvature_matches_per_point_loop(a, b, m, points, planes, seed, fd):
+    got = suite_curvature(a=a, b=b, m=m, points=points, planes=planes, seed=seed, fd=fd)
+    assert tuple(c.residual for c in got) == loop_suite_curvature(a, b, m, points, planes,
+                                                                  seed, fd)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_suite_curvature_rejects_small_m(m):
+    with pytest.raises(NordenError, match=f"m={m}.*no totally real plane"):
+        suite_curvature(m=m)
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form, frame normalization and their suites against
 # per-item loops
@@ -548,6 +635,16 @@ def test_normalize_stack_rejects_one_bad_row(row, fault):
         normalize_normal_frame(eta, jeta)
     with pytest.raises(BadInputNormalization):
         loop_normalize(eta[row], jeta[row])
+
+
+def test_normalize_rejects_nan():
+    nan = np.full(8, np.nan)
+    with pytest.raises(BadInputNormalization):
+        normalize_normal_frame(nan, apply_J(nan))
+    eta = boosted_normals(40, seed=33)
+    eta[17, 2] = np.nan
+    with pytest.raises(BadInputNormalization):
+        normalize_normal_frame(eta, apply_J(eta))
 
 
 @pytest.mark.parametrize("m,seed,count", [(4, 0, 100), (3, 5, 27), (5, 11, 1)])

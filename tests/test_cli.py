@@ -74,6 +74,17 @@ def test_non_finite_sphere_params_exit_2(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("a", ["1e200", "1e-13", "1e-200"])
+@pytest.mark.parametrize("cmd", [("sphere", "info"), ("sample", "--count", "5", "--with-frames")])
+def test_out_of_range_sphere_params_exit_2(capsys, cmd, a):
+    # a^2 overflows, or falls below 1e-24 without being zero
+    code, out, err = run_cli(capsys, *cmd, "--a", a, "--b", "0")
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"(a, b) = ({float(a)!r}, 0.0)" in err and "finite and above 1e-24" in err
+
+
 class TestSample:
     def test_deterministic_bytes(self, capsys, tmp_path):
         f1 = tmp_path / "a.json"
@@ -158,12 +169,12 @@ class TestVerify:
         assert "unknown suite" in err
 
     def test_library_error_is_exit_2(self, capsys):
-        # at m = 2 no totally real plane exists: SamplingExhausted
+        # at m = 2 no totally real plane exists: rejected up front
         code, out, err = run_cli(capsys, "verify", "all", "--m", "2")
         assert code == 2
         assert not out
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert "rejection bound" in err
+        assert "m=2" in err and "no totally real plane" in err
 
     @pytest.mark.parametrize("flags", [
         ("--planes", "0"), ("--planes", "-3"), ("--points", "0"),

@@ -18,7 +18,12 @@ from nordenhs.curvature import (
     sectional_curvatures,
     space_form_curvature,
 )
-from nordenhs.errors import DegeneratePlane, DegenerateBasis, NotHSymmetric
+from nordenhs.errors import (
+    DegeneratePlane,
+    DegenerateBasis,
+    NotHSymmetric,
+    SamplingExhausted,
+)
 from nordenhs.hypersurface import adapted_j_rep, make_h_sphere, sample, surface_sample
 
 
@@ -162,6 +167,12 @@ class TestPlaneSampler:
     def test_requires_adapted_basis(self):
         with pytest.raises(DegenerateBasis):
             sample_totally_real_planes(np.eye(8), 5, seed=0)
+
+    def test_one_complex_dimension_exhausts(self):
+        # n = 1: every candidate pair is real-collinear, so none is accepted
+        basis = np.vstack([basis_vec(8, 0), apply_J(basis_vec(8, 0))])
+        with pytest.raises(SamplingExhausted):
+            sample_totally_real_planes(basis, 5, seed=0)
 
 
 class TestConstancyReport:

@@ -1,5 +1,7 @@
 """Tests for h-spheres, hyperplanes, frames and shape operators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,16 @@ class TestConstructors:
     def test_zero_curvatures_rejected(self):
         with pytest.raises(ZeroCurvatures):
             h_sphere_from_curvatures(0.0, 0.0)
+
+    @pytest.mark.parametrize("x", [1e200, 1e-13, 1e-200])
+    def test_parameters_out_of_range_rejected(self, x):
+        # x^2 overflows, or falls below 1e-24
+        with pytest.raises(IsotropicParameters, match=r"a\^2 \+ b\^2 must be finite"):
+            make_h_sphere(np.zeros(8), x, 0.0)
+        with pytest.raises(IsotropicParameters, match=re.escape(f"(0.0, {x!r})")):
+            make_h_sphere(np.zeros(8), 0.0, np.float64(x))
+        with pytest.raises(ZeroCurvatures, match=r"nu\^2 \+ nut\^2 must be finite"):
+            h_sphere_from_curvatures(x, 0.0)
 
     def test_conjugate_flips_nut(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
