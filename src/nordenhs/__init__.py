@@ -33,9 +33,7 @@ from .hypersurface import (
     HSphere,
     HolomorphicHyperplane,
     MeanCurvatureData,
-    NormalFrame,
     SampleStack,
-    SurfaceSample,
     codazzi_residual,
     conjugate,
     h_sphere_from_curvatures,
@@ -58,7 +56,6 @@ from .hypersurface import (
 )
 from .classify import (
     ClassificationResult,
-    SampleSet,
     Tolerances,
     classify,
     pair_crosscheck,

@@ -9,17 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NordenSpace, apply_J, bilinear, metric_g, tangent_reps, to_complex
+from .core import NordenSpace, apply_J, bilinear, metric_g, to_complex
 from .errors import (
-    EmptySampleSet,
+    EmptySamples,
     NearZeroLambdaMu,
     NonConstantNormal,
 )
 from .hypersurface import (
     HSphere,
-    SampleStack,
-    h_umbilicity_deviation,
     make_hyperplane,
+    mean_curvature,
     scaled_containment_residual,
 )
 
@@ -31,16 +30,6 @@ VERDICT_DIM_TOO_SMALL = "DimensionTooSmall"
 VERDICT_OFF_SURFACE = "SamplesOffSurface"
 
 LAMBDA_MU_THRESHOLD = 1e-10
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Samples of one space: a sequence of SurfaceSample records or a
-    SampleStack."""
-
-    space: NordenSpace
-    samples: tuple
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -64,30 +53,29 @@ class ClassificationResult:
 
 
 def shape_invariants(stack):
-    """Per-sample invariants of a SampleStack in one batched pass: an
-    (N, 4) array of (lambda, mu, nu, nut) from the traces of the shape
-    operators, and the h-umbilicity deviations relative to max(1, max|A|)."""
-    _, J_rep, _ = tangent_reps(stack.tangent_bases)
-    A = stack.A
-    two_n = A.shape[-1]
-    lam = np.trace(A, axis1=1, axis2=2) / two_n
-    mu = -np.trace(A @ J_rep, axis1=1, axis2=2) / two_n
-    per = np.column_stack([lam, mu, lam * lam - mu * mu, -2.0 * lam * mu])
-    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    return per, h_umbilicity_deviation(A, J_rep) / scale
+    """Per-sample invariants of one record or a stack of them: an (..., 4)
+    array of (lambda, mu, nu, nut), which is (lambda, mu, g(H, H), gt(H, H))
+    of the mean curvature data, and the h-umbilicity deviations relative to
+    max(1, max|A|)."""
+    mc = mean_curvature(stack)
+    two_n = stack.A.shape[-1]
+    per = np.stack([mc.traceA / two_n, -mc.traceAJ / two_n, mc.gHH, mc.gtHH], axis=-1)
+    scale = np.maximum(1.0, np.abs(stack.A).max(axis=(-2, -1)))
+    return per, mc.umbilicity / scale
 
 
-def estimate_invariants(sample, space):
-    """(lambda, mu, nu, nut) from the traces of the shape operator."""
-    per, _ = shape_invariants(SampleStack.of([sample]))
-    return tuple(per[0].tolist())
+def estimate_invariants(sample):
+    """(lambda, mu, nu, nut) of one record from the traces of its shape
+    operator."""
+    per, _ = shape_invariants(sample)
+    return tuple(per.tolist())
 
 
-def umbilicity_check(sample_set, tol=1e-6):
+def umbilicity_check(stack, tol=1e-6):
     """Per-sample h-umbilicity deviations; (passed, deviations, worst_index)."""
-    if len(sample_set.samples) == 0:
-        raise EmptySampleSet("no samples")
-    _, devs = shape_invariants(SampleStack.of(sample_set.samples))
+    if len(stack) == 0:
+        raise EmptySamples("no samples")
+    _, devs = shape_invariants(stack)
     worst = int(np.argmax(devs))
     return bool(devs[worst] <= tol), devs, worst
 
@@ -100,7 +88,7 @@ def pair_crosscheck(pairs, ambient, observed):
     """
     lam, mu = np.array(list(pairs), dtype=float).reshape(-1, 2).T
     if len(lam) < 2:
-        raise EmptySampleSet("need at least two (lambda, mu) pairs")
+        raise EmptySamples("need at least two (lambda, mu) pairs")
     r1 = (ambient.nu - observed.nu) - (np.outer(mu, mu) - np.outer(lam, lam))
     r2 = (ambient.nut - observed.nut) - (np.outer(lam, mu) + np.outer(mu, lam))
     off = ~np.eye(len(lam), dtype=bool)
@@ -112,8 +100,8 @@ def reconstruct_sphere(lam, mu, witness):
     den = lam * lam + mu * mu
     if den <= LAMBDA_MU_THRESHOLD:
         raise NearZeroLambdaMu("lambda^2 + mu^2 below threshold")
-    Z = np.asarray(witness.point, dtype=float)
-    C = witness.frame.xi + lam * Z + mu * apply_J(Z)
+    Z = np.asarray(witness.points, dtype=float)
+    C = witness.xi + lam * Z + mu * apply_J(Z)
     z0 = (lam * C - mu * apply_J(C)) / den
     a = (lam * lam - mu * mu) / (den * den)
     b = 2.0 * lam * mu / (den * den)
@@ -136,11 +124,11 @@ def _plane_residual(plane, P):
     return np.maximum(np.abs(ds - plane.d), np.abs(dts - plane.dt)) / scale
 
 
-def reconstruct_hyperplane(sample_set, tol=1e-6):
-    """Average the (constant) normal field and the plane offsets."""
-    if len(sample_set.samples) == 0:
-        raise EmptySampleSet("no samples")
-    stack = SampleStack.of(sample_set.samples)
+def reconstruct_hyperplane(stack, tol=1e-6):
+    """Average the (constant) normal field and the plane offsets of a
+    stack."""
+    if len(stack) == 0:
+        raise EmptySamples("no samples")
     xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
     xi_mean = xis.mean(axis=0)
     spread = float(np.max(np.abs(xis - xi_mean)))
@@ -154,20 +142,19 @@ def reconstruct_hyperplane(sample_set, tol=1e-6):
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
 
 
-def classify(sample_set, tolerances=None):
-    """Full pipeline: dimension gate, invariant estimation, constancy and
-    umbilicity tests, sphere or hyperplane reconstruction, then the
-    containment of every sample in the recovered surface."""
+def classify(stack, tolerances=None):
+    """Full pipeline on a SampleStack: dimension gate, invariant estimation,
+    constancy and umbilicity tests, sphere or hyperplane reconstruction,
+    then the containment of every sample in the recovered surface."""
     tols = tolerances or Tolerances()
-    space = sample_set.space
-    if space.dim < 8:
+    dim = stack.points.shape[-1]
+    if dim < 8:
         return ClassificationResult(
             verdict=VERDICT_DIM_TOO_SMALL,
-            notes=(f"ambient dimension {space.dim} < 8",),
+            notes=(f"ambient dimension {dim} < 8",),
         )
-    if len(sample_set.samples) == 0:
-        raise EmptySampleSet("no samples")
-    stack = SampleStack.of(sample_set.samples)
+    if len(stack) == 0:
+        raise EmptySamples("no samples")
 
     per, devs = shape_invariants(stack)
     per_sample = tuple(map(tuple, per.tolist()))
@@ -208,9 +195,7 @@ def classify(sample_set, tolerances=None):
             )
     else:
         verdict = VERDICT_HYPERPLANE
-        recovered = reconstruct_hyperplane(
-            SampleSet(space=space, samples=stack), tol=tols.normal_spread
-        )
+        recovered = reconstruct_hyperplane(stack, tol=tols.normal_spread)
         cres = float(np.max(_plane_residual(recovered, stack.points)))
     if not cres <= tols.containment:
         notes = [f"no single {verdict} holds the samples: containment "

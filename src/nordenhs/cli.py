@@ -12,14 +12,13 @@ import numpy as np
 
 from . import __version__, jsonio, verify
 from .classify import (
-    SampleSet,
     Tolerances,
     VERDICT_DIM_TOO_SMALL,
     VERDICT_HYPERPLANE,
     VERDICT_SPHERE,
     classify,
 )
-from .core import NordenSpace, h_proper_decomposition
+from .core import h_proper_decomposition
 from .errors import (
     FormatError,
     NordenError,
@@ -175,7 +174,7 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     try:
-        m, kind, samples = jsonio.load_pointcloud(args.input)
+        _, kind, samples = jsonio.load_pointcloud(args.input)
         if kind != "samples":
             raise FormatError('classification requires kind="samples"')
     except FormatError as exc:
@@ -188,10 +187,7 @@ def cmd_classify(args):
         normal_spread=args.tol,
     ) if args.tol is not None else Tolerances()
     try:
-        result = classify(
-            SampleSet(space=NordenSpace(m), samples=samples, provenance=args.input),
-            tols,
-        )
+        result = classify(samples, tols)
     except NordenError as exc:
         _err(str(exc))
         return 4

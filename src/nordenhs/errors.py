@@ -49,7 +49,7 @@ class StepSizeError(NordenError):
     """Finite-difference step is outside the usable range."""
 
 
-class EmptySampleSet(NordenError):
+class EmptySamples(NordenError):
     """An operation requiring samples received none."""
 
 

@@ -55,69 +55,43 @@ class HolomorphicHyperplane:
     dt: float
 
 
-@dataclass(frozen=True)
-class NormalFrame:
-    point: np.ndarray
-    xi: np.ndarray
-    jxi: np.ndarray
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Second-order record: point, normal frame, tangent basis (2n vectors)
-    and the shape operator A expressed in tangent-basis coordinates."""
-
-    point: np.ndarray
-    frame: NormalFrame
-    tangent_basis: tuple
-    A: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SampleStack:
-    """N second-order records as arrays: points and unit normals xi
-    (N, 2m), tangent bases (N, 2n, 2m) with the vectors as rows and shape
-    operators (N, 2n, 2n).  Indexing and iteration (through __getitem__)
-    give SurfaceSample records."""
+    """Second-order records of a hypersurface: points and unit normals xi
+    (..., 2m), tangent bases (..., 2n, 2m) with the vectors as rows and
+    shape operators A (..., 2n, 2n) in tangent-basis coordinates.  One
+    record has no leading axis; a stack of N has the axis N, and indexes and
+    iterates along it, stack[i] being the one-record SampleStack i."""
 
     points: np.ndarray
     xi: np.ndarray
     tangent_bases: np.ndarray
     A: np.ndarray
 
-    @classmethod
-    def of(cls, samples):
-        """The stack of a sequence of SurfaceSample records (or the stack)."""
-        if isinstance(samples, cls):
-            return samples
-        return cls(
-            points=np.array([s.point for s in samples], dtype=float),
-            xi=np.array([s.frame.xi for s in samples], dtype=float),
-            tangent_bases=np.array([s.tangent_basis for s in samples], dtype=float),
-            A=np.array([s.A for s in samples], dtype=float),
-        )
-
     def __len__(self):
         return len(self.points)
 
     def __getitem__(self, i):
-        p, xi = self.points[i], self.xi[i]
-        return SurfaceSample(
-            point=p,
-            frame=NormalFrame(point=p, xi=xi, jxi=apply_J(xi)),
-            tangent_basis=self.tangent_bases[i],
-            A=self.A[i],
-        )
+        return SampleStack(self.points[i], self.xi[i], self.tangent_bases[i], self.A[i])
 
 
 @dataclass(frozen=True)
 class MeanCurvatureData:
+    """Mean curvature of one record, or arrays over the records of a stack.
+
+    With lambda = tr A / 2n and mu = -tr(A o J) / 2n, the h-umbilical part
+    of A is lambda I + mu J and H = lambda xi + mu J xi, so that
+    g(H, H) = lambda^2 - mu^2 and gt(H, H) = -2 lambda mu.  umbilicity is
+    the max-norm distance of A from its h-umbilical part.
+    """
+
     H: np.ndarray
     JH: np.ndarray
     gHH: float
     gtHH: float
     traceA: float
     traceAJ: float
+    umbilicity: float
 
 
 def _require_radius(names, a, b, error):
@@ -246,11 +220,10 @@ def _normals(s, P):
 
 
 def normal_frame(s, p, tol=1e-8):
-    """Canonical frame xi = -lambda Z - mu JZ, Z = p - z0, at a point or at
-    each point of a stack."""
-    p = _on_surface(s, p, tol)
-    xi = _normals(s, p)
-    return NormalFrame(point=p, xi=xi, jxi=apply_J(xi))
+    """Canonical frame (xi, J xi), xi = -lambda Z - mu JZ, Z = p - z0, at a
+    point or at each point of a stack."""
+    xi = _normals(s, _on_surface(s, p, tol))
+    return xi, apply_J(xi)
 
 
 def normalize_normal_frame(eta, jeta, tol=1e-8):
@@ -311,15 +284,6 @@ def adapted_j_rep(n):
     return J
 
 
-def tangent_rep(tangent_basis, space):
-    """(T, coords, J_rep, G_t) for one tangent basis; T has the vectors as
-    columns."""
-    T = np.asarray(tangent_basis, dtype=float)
-    if T.ndim != 2 or T.shape[1] != space.dim:
-        raise DimensionMismatch(f"expected tangent vectors of length {space.dim}")
-    return (T.T, *(x[0] for x in tangent_reps(T[None])))
-
-
 def default_fd_step(s, p):
     return 1e-5 * (1.0 + np.linalg.norm(np.asarray(p) - s.center, axis=-1))
 
@@ -375,24 +339,20 @@ def make_surface_samples(s, count, seed, fd=False, step=None):
     return surface_samples(s, sample(s, count, seed), fd=fd, step=step)
 
 
-def _ambient_shape_operators(stack):
-    """The shape operators of a SampleStack acting on ambient tangent
-    vectors, (N, 2m, 2m)."""
-    coords, _, _ = tangent_reps(stack.tangent_bases)
-    return np.swapaxes(stack.tangent_bases, 1, 2) @ stack.A @ coords
+def ambient_shape_operator(sample):
+    """A of one record or of each record of a stack as an operator on
+    ambient tangent vectors, (..., 2m, 2m)."""
+    T = sample.tangent_bases
+    coords, _, _ = tangent_reps(T)
+    return np.swapaxes(T, -1, -2) @ sample.A @ coords
 
 
-def ambient_shape_operator(sample, space):
-    """A as an operator on ambient tangent vectors."""
-    return _ambient_shape_operators(SampleStack.of([sample]))[0]
-
-
-def second_fundamental(sample, space):
-    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi for ambient tangent x, y,
-    or for stacks of them along the last axis."""
-    A_amb = ambient_shape_operator(sample, space)
-    xi = sample.frame.xi
-    jxi = sample.frame.jxi
+def second_fundamental(sample):
+    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi at one record, for ambient
+    tangent x, y or for stacks of them along the last axis."""
+    A_amb = ambient_shape_operator(sample)
+    xi = sample.xi
+    jxi = apply_J(xi)
 
     def sigma(x, y):
         ax = np.asarray(x, dtype=float) @ A_amb.T
@@ -401,51 +361,50 @@ def second_fundamental(sample, space):
     return sigma
 
 
-def shape_operator_wrt(sample, space, eta, tol=1e-8):
-    """Shape operator with respect to an arbitrary normal vector eta:
-    A_eta = g(xi, eta) A - g(Jxi, eta) (J o A)."""
+def shape_operator_wrt(sample, eta, tol=1e-8):
+    """Shape operator at one record with respect to an arbitrary normal
+    vector eta: A_eta = g(xi, eta) A - g(Jxi, eta) (J o A)."""
     eta = np.asarray(eta, dtype=float)
+    T = sample.tangent_bases
     scale = max(1.0, float(np.max(np.abs(eta))))
-    for t in sample.tangent_basis:
-        if abs(metric_g(eta, t)) > tol * scale * max(1.0, float(np.max(np.abs(t)))):
-            raise DimensionMismatch("eta is not normal to the tangent space")
-    _, _, J_rep, _ = tangent_rep(sample.tangent_basis, space)
-    c1 = metric_g(sample.frame.xi, eta)
-    c2 = metric_g(sample.frame.jxi, eta)
+    off = np.abs(metric_g(T, eta))
+    # not all(r <= tol) rather than any(r > tol), so that a NaN residual fails
+    if not (off <= tol * scale * np.maximum(1.0, np.max(np.abs(T), axis=-1))).all():
+        raise DimensionMismatch("eta is not normal to the tangent space")
+    _, J_rep, _ = tangent_reps(T)
+    c1 = metric_g(sample.xi, eta)
+    c2 = metric_g(apply_J(sample.xi), eta)
     return c1 * sample.A - c2 * (J_rep @ sample.A)
 
 
-def mean_curvature(sample, space):
-    """Mean curvature vector and its Norden norms per the trace formulas."""
-    _, _, J_rep, _ = tangent_rep(sample.tangent_basis, space)
-    two_n = sample.A.shape[0]
-    tr_a = float(np.trace(sample.A))
-    tr_aj = float(np.trace(sample.A @ J_rep))
-    H = (tr_a * sample.frame.xi - tr_aj * sample.frame.jxi) / two_n
+def mean_curvature(sample):
+    """Mean curvature data (MeanCurvatureData) of one record or of each
+    record of a stack, from the traces of its shape operators."""
+    _, J_rep, _ = tangent_reps(sample.tangent_bases)
+    A = sample.A
+    two_n = A.shape[-1]
+    tr_a = np.trace(A, axis1=-2, axis2=-1)
+    tr_aj = np.trace(A @ J_rep, axis1=-2, axis2=-1)
+    lam, mu = tr_a / two_n, -tr_aj / two_n
+    xi = sample.xi
+    H = (tr_a[..., None] * xi - tr_aj[..., None] * apply_J(xi)) / two_n
+    model = lam[..., None, None] * np.eye(two_n) + mu[..., None, None] * J_rep
     return MeanCurvatureData(
         H=H,
         JH=apply_J(H),
-        gHH=(tr_a / two_n) ** 2 - (tr_aj / two_n) ** 2,
-        gtHH=2.0 * (tr_a / two_n) * (tr_aj / two_n),
+        gHH=lam * lam - mu * mu,
+        gtHH=-2.0 * lam * mu,
         traceA=tr_a,
         traceAJ=tr_aj,
+        umbilicity=np.max(np.abs(A - model), axis=(-2, -1)),
     )
 
 
-def h_umbilicity_deviation(A, J_rep):
-    """Max-norm distance of A from (trA/2n) I - (tr(AoJ)/2n) J, for one
-    matrix or each of a stack."""
-    two_n = A.shape[-1]
-    tr_a = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
-    tr_aj = np.trace(A @ J_rep, axis1=-2, axis2=-1)[..., None, None]
-    model = (tr_a / two_n) * np.eye(two_n) - (tr_aj / two_n) * J_rep
-    return np.max(np.abs(A - model), axis=(-2, -1))
-
-
-def is_h_umbilical(sample, space, tol=1e-8):
-    _, _, J_rep, _ = tangent_rep(sample.tangent_basis, space)
-    scale = max(1.0, float(np.max(np.abs(sample.A))))
-    return h_umbilicity_deviation(sample.A, J_rep) <= tol * scale
+def is_h_umbilical(sample, tol=1e-8):
+    """Whether A is within tol * max(1, max|A|) of its h-umbilical part, for
+    one record or each record of a stack."""
+    scale = np.maximum(1.0, np.max(np.abs(sample.A), axis=(-2, -1)))
+    return mean_curvature(sample).umbilicity <= tol * scale
 
 
 def _tangential_projectors(Xi):
@@ -474,7 +433,7 @@ def codazzi_residual(s, p, step=1e-4):
     Q = np.concatenate([p[None], project_to_sphere(s, p + h * T),
                         project_to_sphere(s, p - h * T)])
     st = surface_samples(s, Q, fd=True, step=h)
-    A = _ambient_shape_operators(st)
+    A = ambient_shape_operator(st)
     proj = _tangential_projectors(st.xi)
     # y extended by tangential projection: (grad_{t_i} A) y = nabla[i] y
     n2 = len(T)

@@ -112,12 +112,11 @@ def points_to_doc(m, points):
     }
 
 
-def samples_to_doc(m, samples):
-    """Sample document of a SampleStack or a sequence of SurfaceSample."""
-    st = SampleStack.of(samples)
+def samples_to_doc(m, stack):
+    """Sample document of a SampleStack."""
     recs = [
         {"point": p, "xi": xi, "tangent_basis": t, "A": A}
-        for p, xi, t, A in zip(st.points, st.xi, st.tangent_bases, st.A)
+        for p, xi, t, A in zip(stack.points, stack.xi, stack.tangent_bases, stack.A)
     ]
     return {"version": VERSION, "m": int(m), "kind": "samples", "samples": recs}
 

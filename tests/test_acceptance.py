@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from nordenhs.classify import SampleSet, Tolerances, VERDICT_HYPERPLANE, VERDICT_SPHERE, classify
+from nordenhs.classify import Tolerances, VERDICT_HYPERPLANE, VERDICT_SPHERE, classify
 from nordenhs.core import (
     complex_op_to_real,
     h_proper_decomposition,
@@ -85,7 +85,7 @@ def test_criterion_3_classification_round_trip():
         for fd in (False, True):
             samples = make_surface_samples(sph, 40, seed=100 + i, fd=fd)
             tols = Tolerances(constancy=1e-4, umbilicity=1e-4) if fd else Tolerances()
-            result = classify(SampleSet(space=sph.space, samples=tuple(samples)), tols)
+            result = classify(samples, tols)
             assert result.verdict == VERDICT_SPHERE
             rec = result.recovered
             rel = max(
@@ -97,9 +97,7 @@ def test_criterion_3_classification_round_trip():
                 worst_closed = max(worst_closed, rel)
     xi = np.concatenate([rng.uniform(1.0, 2.0, 4), rng.uniform(-0.3, 0.3, 4)])
     hp = make_hyperplane(xi, 1.0, -0.5)
-    res_hp = classify(
-        SampleSet(space=hp.space, samples=tuple(hyperplane_samples(hp, 40, seed=9)))
-    )
+    res_hp = classify(hyperplane_samples(hp, 40, seed=9))
     plane_ok = res_hp.verdict == VERDICT_HYPERPLANE
     elapsed = time.time() - t0
     ok = worst_closed <= 1e-6 and worst_fd <= 1e-3 and plane_ok and elapsed <= 10.0
@@ -221,7 +219,7 @@ def test_criterion_9_mean_curvature_invariants():
         sph = make_h_sphere(np.zeros(8), a, b)
         p = sample(sph, 1, seed=i)[0]
         smp = surface_sample(sph, p)
-        mcd = mean_curvature(smp, sph.space)
+        mcd = mean_curvature(smp)
         params = theoretical_curvatures(sph)
         worst = max(
             worst, abs(mcd.gHH - params.nu), abs(mcd.gtHH - params.nut)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nordenhs.classify import (
-    SampleSet,
     VERDICT_OFF_SURFACE,
     VERDICT_SPHERE,
     classify,
@@ -85,7 +84,7 @@ def loop_basis(s, p):
 
 def loop_invariants(smp):
     """(lambda, mu, nu, nut, deviation) of one record via its own solve."""
-    T = np.column_stack(list(smp.tangent_basis))
+    T = np.column_stack(list(smp.tangent_bases))
     m = T.shape[0] // 2
     G = np.diag(np.r_[np.ones(m), -np.ones(m)])
     Jm = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
@@ -140,8 +139,8 @@ def test_frames_and_bases_match_loop(a, b):
         assert np.max(np.abs(st.tangent_bases[i] - loop_basis(sph, p))) <= 1e-12
         # the N = 1 wrapper is a row of the batched result
         one = surface_sample(sph, p)
-        assert np.array_equal(one.frame.xi, st.xi[i])
-        assert np.array_equal(np.asarray(one.tangent_basis), st.tangent_bases[i])
+        assert np.array_equal(one.xi, st.xi[i])
+        assert np.array_equal(one.tangent_bases, st.tangent_bases[i])
         assert np.array_equal(one.A, st.A[i])
 
 
@@ -168,16 +167,8 @@ def test_classify_invariants_match_loop(fd):
     ref = np.array([loop_invariants(smp) for smp in st])
     assert np.max(np.abs(per - ref[:, :4])) <= 1e-12
     assert np.max(np.abs(devs - ref[:, 4])) <= 1e-12
-    result = classify(SampleSet(space=sph.space, samples=st))
+    result = classify(st)
     assert np.max(np.abs(np.array(result.per_sample) - ref[:, :4])) <= 1e-12
-
-
-def test_stack_round_trips_records():
-    sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
-    st = make_surface_samples(sph, 5, seed=1)
-    again = SampleStack.of(tuple(st))
-    for field in ("points", "xi", "tangent_bases", "A"):
-        assert np.array_equal(getattr(again, field), getattr(st, field))
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +220,23 @@ def test_m8_seed_1(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def two_spheres():
+    """Samples of two spheres, (a, b) = (3, 4) with centres 0 and 5 e_1, in
+    one stack and the first sphere's alone."""
     e1 = np.eye(8)[0]
-    return [
-        make_surface_samples(make_h_sphere(c, 3.0, 4.0), 50, seed)
-        for c, seed in ((np.zeros(8), 1), (5.0 * e1, 2))
-    ]
+    s1, s2 = (make_surface_samples(make_h_sphere(c, 3.0, 4.0), 50, seed)
+              for c, seed in ((np.zeros(8), 1), (5.0 * e1, 2)))
+    both = SampleStack(*(np.concatenate([x, y]) for x, y in zip(vars(s1).values(),
+                                                               vars(s2).values())))
+    return both, s1
 
 
 def test_two_centres_rejected():
-    s1, s2 = two_spheres()
-    result = classify(SampleSet(space=make_h_sphere(np.zeros(8), 3, 4).space,
-                                samples=tuple(s1) + tuple(s2)))
+    both, s1 = two_spheres()
+    result = classify(both)
     assert result.verdict == VERDICT_OFF_SURFACE
     assert result.containment_residual > 1e-6
     assert "tol 1.000e-06" in result.notes[0]
-    one = classify(SampleSet(space=make_h_sphere(np.zeros(8), 3, 4).space, samples=s1))
+    one = classify(s1)
     assert one.verdict == VERDICT_SPHERE
     assert one.containment_residual <= 1e-12
 
@@ -252,8 +245,8 @@ def test_two_centres_cli_exit_4(capsys, tmp_path):
     from nordenhs import jsonio
 
     f = tmp_path / "mixed.json"
-    s1, s2 = two_spheres()
-    jsonio.write_json(str(f), jsonio.samples_to_doc(4, tuple(s1) + tuple(s2)))
+    both, _ = two_spheres()
+    jsonio.write_json(str(f), jsonio.samples_to_doc(4, both))
     code, out, _ = run_cli(capsys, "classify", "--in", str(f))
     assert code == 4
     doc = json.loads(out)
@@ -289,7 +282,7 @@ def ref_tensor(nu, nut, A_amb=None):
 
 
 def ref_ambient_shape(smp):
-    T = np.asarray(smp.tangent_basis).T
+    T = smp.tangent_bases.T
     m = T.shape[0] // 2
     G = np.diag(np.r_[np.ones(m), -np.ones(m)])
     return T @ np.asarray(smp.A) @ np.linalg.solve(T.T @ G @ T, T.T @ G)
@@ -374,7 +367,7 @@ def test_tensors_match_reference(a, b):
     v_stack = stacked(*(w.transpose(1, 0, 2) for w in (x, y, z, u)))  # (40, 6)
     v_sf = sf(x, y, z, u)
     for i, smp in enumerate(st):
-        one = gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat)
+        one = gauss_curvature_from_shape(smp.A, smp.tangent_bases, flat)
         ref = ref_tensor(0.0, 0.0, ref_ambient_shape(smp))
         want = [ref(x[i, k], y[i, k], z[i, k], u[i, k]) for k in range(40)]
         assert close(one(x[i], y[i], z[i], u[i]), want)
@@ -390,7 +383,7 @@ def test_sectional_and_ricci_match_reference(a, b):
     XY = np.array([[(p.x, p.y) for p in ps] for ps in pls]).transpose(2, 1, 0, 3)
     K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A, st.tangent_bases, flat),
                                    TangentPlane(*XY))
-    Rs = [gauss_curvature_from_shape(smp.A, smp.tangent_basis, flat) for smp in st]
+    Rs = [gauss_curvature_from_shape(smp.A, smp.tangent_bases, flat) for smp in st]
     refs = [ref_tensor(0.0, 0.0, ref_ambient_shape(smp)) for smp in st]
     want = []
     for j in range(30):
@@ -400,7 +393,7 @@ def test_sectional_and_ricci_match_reference(a, b):
             want.append(kk)
     assert close(np.stack([K, Kt], axis=1), want)
     for smp in st:
-        B = np.asarray(smp.tangent_basis)
+        B = smp.tangent_bases
         R = gauss_curvature_from_shape(smp.A, B, flat)
         assert close(ricci(R, B), ref_ricci(ref_tensor(0.0, 0.0, ref_ambient_shape(smp)), B))
         sf = space_form_curvature(SpaceFormParams(-0.3, 0.7))
@@ -536,7 +529,7 @@ def test_suite_curvature_rejects_small_m(m):
 def loop_sigma(smp):
     """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi for one pair of 1-D vectors."""
     A_amb = ref_ambient_shape(smp)
-    xi, jxi = smp.frame.xi, smp.frame.jxi
+    xi, jxi = smp.xi, apply_J(smp.xi)
 
     def sigma(x, y):
         ax = A_amb @ x
@@ -578,7 +571,7 @@ def loop_suite_sigma(a, b, m, seed, count):
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     smp = surface_sample(sph, sample(sph, 1, seed)[0])
     sigma = loop_sigma(smp)
-    B = smp.tangent_basis
+    B = smp.tangent_bases
     rng = np.random.default_rng(seed)
     res = 0.0
     for _ in range(count):
@@ -595,21 +588,21 @@ def loop_suite_sigma(a, b, m, seed, count):
 def test_sigma_matches_per_pair_closure(a, b):
     sph = make_h_sphere(np.zeros(8), a, b)
     smp = surface_sample(sph, sample(sph, 1, 29)[0])
-    x, y = np.random.default_rng(30).uniform(-1, 1, (2, 5, 7, 6)) @ smp.tangent_basis
-    got = second_fundamental(smp, sph.space)(x, y)
+    x, y = np.random.default_rng(30).uniform(-1, 1, (2, 5, 7, 6)) @ smp.tangent_bases
+    got = second_fundamental(smp)(x, y)
     ref = loop_sigma(smp)
     assert got.shape == (5, 7, 8)
     for i, k in np.ndindex(5, 7):
         assert close(got[i, k], ref(x[i, k], y[i, k]))
-    assert close(second_fundamental(smp, sph.space)(x[0, 0], y[0, 0]), ref(x[0, 0], y[0, 0]))
+    assert close(second_fundamental(smp)(x[0, 0], y[0, 0]), ref(x[0, 0], y[0, 0]))
 
 
 def boosted_normals(count, seed, m=4):
     """Unit normals eta = cosh t xi + sinh t J xi of the sphere (1, 0)."""
     sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
-    fr = normal_frame(sph, sample(sph, count, seed))
+    xi, jxi = normal_frame(sph, sample(sph, count, seed))
     t = np.random.default_rng(seed).uniform(-1.5, 1.5, (count, 1))
-    return np.cosh(t) * fr.xi + np.sinh(t) * fr.jxi
+    return np.cosh(t) * xi + np.sinh(t) * jxi
 
 
 def test_normalize_stack_matches_rows_bit_for_bit():

@@ -1,10 +1,11 @@
 """Tests for the classification pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nordenhs.classify import (
-    SampleSet,
     Tolerances,
     VERDICT_DIM_TOO_SMALL,
     VERDICT_HYPERPLANE,
@@ -18,11 +19,10 @@ from nordenhs.classify import (
     reconstruct_sphere,
     umbilicity_check,
 )
-from nordenhs.core import NordenSpace
 from nordenhs.curvature import SpaceFormParams
-from nordenhs.errors import EmptySampleSet, NearZeroLambdaMu, NonConstantNormal
+from nordenhs.errors import EmptySamples, NearZeroLambdaMu, NonConstantNormal
 from nordenhs.hypersurface import (
-    SurfaceSample,
+    SampleStack,
     hyperplane_samples,
     lambda_mu,
     make_h_sphere,
@@ -36,16 +36,20 @@ GRID = [(1.0, 0.0), (0.0, 1.0), (3.0, 4.0), (-1.0, 2.0), (2.0, -3.0)]
 def sphere_set(a, b, count=12, seed=0, center=None, fd=False, m=4):
     center = np.zeros(2 * m) if center is None else center
     sph = make_h_sphere(center, a, b)
-    samples = make_surface_samples(sph, count, seed, fd=fd)
-    return sph, SampleSet(space=sph.space, samples=tuple(samples))
+    return sph, make_surface_samples(sph, count, seed, fd=fd)
+
+
+def empty_stack(m=4):
+    return SampleStack(np.zeros((0, 2 * m)), np.zeros((0, 2 * m)),
+                       np.zeros((0, 2 * m - 2, 2 * m)), np.zeros((0, 2 * m - 2, 2 * m - 2)))
 
 
 class TestEstimateInvariants:
     def test_sphere_values(self):
         sph, ss = sphere_set(3.0, 4.0)
         lam0, mu0 = lambda_mu(sph)
-        for smp in ss.samples:
-            lam, mu, nu, nut = estimate_invariants(smp, sph.space)
+        for smp in ss:
+            lam, mu, nu, nut = estimate_invariants(smp)
             assert lam == pytest.approx(lam0, abs=1e-12)
             assert mu == pytest.approx(mu0, abs=1e-12)
             assert nu == pytest.approx(0.12, abs=1e-12)
@@ -54,7 +58,7 @@ class TestEstimateInvariants:
     def test_hyperplane_values(self):
         hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
         smp = hyperplane_samples(hp, 1, seed=1)[0]
-        assert estimate_invariants(smp, hp.space) == (0.0, 0.0, 0.0, 0.0)
+        assert estimate_invariants(smp) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestUmbilicityCheck:
@@ -66,24 +70,15 @@ class TestUmbilicityCheck:
 
     def test_planted_defect_detected(self):
         sph, ss = sphere_set(1.0, 0.0, count=6)
-        bad = list(ss.samples)
-        A = np.asarray(bad[2].A).copy()
-        A += np.kron(np.eye(2), np.diag([0.0, 0.1, -0.1]))
-        bad[2] = SurfaceSample(
-            point=bad[2].point,
-            frame=bad[2].frame,
-            tangent_basis=bad[2].tangent_basis,
-            A=A,
-        )
-        ok, devs, worst = umbilicity_check(
-            SampleSet(space=sph.space, samples=tuple(bad))
-        )
+        A = ss.A.copy()
+        A[2] += np.kron(np.eye(2), np.diag([0.0, 0.1, -0.1]))
+        ok, devs, worst = umbilicity_check(dataclasses.replace(ss, A=A))
         assert not ok
         assert worst == 2
 
     def test_empty_raises(self):
-        with pytest.raises(EmptySampleSet):
-            umbilicity_check(SampleSet(space=NordenSpace(4), samples=()))
+        with pytest.raises(EmptySamples):
+            umbilicity_check(empty_stack())
 
 
 class TestPairCrosscheck:
@@ -108,7 +103,7 @@ class TestPairCrosscheck:
         assert res == pytest.approx(1.0, abs=1e-14)
 
     def test_needs_two_pairs(self):
-        with pytest.raises(EmptySampleSet):
+        with pytest.raises(EmptySamples):
             pair_crosscheck([(1.0, 0.0)], SpaceFormParams(0, 0), SpaceFormParams(0, 0))
 
 
@@ -116,7 +111,7 @@ class TestReconstruct:
     def test_sphere_round_trip(self):
         center = np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.0, -1.0, 2.0])
         sph, ss = sphere_set(3.0, 4.0, center=center, seed=3)
-        rec = reconstruct_sphere(0.4, 0.2, ss.samples[0])
+        rec = reconstruct_sphere(0.4, 0.2, ss[0])
         assert np.allclose(rec.center, center, atol=1e-9)
         assert rec.a == pytest.approx(3.0, abs=1e-10)
         assert rec.b == pytest.approx(4.0, abs=1e-10)
@@ -124,14 +119,12 @@ class TestReconstruct:
     def test_near_zero_rejected(self):
         _, ss = sphere_set(1.0, 0.0)
         with pytest.raises(NearZeroLambdaMu):
-            reconstruct_sphere(0.0, 0.0, ss.samples[0])
+            reconstruct_sphere(0.0, 0.0, ss[0])
 
     def test_hyperplane_round_trip(self):
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 10, seed=4)
-        rec = reconstruct_hyperplane(
-            SampleSet(space=hp.space, samples=tuple(samples))
-        )
+        rec = reconstruct_hyperplane(samples)
         assert np.allclose(rec.xi, hp.xi, atol=1e-10)
         assert rec.d == pytest.approx(hp.d, abs=1e-10)
         assert rec.dt == pytest.approx(hp.dt, abs=1e-10)
@@ -166,7 +159,7 @@ class TestClassifyEndToEnd:
     def test_hyperplane_verdict(self):
         hp = make_hyperplane(np.eye(8)[0], 1.5, 0.5)
         samples = hyperplane_samples(hp, 12, seed=7)
-        result = classify(SampleSet(space=hp.space, samples=tuple(samples)))
+        result = classify(samples)
         assert result.verdict == VERDICT_HYPERPLANE
         assert result.totally_geodesic
         assert result.containment_residual <= 1e-9
@@ -174,33 +167,21 @@ class TestClassifyEndToEnd:
     def test_dimension_gate(self):
         sph = make_h_sphere(np.zeros(6), 1.0, 0.0)
         samples = make_surface_samples(sph, 5, seed=8)
-        result = classify(SampleSet(space=sph.space, samples=tuple(samples)))
+        result = classify(samples)
         assert result.verdict == VERDICT_DIM_TOO_SMALL
 
     def test_non_umbilical_verdict(self):
         sph, ss = sphere_set(1.0, 0.0, count=5)
-        bad = []
-        for smp in ss.samples:
-            A = np.asarray(smp.A) + np.kron(np.eye(2), np.diag([0.0, 0.01, -0.01]))
-            bad.append(
-                SurfaceSample(
-                    point=smp.point,
-                    frame=smp.frame,
-                    tangent_basis=smp.tangent_basis,
-                    A=A,
-                )
-            )
-        result = classify(
-            SampleSet(space=sph.space, samples=tuple(bad)),
-            Tolerances(constancy=1.0),
-        )
+        A = ss.A + np.kron(np.eye(2), np.diag([0.0, 0.01, -0.01]))
+        result = classify(dataclasses.replace(ss, A=A), Tolerances(constancy=1.0))
         assert result.verdict == VERDICT_NOT_UMBILICAL
 
     def test_non_constant_verdict(self):
         sph1, ss1 = sphere_set(1.0, 0.0, count=4)
         sph2, ss2 = sphere_set(3.0, 4.0, count=4)
-        mixed = ss1.samples + ss2.samples
-        result = classify(SampleSet(space=sph1.space, samples=mixed))
+        mixed = SampleStack(*(np.concatenate([x, y]) for x, y in
+                              zip(vars(ss1).values(), vars(ss2).values())))
+        result = classify(mixed)
         assert result.verdict == VERDICT_NON_CONSTANT
 
     def test_noise_degrades_monotonically(self):
@@ -209,21 +190,12 @@ class TestClassifyEndToEnd:
         sph, ss = sphere_set(3.0, 4.0, count=10, seed=9)
         errs = []
         for eps in (1e-8, 1e-6, 1e-4):
-            rng = np.random.default_rng(17)
-            noisy = []
-            for smp in ss.samples:
-                E = rng.standard_normal(smp.A.shape)
-                E = eps * np.kron(np.eye(2), E[:3, :3])  # keep J-commuting
-                noisy.append(
-                    SurfaceSample(
-                        point=smp.point,
-                        frame=smp.frame,
-                        tangent_basis=smp.tangent_basis,
-                        A=np.asarray(smp.A) + E,
-                    )
-                )
+            # one 6 x 6 draw per sample, in sample order
+            E = np.random.default_rng(17).standard_normal(ss.A.shape)[:, :3, :3]
+            noise = np.zeros_like(ss.A)
+            noise[:, :3, :3] = noise[:, 3:, 3:] = eps * E  # kron(I, E): keep J-commuting
             result = classify(
-                SampleSet(space=sph.space, samples=tuple(noisy)),
+                dataclasses.replace(ss, A=ss.A + noise),
                 Tolerances(constancy=1e-2, umbilicity=1e-2, containment=1e-2),
             )
             assert result.verdict == VERDICT_SPHERE
@@ -234,5 +206,5 @@ class TestClassifyEndToEnd:
         assert errs[2] <= 1e-1
 
     def test_empty_raises(self):
-        with pytest.raises(EmptySampleSet):
-            classify(SampleSet(space=NordenSpace(4), samples=()))
+        with pytest.raises(EmptySamples):
+            classify(empty_stack())

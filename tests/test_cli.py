@@ -126,7 +126,7 @@ class TestSample:
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
         orig = make_surface_samples(sph, 3, 5)
         for a, b in zip(orig, samples):
-            assert np.array_equal(a.point, b.point)
+            assert np.array_equal(a.points, b.points)
             assert np.array_equal(np.asarray(a.A), np.asarray(b.A))
 
     def test_invalid_params(self, capsys):

@@ -99,9 +99,9 @@ class TestGaussCurvature:
         p = sample(sph, 1, 9)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_basis, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
         )
-        planes = sample_totally_real_planes(list(smp.tangent_basis), 25, seed=3)
+        planes = sample_totally_real_planes(list(smp.tangent_bases), 25, seed=3)
         for pl in planes:
             K, Kt = sectional_curvatures(R, pl)
             assert K == pytest.approx(0.12, abs=1e-10)
@@ -115,7 +115,7 @@ class TestGaussCurvature:
         A[0, 1] += 0.1  # breaks commutation with J
         with pytest.raises(NotHSymmetric):
             gauss_curvature_from_shape(
-                A, smp.tangent_basis, SpaceFormParams(0.0, 0.0)
+                A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
             )
 
     def test_plane_rebasing_invariance(self):
@@ -124,9 +124,9 @@ class TestGaussCurvature:
         p = sample(sph, 1, 11)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_basis, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
         )
-        pl = sample_totally_real_planes(list(smp.tangent_basis), 1, seed=4)[0]
+        pl = sample_totally_real_planes(list(smp.tangent_bases), 1, seed=4)[0]
         K1, Kt1 = sectional_curvatures(R, pl)
         pl2 = TangentPlane(x=2.0 * pl.x + 0.3 * pl.y, y=-pl.y + 0.1 * pl.x)
         K2, Kt2 = sectional_curvatures(R, pl2)
@@ -194,9 +194,9 @@ class TestConstancyReport:
         smp = surface_sample(sph, p)
         A = np.kron(np.eye(2), np.diag([1.0, 2.0, 3.0]))  # commutes with J_rep
         R = gauss_curvature_from_shape(
-            A, smp.tangent_basis, SpaceFormParams(0.0, 0.0)
+            A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
         )
-        planes = sample_totally_real_planes(list(smp.tangent_basis), 30, seed=14)
+        planes = sample_totally_real_planes(list(smp.tangent_bases), 30, seed=14)
         stats = curvature_constancy_report(R, planes)
         assert stats.max_deviation_K > 1e-3
 
@@ -213,9 +213,9 @@ class TestRicci:
         p = sample(sph, 1, 15)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_basis, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
         )
-        basis = list(smp.tangent_basis)
+        basis = list(smp.tangent_bases)
         rho = ricci(R, basis)
         jbasis = [apply_J(b) for b in basis]
         rho_j = ricci(R, jbasis)
