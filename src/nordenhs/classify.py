@@ -1,8 +1,8 @@
 """Classification pipeline for sampled holomorphic hypersurface data.
 
-Estimates pointwise invariants from second-order samples, tests constancy
-and h-umbilicity, and reconstructs the h-sphere center/parameters or the
-hyperplane normal data.
+Estimates pointwise invariants from a SampleStack of second-order samples,
+tests constancy and h-umbilicity, and reconstructs the h-sphere
+center/parameters or the hyperplane normal data.
 """
 
 from dataclasses import dataclass

@@ -6,6 +6,7 @@ or non-diagonalizable input; 5 dimension too small.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -308,8 +309,22 @@ def build_parser():
     return ap
 
 
+def _range_error(args):
+    """The message for a --tol out of [0, inf) or a --step out of (0, inf),
+    or None when every such value given is in range."""
+    for flag, zero_ok in (("tol", True), ("step", False)):
+        x = getattr(args, flag, None)
+        if x is not None and not (math.isfinite(x) and (x > 0 or (zero_ok and x == 0))):
+            return f"--{flag} must be finite and {'>= 0' if zero_ok else '> 0'}, got {x!r}"
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    msg = _range_error(args)
+    if msg:
+        _err(msg)
+        return 2
     return args.fn(args)
 
 

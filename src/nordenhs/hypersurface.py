@@ -1,9 +1,13 @@
 """Model holomorphic hypersurfaces of the flat Norden space.
 
 Implements the two model surfaces (h-spheres and holomorphic hyperplanes),
-point sampling, normal frames, shape operators (closed form and finite
-difference), second fundamental form, mean curvature, h-umbilicity and the
-Codazzi residual check.
+point sampling, normal frames (xi, J xi), shape operators (closed form and
+finite difference), second fundamental form, mean curvature, h-umbilicity
+and the Codazzi residual check.
+
+Second-order samples are one type, SampleStack, holding one record or a
+stack of them.  The tangent bases of an h-sphere come from the unit
+directions (p - z0) / sqrt(a + ib), one branch of the root per sphere.
 """
 
 from dataclasses import dataclass
@@ -244,21 +248,19 @@ def normalize_normal_frame(eta, jeta, tol=1e-8):
     return xi, apply_J(xi)
 
 
-def _complement_bases(zeta):
+def _complement_bases(zh):
     """Adapted bases (N, 2(m-1), 2m), as rows, of the bilinear-orthogonal
-    complements of the complex directions zeta (N, m).
+    complements of the complex unit directions zh (N, m), zh^T zh = 1.
 
     The complex orthogonal reflection H = I - 2 w w^T / (w^T w) with
-    w = e_k - zh, zh = zeta / sqrt(q(zeta)), swaps e_k and zh, so its
-    columns j != k are bilinear-orthonormal and orthogonal to zeta.  Taking
-    k = argmax |1 - zh_k| keeps w^T w = 2 (1 - zh_k) away from 0: zh^T zh = 1
-    rules out zh_k close to 1 for every k when m >= 2.
+    w = e_k - zh swaps e_k and zh, so its columns j != k are
+    bilinear-orthonormal and orthogonal to zh.  Taking k = argmax |1 - zh_k|
+    keeps w^T w = 2 (1 - zh_k) away from 0: zh^T zh = 1 rules out zh_k close
+    to 1 for every k when m >= 2.
     """
-    qz = bilinear(zeta, zeta)
-    if (np.abs(qz) < 1e-12 * np.sum(np.abs(zeta) ** 2, axis=-1)).any():
+    if (np.abs(bilinear(zh, zh)) < 1e-12 * np.sum(np.abs(zh) ** 2, axis=-1)).any():
         raise DegenerateBasis("isotropic normal direction")
-    count, m = zeta.shape
-    zh = zeta / np.sqrt(qz)[:, None]
+    count, m = zh.shape
     k = np.argmax(np.abs(1.0 - zh), axis=1)
     w = -zh
     w[np.arange(count), k] += 1.0
@@ -269,11 +271,19 @@ def _complement_bases(zeta):
     return np.concatenate([X, apply_J(X)], axis=1)
 
 
+def _unit_directions(s, P):
+    """Z / sqrt(a + ib), Z = p - z0, for points P on the sphere, where
+    q(Z) = a + ib.  One branch of the root serves the whole sphere; the
+    per-point sqrt(q(Z)) would flip sign between neighbouring points
+    through round-off when a + ib lies on its branch cut (b = 0, a < 0)."""
+    return to_complex(P - s.center) / np.sqrt(complex(s.a, s.b))
+
+
 def tangent_adapted_basis(s, p, tol=1e-8):
     """Adapted basis of the tangent space at p: 2(m-1) vectors (rows)
     x_1..x_n, Jx_1..Jx_n orthogonal to p - z0 and J(p - z0)."""
     p = _on_surface(s, p, tol)
-    return _complement_bases(to_complex(p - s.center)[None])[0]
+    return _complement_bases(_unit_directions(s, p[None]))[0]
 
 
 def adapted_j_rep(n):
@@ -320,7 +330,7 @@ def shape_operator_fd(s, p, tangent_basis, step=None):
 def surface_samples(s, P, fd=False, step=None, tol=1e-8):
     """Second-order records at a stack of points of an h-sphere."""
     P = _on_surface(s, P, tol)
-    T = _complement_bases(to_complex(P - s.center))
+    T = _complement_bases(_unit_directions(s, P))
     if fd:
         A = shape_operators_fd(s, P, T, step=step)
     else:
@@ -468,7 +478,8 @@ def hyperplane_base_point(hp):
 
 def hyperplane_tangent_basis(hp):
     """Adapted basis of the (constant) tangent space, as rows."""
-    return _complement_bases(to_complex(hp.xi)[None])[0]
+    z = to_complex(hp.xi)
+    return _complement_bases((z / np.sqrt(bilinear(z, z)))[None])[0]
 
 
 def hyperplane_samples(hp, count, seed, spread=2.0):

@@ -205,6 +205,29 @@ class TestVerify:
         assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("flag,value,cmd", [
+    ("--tol", "nan", ("verify", "all")),
+    ("--tol", "inf", ("verify", "all")),
+    ("--tol", "-1", ("verify", "curvature")),
+    ("--step", "nan", ("verify", "codazzi")),
+    ("--step", "-1", ("verify", "codazzi")),
+    ("--tol", "nan", ("classify",)),
+    ("--tol", "-1", ("classify",)),
+    ("--tol", "inf", ("classify",)),
+])
+def test_out_of_range_tol_and_step_exit_2(capsys, tmp_path, flag, value, cmd):
+    if cmd == ("classify",):
+        f = tmp_path / "s.json"
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        jsonio.write_json(str(f), jsonio.samples_to_doc(4, make_surface_samples(sph, 5, 1)))
+        cmd += ("--in", str(f))
+    code, out, err = run_cli(capsys, *cmd, f"{flag}={value}")
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{flag} must be finite" in err
+
+
 class TestClassify:
     def test_sphere_file(self, capsys, tmp_path):
         f = tmp_path / "sphere.json"

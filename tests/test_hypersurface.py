@@ -50,6 +50,7 @@ from nordenhs.hypersurface import (
     tangent_adapted_basis,
     theoretical_curvatures,
 )
+from nordenhs.verify import suite_codazzi
 
 
 def basis_vec(dim, i):
@@ -282,6 +283,12 @@ class TestShapeOperator:
         with pytest.raises(DimensionMismatch):
             shape_operator_wrt(smp, np.asarray(smp.tangent_bases[0]))
 
+    def test_wrt_rejects_nan_normal(self):
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, seed=16)[0])
+        with pytest.raises(DimensionMismatch):
+            shape_operator_wrt(smp, np.full(8, np.nan))
+
 
 class TestSecondFundamental:
     def test_j_compatibility(self):
@@ -364,6 +371,14 @@ class TestCodazzi:
         rs = [codazzi_residual(sph, p, step=h) for h in (1.6e-2, 4e-3, 1e-3)]
         assert rs[1] <= rs[0] / 4.0
         assert rs[2] <= rs[1] / 4.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("a", [-0.5, -1.0, -5.0])
+    def test_suite_passes_on_negative_real_a(self, a, seed):
+        # a + ib = a on the branch cut of sqrt: the tangent bases of
+        # neighbouring points must come from one branch
+        checks = suite_codazzi(a=a, b=0.0, seed=seed)
+        assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
 
 
 class TestFrameGauge:
