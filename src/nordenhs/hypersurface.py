@@ -86,16 +86,26 @@ class MeanCurvatureData:
     With lambda = tr A / 2n and mu = -tr(A o J) / 2n, the h-umbilical part
     of A is lambda I + mu J and H = lambda xi + mu J xi, so that
     g(H, H) = lambda^2 - mu^2 and gt(H, H) = -2 lambda mu.  umbilicity is
-    the max-norm distance of A from its h-umbilical part.
+    the max-norm distance of A from its h-umbilical part.  H and JH are
+    computed on access, so a stack's invariants allocate no vectors.
     """
 
-    H: np.ndarray
-    JH: np.ndarray
+    xi: np.ndarray
     gHH: float
     gtHH: float
     traceA: float
     traceAJ: float
     umbilicity: float
+
+    @property
+    def H(self):
+        two_n = self.xi.shape[-1] - 2
+        return (self.traceA[..., None] * self.xi
+                - self.traceAJ[..., None] * apply_J(self.xi)) / two_n
+
+    @property
+    def JH(self):
+        return apply_J(self.H)
 
 
 def _require_radius(names, a, b, error):
@@ -396,12 +406,9 @@ def mean_curvature(sample):
     tr_a = np.trace(A, axis1=-2, axis2=-1)
     tr_aj = np.trace(A @ J_rep, axis1=-2, axis2=-1)
     lam, mu = tr_a / two_n, -tr_aj / two_n
-    xi = sample.xi
-    H = (tr_a[..., None] * xi - tr_aj[..., None] * apply_J(xi)) / two_n
     model = lam[..., None, None] * np.eye(two_n) + mu[..., None, None] * J_rep
     return MeanCurvatureData(
-        H=H,
-        JH=apply_J(H),
+        xi=sample.xi,
         gHH=lam * lam - mu * mu,
         gtHH=-2.0 * lam * mu,
         traceA=tr_a,
