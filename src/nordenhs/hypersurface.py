@@ -308,6 +308,17 @@ def default_fd_step(s, p):
     return 1e-5 * (1.0 + np.linalg.norm(np.asarray(p) - s.center, axis=-1))
 
 
+def _fd_steps(s, P, step):
+    """The FD step at each point of a stack P (N, 2m): the default, or
+    `step`, which must lie in (1e-12, 0.05] times 1 + |p - z0|."""
+    scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
+    h = default_fd_step(s, P) if step is None else np.full(len(P), float(step))
+    for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
+        if bad.any():
+            raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")
+    return h
+
+
 def shape_operators_fd(s, P, T, step=None):
     """Central-difference Weingarten maps (N, 2n, 2n) in tangent-basis
     coordinates at a stack of points P (N, 2m) with bases T (N, 2n, 2m).
@@ -318,11 +329,7 @@ def shape_operators_fd(s, P, T, step=None):
     """
     P = np.asarray(P, dtype=float)
     T = np.asarray(T, dtype=float)
-    scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
-    h = default_fd_step(s, P) if step is None else np.full(len(P), float(step))
-    for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
-        if bad.any():
-            raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")
+    h = _fd_steps(s, P, step)
     coords, _, _ = tangent_reps(T)
     dP = h[:, None, None] * T
     xi_p = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] + dP), 1e-8))
@@ -443,8 +450,10 @@ def codazzi_residual(s, p, step=1e-4):
     varies smoothly with h and the residual shows its second-order decrease
     before hitting round-off.
     """
-    h = float(step)
     p = np.asarray(p, dtype=float)
+    # bounded first: a step beyond the sphere's scale would otherwise fail
+    # as a projection error below
+    h = float(_fd_steps(s, p[None], step)[0])
     T = tangent_adapted_basis(s, p)
     # p, then its neighbours p + h t_i and p - h t_i on the quadric
     Q = np.concatenate([p[None], project_to_sphere(s, p + h * T),

@@ -172,6 +172,7 @@ def load_pointcloud(path):
     if kind == "samples":
         recs = doc.get("samples")
         _require(isinstance(recs, list), "missing samples array")
+        _require(recs, "empty samples array")
         shapes = {"point": (dim,), "xi": (dim,), "tangent_basis": (dim - 2, dim),
                   "A": (dim - 2, dim - 2)}
         _require(all(isinstance(r, dict) and shapes.keys() <= r.keys() for r in recs),

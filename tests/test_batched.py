@@ -24,6 +24,7 @@ from nordenhs.core import (
 )
 from nordenhs.curvature import (
     SpaceFormParams,
+    _AttemptStream,
     TangentPlane,
     gauss_curvature_from_shape,
     is_totally_real,
@@ -375,6 +376,27 @@ def test_tensors_match_reference(a, b):
         assert close(v_sf[i], [ref_sf(x[i, k], y[i, k], z[i, k], u[i, k]) for k in range(40)])
 
 
+def test_flat_gauss_tensor_is_the_shape_term_exactly():
+    st = sphere_stack(-1.137, 1.885, 5, seed=36)
+    x, y, z, u = np.random.default_rng(37).uniform(-1, 1, (4, 5, 30, 6)) @ st.tangent_bases
+    R = gauss_curvature_from_shape(st.A[:, None], st.tangent_bases[:, None],
+                                   SpaceFormParams(0.0, 0.0))
+    ax, ay = (np.einsum("...ij,...j->...i", R.A_ambient, v) for v in (x, y))
+    q1, q2, _ = pi_tensors(ax, ay, z, u)
+    assert np.array_equal(R(x, y, z, u), q1 - q2)
+
+
+@pytest.mark.parametrize("nu,nut", [(0.7, 0.0), (0.0, -0.4), (1.3, 2.1)])
+def test_gauss_tensor_is_space_form_plus_shape_term(nu, nut):
+    st = sphere_stack(3.0, 4.0, 5, seed=38)
+    x, y, z, u = np.random.default_rng(39).uniform(-1, 1, (4, 5, 30, 6)) @ st.tangent_bases
+    A, T = st.A[:, None], st.tangent_bases[:, None]
+    got = gauss_curvature_from_shape(A, T, SpaceFormParams(nu, nut))(x, y, z, u)
+    want = (space_form_curvature(SpaceFormParams(nu, nut))(x, y, z, u)
+            + gauss_curvature_from_shape(A, T, SpaceFormParams(0.0, 0.0))(x, y, z, u))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("a,b", GRID)
 def test_sectional_and_ricci_match_reference(a, b):
     st = sphere_stack(a, b, 4, seed=23)
@@ -438,6 +460,27 @@ def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
     assert len(got) == count
     for p, (x, y) in zip(got, want):
         assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
+
+
+@pytest.mark.parametrize("high", [12, 3 * 2 ** 30 + 1])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+def test_attempt_stream_matches_generator_calls(monkeypatch, seed, high):
+    # odd and even block lengths, so a buffered half-word crosses blocks;
+    # at the wide high about one 32-bit draw in four is rejected
+    redraws = []
+    next32 = _AttemptStream._next32
+    monkeypatch.setattr(_AttemptStream, "_next32",
+                        lambda self: redraws.append(1) or next32(self))
+    n = 3
+    rng = np.random.default_rng(seed)
+    stream = _AttemptStream(seed, n, high)
+    for k in (1, 4, 7, 0, 2, 9, 30):
+        want = [(rng.integers(high), rng.uniform(-1.0, 1.0, (2, n))) for _ in range(k)]
+        ints, unif = stream.draw(k)
+        assert ints.tolist() == [i for i, _ in want], f"numpy {np.__version__}"
+        assert np.array_equal(unif, np.reshape([c for _, c in want], (k, 2, n))), \
+            f"numpy {np.__version__}"
+    assert bool(redraws) == (high > 12)
 
 
 @pytest.mark.parametrize("m,shape,count", [(4, (5,), 30), (3, (2, 3), 12), (5, (1,), 1)])

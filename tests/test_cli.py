@@ -269,6 +269,14 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--in", str(f))
         assert code == 3
 
+    def test_empty_samples_file_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "empty.json"
+        f.write_text('{"version": 1, "m": 4, "kind": "samples", "samples": []}')
+        code, out, err = run_cli(capsys, "classify", "--in", str(f))
+        assert code == 3
+        assert not out
+        assert err.count("\n") == 1 and "empty samples array" in err
+
     def test_points_file_rejected(self, capsys, tmp_path):
         f = tmp_path / "pts.json"
         jsonio.write_json(str(f), jsonio.points_to_doc(4, [np.zeros(8)]))
@@ -432,6 +440,15 @@ def test_codazzi_at_m2_passes(capsys):
     results = json.loads(out)["results"]
     assert results[1]["name"] == "second-order decrease (r(h/4)/r(h) <= 1/4)"
     assert results[1]["tol"] == 0.25
+
+
+@pytest.mark.parametrize("step", ["1", "0.5", "10"])
+def test_codazzi_step_beyond_sphere_scale_exit_2(capsys, step):
+    code, out, err = run_cli(capsys, "verify", "codazzi", f"--step={step}")
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1
+    assert f"step {float(step):.3e} too large" in err
 
 
 def test_python_dash_m(tmp_path):
