@@ -3,6 +3,12 @@
 Exit codes: 0 success / all checks pass; 1 verification failure;
 2 invalid parameters; 3 I/O or malformed file; 4 negative classification
 or non-diagonalizable input; 5 dimension too small.
+
+The commands return 0, 1, 4 or 5 from their results and raise on every
+failure; `main` alone turns a failure into one stderr line and its code:
+a flag out of range is 2, a FormatError or OSError 3, NotHDiagonalizable
+4, and any other library error 2, except under `classify`, where it is a
+negative classification (4).
 """
 
 import argparse
@@ -20,12 +26,7 @@ from .classify import (
     classify,
 )
 from .core import h_proper_decomposition
-from .errors import (
-    FormatError,
-    NordenError,
-    NotHDiagonalizable,
-    NotHSymmetric,
-)
+from .errors import FormatError, NordenError, NotHDiagonalizable
 from .hypersurface import (
     lambda_mu,
     make_h_sphere,
@@ -49,11 +50,7 @@ def _err(msg):
 
 
 def cmd_sphere_info(args):
-    try:
-        sph = make_h_sphere(np.zeros(2 * args.m), args.a, args.b)
-    except NordenError as exc:
-        _err(str(exc))
-        return 2
+    sph = make_h_sphere(np.zeros(2 * args.m), args.a, args.b)
     params = theoretical_curvatures(sph)
     lam, mu = lambda_mu(sph)
     _emit(
@@ -75,76 +72,43 @@ def cmd_sphere_info(args):
 
 
 def cmd_sample(args):
-    if args.count < 1:
-        _err(f"--count must be at least 1, got {args.count}")
-        return 2
-    try:
-        center = np.zeros(2 * args.m)
-        if args.center_file:
-            m, kind, pts = jsonio.load_pointcloud(args.center_file)
-            if kind != "points" or len(pts) != 1 or m != args.m:
-                raise FormatError("center file must hold exactly one point")
-            center = pts[0]
-        sph = make_h_sphere(center, args.a, args.b)
-    except FormatError as exc:
-        _err(str(exc))
-        return 3
-    except NordenError as exc:
-        _err(str(exc))
-        return 2
-    try:
-        if args.with_frames:
-            samples = make_surface_samples(
-                sph, args.count, args.seed, fd=args.fd
-            )
-            doc = jsonio.samples_to_doc(args.m, samples)
-        else:
-            pts = sample(sph, args.count, args.seed)
-            doc = jsonio.points_to_doc(args.m, pts)
-        if args.out:
-            jsonio.write_json(args.out, doc)
-        else:
-            _emit(doc)
-    except OSError as exc:
-        _err(str(exc))
-        return 3
-    except NordenError as exc:
-        _err(str(exc))
-        return 2
-    report = {
-        "command": "sample",
-        **VERSIONS,
-        "a": sph.a,
-        "b": sph.b,
-        "m": args.m,
-        "count": args.count,
-        "seed": args.seed,
-        "with_frames": bool(args.with_frames),
-        "fd": bool(args.fd),
-        "out": args.out or "",
-    }
-    if args.out:
-        _emit(report)
+    center = np.zeros(2 * args.m)
+    if args.center_file:
+        m, kind, pts = jsonio.load_pointcloud(args.center_file)
+        if kind != "points" or len(pts) != 1 or m != args.m:
+            raise FormatError("center file must hold exactly one point")
+        center = pts[0]
+    sph = make_h_sphere(center, args.a, args.b)
+    if args.with_frames:
+        samples = make_surface_samples(sph, args.count, args.seed, fd=args.fd)
+        doc = jsonio.samples_to_doc(args.m, samples)
+    else:
+        doc = jsonio.points_to_doc(args.m, sample(sph, args.count, args.seed))
+    if not args.out:
+        _emit(doc)
+        return 0
+    jsonio.write_json(args.out, doc)
+    _emit(
+        {
+            "command": "sample",
+            **VERSIONS,
+            "a": sph.a,
+            "b": sph.b,
+            "m": args.m,
+            "count": args.count,
+            "seed": args.seed,
+            "with_frames": bool(args.with_frames),
+            "fd": bool(args.fd),
+            "out": args.out,
+        }
+    )
     return 0
 
 
 def cmd_verify(args):
-    params = dict(
-        a=args.a,
-        b=args.b,
-        m=args.m,
-        points=args.points,
-        planes=args.planes,
-        seed=args.seed,
-        step=args.step,
-        tol=args.tol,
-        fd=args.fd,
-    )
-    try:
-        checks = verify.run_suite(args.suite, **params)
-    except (KeyError, NordenError) as exc:
-        _err(str(exc))
-        return 2
+    params = {k: getattr(args, k) for k in
+              ("a", "b", "m", "points", "planes", "seed", "step", "tol", "fd")}
+    checks, applied = verify.run_suite(args.suite, **params)
     results = [
         {
             "name": c.name,
@@ -160,7 +124,7 @@ def cmd_verify(args):
             "command": f"verify {args.suite}",
             **VERSIONS,
             "seed": args.seed,
-            "params": verify.applied_params(args.suite, params),
+            "params": applied,
             "results": results,
             "passed": ok,
         }
@@ -174,24 +138,17 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
-    try:
-        _, kind, samples = jsonio.load_pointcloud(args.input)
-        if kind != "samples":
-            raise FormatError('classification requires kind="samples"')
-    except FormatError as exc:
-        _err(str(exc))
-        return 3
+    _, kind, samples = jsonio.load_pointcloud(args.input)
+    if kind != "samples":
+        raise FormatError('classification requires kind="samples"')
     tols = Tolerances(
         constancy=args.tol,
         umbilicity=args.tol,
         containment=args.tol,
         normal_spread=args.tol,
     ) if args.tol is not None else Tolerances()
-    try:
-        result = classify(samples, tols)
-    except NordenError as exc:
-        _err(str(exc))
-        return 4
+    result = classify(samples, tols)
+
     def _opt(x):
         # residual fields are NaN until the corresponding stage runs
         return float(x) if np.isfinite(x) else None
@@ -231,19 +188,7 @@ def cmd_classify(args):
 
 
 def cmd_decompose(args):
-    try:
-        S = jsonio.load_matrix(args.input)
-    except FormatError as exc:
-        _err(str(exc))
-        return 3
-    try:
-        dec = h_proper_decomposition(S)
-    except NotHSymmetric as exc:
-        _err(str(exc))
-        return 2
-    except NotHDiagonalizable as exc:
-        _err(str(exc))
-        return 4
+    dec = h_proper_decomposition(jsonio.load_matrix(args.input))
     _emit(
         {
             "command": "decompose",
@@ -309,13 +254,25 @@ def build_parser():
     return ap
 
 
+# each flag's range, checked wherever the subcommand has the flag and it is given
+RANGES = (
+    ("tol", lambda x: math.isfinite(x) and x >= 0, "must be finite and >= 0"),
+    ("step", lambda x: math.isfinite(x) and x > 0, "must be finite and > 0"),
+    ("count", lambda x: x >= 1, "must be at least 1"),
+    ("m", lambda x: x >= 1, "must be at least 1"),
+)
+
+# exit code of a library error that is neither a FormatError nor
+# NotHDiagonalizable: invalid parameters, or a negative classification
+LIBRARY_ERROR_EXIT = {"classify": 4}
+
+
 def _range_error(args):
-    """The message for a --tol out of [0, inf) or a --step out of (0, inf),
-    or None when every such value given is in range."""
-    for flag, zero_ok in (("tol", True), ("step", False)):
+    """The message for the first flag given out of its range, or None."""
+    for flag, ok, rule in RANGES:
         x = getattr(args, flag, None)
-        if x is not None and not (math.isfinite(x) and (x > 0 or (zero_ok and x == 0))):
-            return f"--{flag} must be finite and {'>= 0' if zero_ok else '> 0'}, got {x!r}"
+        if x is not None and not ok(x):
+            return f"--{flag} {rule}, got {x!r}"
     return None
 
 
@@ -325,7 +282,16 @@ def main(argv=None):
     if msg:
         _err(msg)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (FormatError, OSError) as exc:
+        code, msg = 3, str(exc)
+    except NotHDiagonalizable as exc:
+        code, msg = 4, str(exc)
+    except NordenError as exc:
+        code, msg = LIBRARY_ERROR_EXIT.get(args.command, 2), str(exc)
+    _err(msg)
+    return code
 
 
 if __name__ == "__main__":

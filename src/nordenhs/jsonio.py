@@ -131,11 +131,12 @@ def _reject_constant(name):
 
 
 def _read(path):
-    """Parse a JSON file; NaN and Infinity are rejected."""
+    """Parse a UTF-8 JSON file; NaN and Infinity are rejected, and so are
+    undecodable bytes and nesting too deep for the parser."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -261,26 +261,18 @@ def _suites(name):
     if name == "all":
         return list(SUITES.values())
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
+        raise NordenError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
     return [SUITES[name]]
 
 
-def _accepted(fn, params):
-    names = inspect.signature(fn).parameters
-    return {k: v for k, v in params.items() if k in names and v is not None}
-
-
 def run_suite(name, **params):
-    checks = []
+    """Run suite `name` (or every suite, for "all") with the set entries of
+    params each suite takes; returns the checks and the entries passed on
+    to some suite, in their given order."""
+    checks, used = [], set()
     for fn in _suites(name):
-        checks.extend(fn(**_accepted(fn, params)))
-    return checks
-
-
-def applied_params(name, params):
-    """The set entries of params that run_suite(name, **params) passes on
-    to a suite, in their given order."""
-    used = set()
-    for fn in _suites(name):
-        used.update(_accepted(fn, params))
-    return {k: v for k, v in params.items() if k in used}
+        names = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in params.items() if k in names and v is not None}
+        used.update(kwargs)
+        checks.extend(fn(**kwargs))
+    return checks, {k: v for k, v in params.items() if k in used}

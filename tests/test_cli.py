@@ -461,3 +461,98 @@ def test_python_dash_m(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "sphere info"
+
+
+@pytest.mark.parametrize("cmd", [
+    ("sphere", "info", "--a", "3", "--b", "4"),
+    ("sample", "--a", "3", "--b", "4"),
+    ("verify", "all"),
+], ids=lambda cmd: cmd[0])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_m_below_one_exit_2(capsys, cmd, m):
+    code, out, err = run_cli(capsys, *cmd, "--m", m)
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"--m must be at least 1, got {m}" in err
+
+
+def test_python_dash_m_negative_m_exit_2(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nordenhs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4", "--m", "-1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "--m" in proc.stderr
+
+
+@pytest.mark.parametrize("content", [
+    b'{"version": 1, "m": 4, "kind": "points\xd0"}',
+    b"[" * 100000 + b"]" * 100000,
+    b"[[1" + b"0" * 5000 + b"]]",
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+@pytest.mark.parametrize("cmd", [
+    ("classify", "--in"),
+    ("decompose", "--in"),
+    ("sample", "--a", "3", "--b", "4", "--center-file"),
+], ids=lambda cmd: cmd[0])
+def test_unparsable_json_exit_3(capsys, tmp_path, cmd, content):
+    f = tmp_path / "bad.json"
+    f.write_bytes(content)
+    code, out, err = run_cli(capsys, *cmd, str(f))
+    assert code == 3
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"cannot read {f}" in err
+
+
+def _samples_file(tmp_path, edit):
+    """The file of `sample --a 3 --b 4 --count 30 --seed 2 --with-frames`,
+    with edit(i, record) applied to every record."""
+    sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+    doc = jsonio.samples_to_doc(4, make_surface_samples(sph, 30, 2))
+    doc = json.loads(jsonio.dumps_canonical(doc))
+    for i, rec in enumerate(doc["samples"]):
+        edit(i, rec)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+def _zero_bases(i, rec):
+    rec["tangent_basis"] = np.zeros_like(rec["tangent_basis"]).tolist()
+
+
+def _flat_spread_normal(i, rec):
+    rec["A"] = np.zeros_like(rec["A"]).tolist()
+    rec["xi"] = [1 + 0.1 * i] + [0.0] * 7
+
+
+FAILURES = {
+    "sample --out into a missing directory": (
+        lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
+        3, "x.json"),
+    "classify g-degenerate tangent bases": (
+        lambda tmp: ["classify", "--in", _samples_file(tmp, _zero_bases)],
+        4, "tangent basis g-degenerate"),
+    "classify spread normal": (
+        lambda tmp: ["classify", "--in", _samples_file(tmp, _flat_spread_normal)],
+        4, "normal spread"),
+    "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_failure_exit_codes(capsys, tmp_path, case):
+    make_argv, expected, msg = FAILURES[case]
+    code, out, err = run_cli(capsys, *make_argv(tmp_path))
+    assert code == expected
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("nordenhs: ") and msg in err
+    assert err[len("nordenhs: "):][0] not in "'\""
