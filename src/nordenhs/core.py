@@ -332,10 +332,6 @@ class HProperDecomposition:
     basis: tuple
     pairs: tuple
 
-    def full_basis(self):
-        xs = [np.asarray(x) for x in self.basis]
-        return xs + [apply_J(x) for x in xs]
-
     def reconstruct(self):
         """Rebuild the 2m x 2m real operator from the spectral data."""
         V = np.column_stack([to_complex(x) for x in self.basis])

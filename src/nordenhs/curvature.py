@@ -203,90 +203,6 @@ def _rotation_catalog(n):
     return _catalog_cache[n]
 
 
-class _AttemptStream:
-    """The draws of np.random.default_rng(seed) when every attempt calls
-    rng.integers(high), then rng.uniform(-1, 1, (2, n)), computed in bulk
-    from the raw 64-bit words of its PCG64 bit generator.
-
-    The numpy stream contract this reproduces (Generator on PCG64, 1 < high
-    < 2**32): integers(high) is Lemire's method on 32-bit draws, each the
-    high half of a word that an earlier 32-bit draw split, if one is
-    buffered, else the low half of a new word, whose high half is buffered;
-    a draw v is rejected, and another taken, while (v high) mod 2**32 <
-    2**32 mod high, and the integer is (v high) >> 32.  uniform takes one
-    new word w per value, -1 + 2 (w >> 11) 2**-53, and leaves the buffered
-    half alone, so it carries across attempts and calls.
-    """
-
-    def __init__(self, seed, n, high):
-        self._bits = np.random.PCG64(seed)
-        self._words = np.empty(0, dtype=np.uint64)  # drawn, not yet used
-        self._half = None  # the buffered high half-word
-        self._n, self._high = n, high
-        self._threshold = (1 << 32) % high
-
-    def _peek(self, count):
-        short = count - len(self._words)
-        if short > 0:
-            self._words = np.concatenate([self._words, self._bits.random_raw(short)])
-        return self._words[:count]
-
-    def _next32(self):
-        if self._half is not None:
-            v, self._half = self._half, None
-            return v
-        w = int(self._peek(1)[0])
-        self._words = self._words[1:]
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
-
-    def draw(self, k):
-        """(integers (k,), uniforms (k, 2, n)) of the next k attempts."""
-        n2 = 2 * self._n
-        ints = np.empty(k, dtype=np.intp)
-        unif = np.empty((k, n2))
-        done = 0
-        while done < k:
-            r = k - done
-            # attempt j opens a new word for its integer unless a half is
-            # buffered: the even attempts, or the odd ones after a carry
-            j = np.arange(r)
-            fresh = j % 2 == (self._half is not None)
-            first = j * n2 + np.cumsum(fresh) - fresh  # attempt j's first word
-            w = self._peek(r * n2 + int(fresh.sum()))
-            opened = w[first[fresh]]
-            halves = opened >> 32
-            if self._half is not None:
-                halves = np.concatenate([np.array([self._half], dtype=np.uint64), halves])
-            v = np.empty(r, dtype=np.uint64)
-            v[fresh] = opened & 0xFFFFFFFF
-            v[~fresh] = halves[:r - len(opened)]
-            prod = v * np.uint64(self._high)
-            rejected = np.flatnonzero(prod & 0xFFFFFFFF < self._threshold)
-            ok = rejected[0] if rejected.size else r
-            ints[done:done + ok] = prod[:ok] >> 32
-            u = w[(first + fresh)[:ok, None] + np.arange(n2)] >> 11
-            unif[done:done + ok] = -1.0 + 2.0 * (u * 2.0 ** -53)
-            done += ok
-            if ok == r:
-                self._words = self._words[len(w):]
-                self._half = int(halves[-1]) if fresh[-1] else None
-                break
-            # the stream as it stands before the rejected attempt; its
-            # integer is drawn again one 32-bit draw at a time
-            self._words = self._words[first[ok]:]
-            self._half = None if fresh[ok] else int(v[ok])
-            while True:
-                prod = self._next32() * self._high
-                if prod & 0xFFFFFFFF >= self._threshold:
-                    break
-            ints[done] = prod >> 32
-            unif[done] = -1.0 + 2.0 * ((self._peek(n2) >> 11) * 2.0 ** -53)
-            self._words = self._words[n2:]
-            done += 1
-        return ints, unif.reshape(k, 2, self._n)
-
-
 def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     """`count` totally real planes inside span(adapted_basis) (2n, 2m), as a
     TangentPlane of stacks (count, 2m); for a stack of bases (..., 2n, 2m),
@@ -295,13 +211,15 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
     keeps the basis adapted, so the x-half always spans a totally real
-    subspace.  Attempt k of a basis draws rng.integers(12) (the catalog
-    member) and then rng.uniform(-1, 1, (2, n)) (the two combinations) from
-    rng = np.random.default_rng(seed); _AttemptStream computes those draws
-    in bulk from the raw PCG64 words, by the numpy stream contract its
-    docstring states.  The candidates of every basis that still needs planes are
-    tested in one block; each basis keeps its first `count` accepted
-    candidates, at most 50 count + 100 attempts in.  Deterministic per seed.
+    subspace.  Each basis draws from two child streams of its seed,
+    ri, ru = np.random.default_rng(seed).spawn(2): attempt k takes the k-th
+    ri.integers(12) (the catalog member) and the k-th ru.uniform(-1, 1,
+    (2, n)) block (the two combinations).  A size-k call on a stream returns
+    the values of k size-1 calls, so a block of attempts is drawn in two
+    calls and the draws do not depend on the block sizes.  The candidates of
+    every basis that still needs planes are tested in one block; each basis
+    keeps its first `count` accepted candidates, at most 50 count + 100
+    attempts in.  Deterministic per seed.
     """
     V = np.asarray(adapted_basis, dtype=float)
     seeds = np.asarray(seed)
@@ -313,7 +231,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     V = V.reshape((-1,) + V.shape[-2:])
     # (bases, 12, m, n): the m-dim complex reps of every basis, rotated
     rotated = np.swapaxes(to_complex(V[:, None, :n, :]), -1, -2) @ _rotation_catalog(n)
-    streams = [_AttemptStream(s, n, _CATALOG_SIZE) for s in seeds.reshape(-1)]
+    ri, ru = zip(*(np.random.default_rng(s).spawn(2) for s in seeds.reshape(-1)))
     left = np.full(len(V), 50 * max(count, 1) + 100)  # attempts each basis may still make
     have = np.zeros(len(V), dtype=np.intp)
     out = np.empty((len(V), 2, count, V.shape[-1]))
@@ -323,9 +241,8 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         if (block <= 0).any():
             raise SamplingExhausted("plane sampling rejection bound exceeded")
         left[need] -= block
-        draws = [streams[i].draw(k) for i, k in zip(need, block)]
-        idx = np.concatenate([d[0] for d in draws])
-        C = np.concatenate([d[1] for d in draws])
+        idx = np.concatenate([ri[i].integers(_CATALOG_SIZE, size=k) for i, k in zip(need, block)])
+        C = np.concatenate([ru[i].uniform(-1.0, 1.0, (k, 2, n)) for i, k in zip(need, block)])
         owner = np.repeat(need, block)
         # one mat-vec per candidate vector, as the per-attempt Xrot @ c
         Z = (rotated[owner, idx][:, None] @ C[..., None])[..., 0]

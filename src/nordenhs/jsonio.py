@@ -144,10 +144,10 @@ def _floats(rows, shape, msg):
     """rows as a finite float array of shape (len(rows), *shape)."""
     try:
         arr = np.array(rows, dtype=float)
+        if not rows:
+            arr = arr.reshape((0, *shape))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{msg}: {exc}") from exc
-    if not rows:
-        arr = arr.reshape((0, *shape))
     _require(arr.shape[1:] == shape, msg)
     _require(np.isfinite(arr).all(), "non-finite number in input")
     return arr
@@ -161,9 +161,12 @@ def load_pointcloud(path):
     """
     doc = _read(path)
     _require(isinstance(doc, dict), "top level must be an object")
-    _require(doc.get("version") == VERSION, "unsupported or missing version")
-    m = doc.get("m")
-    _require(isinstance(m, int) and m >= 1, "missing complex dimension m")
+    version, m = doc.get("version"), doc.get("m")
+    # JSON true and false load as bool, a subclass of int
+    _require(version == VERSION and not isinstance(version, bool),
+             "unsupported or missing version")
+    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
+             "missing complex dimension m")
     kind = doc.get("kind")
     dim = 2 * m
     if kind == "points":

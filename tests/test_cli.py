@@ -511,6 +511,25 @@ def test_unparsable_json_exit_3(capsys, tmp_path, cmd, content):
     assert f"cannot read {f}" in err
 
 
+@pytest.mark.parametrize("header,points,msg", [
+    ('"version": 1, "m": 100000000000000000000', [], "point length must be"),
+    ('"version": 1, "m": true', [[1.0, 0.0]], "missing complex dimension m"),
+    ('"version": true, "m": 4', [[1.0] + [0.0] * 7], "unsupported or missing version"),
+], ids=["m-too-large", "m-true", "version-true"])
+@pytest.mark.parametrize("cmd", [
+    ("classify", "--in"),
+    ("sample", "--a", "3", "--b", "4", "--center-file"),
+], ids=lambda cmd: cmd[0])
+def test_bad_header_exit_3(capsys, tmp_path, cmd, header, points, msg):
+    f = tmp_path / "bad.json"
+    f.write_text(f'{{{header}, "kind": "points", "points": {json.dumps(points)}}}')
+    code, out, err = run_cli(capsys, *cmd, str(f))
+    assert code == 3
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert msg in err
+
+
 def _samples_file(tmp_path, edit):
     """The file of `sample --a 3 --b 4 --count 30 --seed 2 --with-frames`,
     with edit(i, record) applied to every record."""
