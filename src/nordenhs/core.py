@@ -390,19 +390,3 @@ def h_proper_decomposition(S, tol=DEFAULT_TOL):
         raise NotHDiagonalizable(f"reconstruction residual {recon_err:.3e}")
     return dec
 
-
-def pseudo_orthonormalize(vectors, tol=1e-8):
-    """Indefinite real Gram-Schmidt: returns (frame, signs) with
-    g(E_i, E_j) = eps_i delta_ij, eps_i = +-1."""
-    frame = []
-    signs = []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
-        for e, eps in zip(frame, signs):
-            w = w - eps * metric_g(w, e) * e
-        n2 = metric_g(w, w)
-        if abs(n2) < tol * max(1.0, float(w @ w)):
-            raise DegenerateBasis("g-degenerate direction in basis")
-        frame.append(w / np.sqrt(abs(n2)))
-        signs.append(1.0 if n2 > 0 else -1.0)
-    return frame, signs

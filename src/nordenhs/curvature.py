@@ -18,7 +18,6 @@ from .core import (
     is_adapted_basis,
     metric_g,
     metric_gt,
-    pseudo_orthonormalize,
     random_complex_orthogonal,
     tangent_reps,
     to_complex,
@@ -275,14 +274,14 @@ def curvature_constancy_report(R, planes):
 
 
 def ricci(R, basis):
-    """Ricci table rho(b_i, b_j) = sum_k eps_k R(E_k, b_i, b_j, E_k).
+    """Ricci table rho(b_i, b_j) = sum_kl (G_t^-1)_kl R(b_k, b_i, b_j, b_l).
 
-    E_k is a pseudo-orthonormal frame built from the basis; the sign of the
-    contraction is fixed so the hypersurface Ricci identity holds on the
-    Kotel'nikov-Study sphere.
+    G_t is the g-Gram matrix of the basis, so sum_l (G_t^-1)_kl b_l is the
+    g-dual basis; the sign of the contraction is fixed so the hypersurface
+    Ricci identity holds on the Kotel'nikov-Study sphere.
     """
     basis = np.asarray(basis, dtype=float)
-    frame, signs = pseudo_orthonormalize(basis)
-    E = np.array(frame)[:, None, None, :]
-    terms = R(E, basis[None, :, None, :], basis[None, None, :, :], E)
-    return (np.array(signs)[:, None, None] * terms).sum(axis=0)
+    _, _, Gt = tangent_reps(basis)
+    dual = np.linalg.solve(Gt, basis)
+    return R(basis[:, None, None, :], basis[None, :, None, :],
+             basis[None, None, :, :], dual[:, None, None, :]).sum(axis=0)

@@ -1,7 +1,11 @@
 """JSON wire format: point-cloud files, sample files and reports.
 
 Floats are written with 17 significant digits so files round-trip doubles
-exactly and repeated runs are byte-identical.
+exactly and repeated runs are byte-identical.  A sample document is written
+in blocks of records, each block one printf of a cached template over the
+block's numbers; the bytes are those of the list of record objects written
+one by one.  Numeric arrays read from a file must hold JSON numbers: a
+string or a boolean inside one is rejected.
 """
 
 import functools
@@ -15,6 +19,13 @@ from .errors import FormatError
 from .hypersurface import SampleStack
 
 VERSION = 1
+
+# keys of a sample record, in the order of the SampleStack fields they hold
+SAMPLE_KEYS = ("point", "xi", "tangent_basis", "A")
+
+# records per block of a written sample document; 256 was no faster and
+# raised the peak RSS of a sample-then-classify process
+BLOCK = 64
 
 
 def _fmt(x):
@@ -50,6 +61,39 @@ def _key(k):
     return json.dumps(str(k))
 
 
+@functools.lru_cache(maxsize=8)
+def _records_template(shapes, count, indent):
+    """printf template of `count` sample records with fields of these
+    shapes, laid out as _write lays out a list of record objects, less the
+    brackets."""
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    fields = ",\n".join(f"{pad1}{_key(k)}: {_array_template(shape, indent + 1)}"
+                        for k, shape in zip(SAMPLE_KEYS, shapes))
+    return (",\n" + pad).join(["{\n" + fields + "\n" + pad + "}"] * count)
+
+
+def _write_records(stack, indent, write):
+    """Pass the canonical text of the SampleStack's list of records, block by
+    block, to write(); a non-finite number raises before anything is passed."""
+    fields = (stack.points, stack.xi, stack.tangent_bases, stack.A)
+    if not all(np.isfinite(f).all() for f in fields):
+        raise FormatError("non-finite number in output")
+    n = len(stack)
+    if not n:
+        write("[]")
+        return
+    shapes = tuple(f.shape[1:] for f in fields)
+    rows = [f.reshape(n, -1) for f in fields]
+    pad1 = "  " * (indent + 1)
+    sep = "[\n"
+    for start in range(0, n, BLOCK):
+        block = np.concatenate([r[start:start + BLOCK] for r in rows], axis=1)
+        write(sep + pad1 + _records_template(shapes, len(block), indent + 1)
+              % tuple(block.ravel().tolist()))
+        sep = ",\n"
+    write("\n" + "  " * indent + "]")
+
+
 def _write(obj, indent, write):
     """Pass the canonical text of obj, in pieces, to write()."""
     pad = "  " * indent
@@ -58,6 +102,8 @@ def _write(obj, indent, write):
         if not np.isfinite(obj).all():
             raise FormatError("non-finite number in output")
         write(_array_template(obj.shape, indent) % tuple(obj.ravel().tolist()))
+    elif isinstance(obj, SampleStack):
+        _write_records(obj, indent, write)
     elif isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -113,12 +159,9 @@ def points_to_doc(m, points):
 
 
 def samples_to_doc(m, stack):
-    """Sample document of a SampleStack."""
-    recs = [
-        {"point": p, "xi": xi, "tangent_basis": t, "A": A}
-        for p, xi, t, A in zip(stack.points, stack.xi, stack.tangent_bases, stack.A)
-    ]
-    return {"version": VERSION, "m": int(m), "kind": "samples", "samples": recs}
+    """Sample document of a SampleStack; the stack is written as the list of
+    its records."""
+    return {"version": VERSION, "m": int(m), "kind": "samples", "samples": stack}
 
 
 def _require(cond, msg):
@@ -131,25 +174,48 @@ def _reject_constant(name):
 
 
 def _read(path):
-    """Parse a UTF-8 JSON file; NaN and Infinity are rejected, and so are
-    undecodable bytes and nesting too deep for the parser."""
+    """Parse a UTF-8 JSON file into (document, quotes); NaN and Infinity are
+    rejected, and so are undecodable bytes and nesting too deep for the
+    parser.  quotes is the number of '"' in the text, or None when the text
+    has a "u" or an "f", as every true and every false has."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
+        doc = json.loads(text, parse_constant=_reject_constant)
     except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    return doc, None if "u" in text or "f" in text else text.count('"')
 
 
-def _floats(rows, shape, msg):
-    """rows as a finite float array of shape (len(rows), *shape)."""
+def _numbers_only(quotes, doc, records=()):
+    """True when the quote count of _read shows that no array holds a string
+    or a boolean: each string has two quotes, and the keys of doc and of the
+    records and doc's string values are strings outside the arrays.  False
+    means only that the arrays must be checked entry by entry."""
+    strings = (len(doc) + sum(isinstance(v, str) for v in doc.values())
+               + sum(map(len, records)))
+    return quotes == 2 * strings
+
+
+def _floats(rows, shape, msg, numbers_only):
+    """rows as a finite float array of shape (len(rows), *shape).  Unless
+    numbers_only, every entry is checked to be a JSON number, since the float
+    conversion takes numeric strings and booleans."""
     try:
         arr = np.array(rows, dtype=float)
         if not rows:
             arr = arr.reshape((0, *shape))
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise FormatError("non-finite number in input") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{msg}: {exc}") from exc
     _require(arr.shape[1:] == shape, msg)
     _require(np.isfinite(arr).all(), "non-finite number in input")
+    if not numbers_only:
+        bad = [x for x in np.array(rows, dtype=object).ravel().tolist()
+               if type(x) not in (int, float)]
+        if bad:
+            raise FormatError(f"non-numeric entry {json.dumps(bad[0])} in input")
     return arr
 
 
@@ -159,7 +225,7 @@ def load_pointcloud(path):
     kind "points" yields an (N, 2m) array; kind "samples" yields a
     SampleStack.
     """
-    doc = _read(path)
+    doc, quotes = _read(path)
     _require(isinstance(doc, dict), "top level must be an object")
     version, m = doc.get("version"), doc.get("m")
     # JSON true and false load as bool, a subclass of int
@@ -172,17 +238,19 @@ def load_pointcloud(path):
     if kind == "points":
         pts = doc.get("points")
         _require(isinstance(pts, list), "missing points array")
-        return m, kind, _floats(pts, (dim,), f"point length must be {dim}")
+        return m, kind, _floats(pts, (dim,), f"point length must be {dim}",
+                                _numbers_only(quotes, doc))
     if kind == "samples":
         recs = doc.get("samples")
         _require(isinstance(recs, list), "missing samples array")
         _require(recs, "empty samples array")
-        shapes = {"point": (dim,), "xi": (dim,), "tangent_basis": (dim - 2, dim),
-                  "A": (dim - 2, dim - 2)}
+        shapes = dict(zip(SAMPLE_KEYS, [(dim,), (dim,), (dim - 2, dim), (dim - 2, dim - 2)]))
         _require(all(isinstance(r, dict) and shapes.keys() <= r.keys() for r in recs),
                  f"every sample must be an object with fields {', '.join(shapes)}")
+        numbers_only = _numbers_only(quotes, doc, recs)
         return m, kind, SampleStack(*(
-            _floats([r[key] for r in recs], shape, f"{key} must have shape {shape}")
+            _floats([r[key] for r in recs], shape, f"{key} must have shape {shape}",
+                    numbers_only)
             for key, shape in shapes.items()
         ))
     raise FormatError(f"unknown kind {kind!r}")
@@ -190,8 +258,9 @@ def load_pointcloud(path):
 
 def load_matrix(path):
     """Read a square matrix from JSON ({"matrix": [[...]]} or a bare array)."""
-    doc = _read(path)
+    doc, quotes = _read(path)
     raw = doc.get("matrix") if isinstance(doc, dict) else doc
     msg = "matrix must be square with even size"
     _require(isinstance(raw, list) and raw and len(raw) % 2 == 0, msg)
-    return _floats(raw, (len(raw),), msg)
+    return _floats(raw, (len(raw),), msg,
+                   _numbers_only(quotes, doc if isinstance(doc, dict) else {}))

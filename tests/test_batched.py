@@ -1,11 +1,13 @@
 """The batched sample/frame/basis/classify and curvature layers against
 per-item loops."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from nordenhs import jsonio
 from nordenhs.classify import (
     VERDICT_OFF_SURFACE,
     VERDICT_SPHERE,
@@ -37,13 +39,16 @@ from nordenhs.curvature import (
 from nordenhs.errors import (
     BadInputNormalization,
     DimensionMismatch,
+    FormatError,
     NordenError,
     SamplingExhausted,
 )
 from nordenhs.hypersurface import (
     SampleStack,
+    hyperplane_samples,
     lambda_mu,
     make_h_sphere,
+    make_hyperplane,
     make_surface_samples,
     normal_frame,
     normalize_normal_frame,
@@ -683,3 +688,66 @@ def test_suite_sigma_matches_loop(a, b, m, seed, count):
 def test_suites_reject_empty_count(suite):
     with pytest.raises(NordenError, match="at least 1"):
         suite(count=0)
+
+
+# ---------------------------------------------------------------------------
+# sample documents: the block writer against the per-record writer
+# ---------------------------------------------------------------------------
+
+def ref_dumps(obj, indent=0):
+    """The per-record writer: a stack becomes a list of record dicts, every
+    array a nested list, every float 17 significant digits."""
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, SampleStack):
+        obj = [{"point": p, "xi": xi, "tangent_basis": t, "A": A}
+               for p, xi, t, A in zip(obj.points, obj.xi, obj.tangent_bases, obj.A)]
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        items = [f"{pad1}{json.dumps(k)}: {ref_dumps(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, list) and all(isinstance(v, float) for v in obj):
+        return "[" + ", ".join(format(v, ".17g") for v in obj) + "]"
+    if isinstance(obj, list):
+        return "[\n" + ",\n".join(pad1 + ref_dumps(v, indent + 1) for v in obj) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+B = jsonio.BLOCK
+COUNTS = (1, B - 1, B, B + 1, 2 * B + 3)
+
+
+@functools.lru_cache(maxsize=None)
+def stack_2b3(kind, m):
+    """2B + 3 records of an h-sphere (closed form or FD) or of a hyperplane."""
+    if kind == "hyperplane":
+        return hyperplane_samples(make_hyperplane(np.eye(2 * m)[1], 2.0, -0.5), COUNTS[-1], 3)
+    sph = make_h_sphere(np.arange(2.0 * m) / 7.0, -1.137, 1.885)
+    return make_surface_samples(sph, COUNTS[-1], 5, fd=kind == "fd")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["closed", "fd", "hyperplane"])
+def test_block_writer_matches_per_record(tmp_path, kind, m):
+    f = tmp_path / "s.json"
+    for n in COUNTS:
+        doc = jsonio.samples_to_doc(m, stack_2b3(kind, m)[:n])
+        want = ref_dumps(doc)
+        assert jsonio.dumps_canonical(doc) == want
+        jsonio.write_json(str(f), doc)
+        assert f.read_text() == want + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["points", "xi", "tangent_bases", "A"])
+def test_block_writer_rejects_non_finite_last_record(tmp_path, field, bad):
+    st = stack_2b3("closed", 4)
+    arrays = {k: v.copy() for k, v in vars(st).items()}
+    arrays[field][-1].flat[-1] = bad
+    doc = jsonio.samples_to_doc(4, SampleStack(**arrays))
+    with pytest.raises(FormatError, match="non-finite"):
+        jsonio.dumps_canonical(doc)
+    f = tmp_path / "s.json"
+    with pytest.raises(FormatError, match="non-finite"):
+        jsonio.write_json(str(f), doc)
+    assert not f.exists()

@@ -344,7 +344,10 @@ class TestJsonIO:
             jsonio.write_json(str(f), doc)
         assert not f.exists()
 
-    @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e999"])
+    # an integer literal beyond the float range overflows the float
+    # conversion instead of reading as inf
+    @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e999", "1" + "0" * 400],
+                             ids=["NaN", "-Infinity", "1e999", "integer-beyond-float"])
     def test_non_finite_point_rejected(self, capsys, tmp_path, bad):
         f = tmp_path / "s.json"
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
@@ -367,6 +370,21 @@ class TestJsonIO:
             jsonio.load_matrix(str(f))
         code, _, _ = run_cli(capsys, "decompose", "--in", str(f))
         assert code == 3
+
+    def test_strings_outside_arrays_accepted(self, tmp_path):
+        # an extra string field holding quotes, true and false is no array
+        # entry: such a file takes the entry-by-entry check, which passes it
+        f = tmp_path / "p.json"
+        f.write_text('{"note": "true, \\"false\\"", "version": 1, "m": 2, '
+                     '"kind": "points", "points": [[1, 0, 0, 0.5]]}')
+        assert jsonio.load_pointcloud(str(f))[2].tolist() == [[1.0, 0.0, 0.0, 0.5]]
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        st = make_surface_samples(sph, 3, 1)
+        doc = json.loads(jsonio.dumps_canonical(jsonio.samples_to_doc(4, st)))
+        doc["samples"][1]["label"] = "true"
+        f.write_text(json.dumps(doc))
+        got = jsonio.load_pointcloud(str(f))[2]
+        assert all(np.array_equal(x, y) for x, y in zip(vars(got).values(), vars(st).values()))
 
     def test_ragged_samples_rejected(self, tmp_path):
         f = tmp_path / "s.json"
@@ -575,3 +593,33 @@ def test_failure_exit_codes(capsys, tmp_path, case):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("nordenhs: ") and msg in err
     assert err[len("nordenhs: "):][0] not in "'\""
+
+
+def _non_number_argv(tmp_path, where, value):
+    """argv of a command that reads `value` as the last entry of a numeric
+    array: a centre point, a matrix, or a field of the last sample record."""
+    f = tmp_path / "bad.json"
+    if where == "center":
+        f.write_text(json.dumps({"version": 1, "m": 4, "kind": "points",
+                                 "points": [[0.5] * 7 + [value]]}))
+        return ["sample", "--a", "3", "--b", "4", "--center-file", str(f)]
+    if where == "matrix":
+        f.write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, value]]}))
+        return ["decompose", "--in", str(f)]
+
+    def edit(i, rec):
+        if i == 29:
+            row = rec[where][-1] if isinstance(rec[where][-1], list) else rec[where]
+            row[-1] = value
+
+    return ["classify", "--in", _samples_file(tmp_path, edit)]
+
+
+@pytest.mark.parametrize("value", ["1", True, False], ids=["string", "true", "false"])
+@pytest.mark.parametrize("where", ["center", "matrix", "point", "xi", "tangent_basis", "A"])
+def test_non_number_in_array_exit_3(capsys, tmp_path, where, value):
+    # the float conversion would take "1" as 1.0 and true as 1.0
+    code, out, err = run_cli(capsys, *_non_number_argv(tmp_path, where, value))
+    assert code == 3
+    assert not out
+    assert err == f"nordenhs: non-numeric entry {json.dumps(value)} in input\n"

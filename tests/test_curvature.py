@@ -220,3 +220,10 @@ class TestRicci:
         jbasis = [apply_J(b) for b in basis]
         rho_j = ricci(R, jbasis)
         assert np.allclose(rho_j, -rho, atol=1e-9)
+
+    def test_degenerate_basis_raises(self):
+        # e1 + f1 is g-null, so the g-Gram matrix of the basis is singular
+        R = space_form_curvature(SpaceFormParams(1.0, 0.0))
+        null = basis_vec(8, 0) + basis_vec(8, 4)
+        with pytest.raises(DegenerateBasis):
+            ricci(R, [null])

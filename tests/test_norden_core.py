@@ -18,14 +18,12 @@ from nordenhs.core import (
     is_structure_group_member,
     metric_g,
     metric_gt,
-    pseudo_orthonormalize,
     q_value,
     random_structure_group_member,
     real_op_to_complex,
     to_complex,
 )
 from nordenhs.errors import (
-    DegenerateBasis,
     DimensionMismatch,
     NotHDiagonalizable,
     NotHSymmetric,
@@ -279,24 +277,6 @@ class TestHProperDecomposition:
         assert is_h_symmetric(S)
         with pytest.raises(NotHDiagonalizable):
             h_proper_decomposition(S)
-
-
-class TestPseudoOrthonormalize:
-    def test_signs_and_gram(self):
-        rng = np.random.default_rng(47)
-        vecs = [rng.standard_normal(8) for _ in range(8)]
-        frame, signs = pseudo_orthonormalize(vecs)
-        assert sorted(signs) == [-1.0] * 4 + [1.0] * 4
-        for i, (u, eps) in enumerate(zip(frame, signs)):
-            assert metric_g(u, u) == pytest.approx(eps, abs=1e-8)
-            for v in frame[:i]:
-                assert metric_g(u, v) == pytest.approx(0.0, abs=1e-8)
-
-    def test_degenerate_direction_raises(self):
-        e1 = basis_vec(8, 0)
-        f1 = basis_vec(8, 4)
-        with pytest.raises(DegenerateBasis):
-            pseudo_orthonormalize([e1 + f1])  # null vector
 
 
 def test_reconstruct_matches_manual():
