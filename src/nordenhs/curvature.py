@@ -4,7 +4,9 @@ constancy reports, Ricci.
 
 Everything acts on vectors along the last axis, so stacks of vectors (and
 of shape operators) evaluate in one call; nothing is materialized as a
-4-index array.
+4-index array.  With q = g + i gt, W(x,y,z,u) = q(y,z) q(x,u) - q(x,z) q(y,u)
+gives pi1 - pi2 = Re W, pi3 = -Im W and R = Re[(nu + i nut) W + W(Ax,Ay,z,u)];
+as q(., Jv) = -i q(., v), R(x,y,y,x) + i R(x,y,y,Jx) is the bracket at (z,u) = (y,x).
 """
 
 from dataclasses import dataclass
@@ -14,10 +16,10 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     apply_J,
+    bilinear,
     from_complex,
     is_adapted_basis,
     metric_g,
-    metric_gt,
     random_complex_orthogonal,
     tangent_reps,
     to_complex,
@@ -67,16 +69,11 @@ class CurvatureStats:
 
 def pi_tensors(x, y, z, u):
     """The three fundamental quartic tensors pi1, pi2, pi3."""
-    g = metric_g
-    gt = metric_gt
-    p1 = g(y, z) * g(x, u) - g(x, z) * g(y, u)
-    p2 = gt(y, z) * gt(x, u) - gt(x, z) * gt(y, u)
-    p3 = (
-        -g(y, z) * gt(x, u)
-        + g(x, z) * gt(y, u)
-        - gt(y, z) * g(x, u)
-        + gt(x, z) * g(y, u)
-    )
+    x, y, z, u = (to_complex(v) for v in (x, y, z, u))
+    yz, xu, xz, yu = bilinear(y, z), bilinear(x, u), bilinear(x, z), bilinear(y, u)
+    p1 = yz.real * xu.real - xz.real * yu.real
+    p2 = yz.imag * xu.imag - xz.imag * yu.imag
+    p3 = -yz.real * xu.imag + xz.real * yu.imag - yz.imag * xu.real + xz.imag * yu.real
     return p1, p2, p3
 
 
@@ -99,14 +96,16 @@ class GaussShapeCurvature:
     def __call__(self, x, y, z, u):
         nu, nut = self.ambient.nu, self.ambient.nut
         if self.A_ambient is not None:
-            ax, ay = (np.einsum("...ij,...j->...i", self.A_ambient, v) for v in (x, y))
-            q1, q2, _ = pi_tensors(ax, ay, z, u)
+            q1, q2, _ = pi_tensors(*self._shape(x, y), z, u)
             if nu == 0 and nut == 0:
                 # a flat ambient adds R' = 0
                 return q1 - q2
         p1, p2, p3 = pi_tensors(x, y, z, u)
         r = nu * (p1 - p2) + nut * p3
         return r if self.A_ambient is None else r + q1 - q2
+
+    def _shape(self, *vs):
+        return (np.einsum("...ij,...j->...i", self.A_ambient, v) for v in vs)
 
 
 def space_form_curvature(params):
@@ -139,15 +138,21 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient):
 
 def _sectional(R, x, y, threshold):
     """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
-    K = R(x,y,y,x)/pi1, Kt = R(x,y,y,Jx)/pi1 with pi1 = pi1(x,y,y,x).  ok is
-    False, and K, Kt are NaN, where |pi1| is within threshold * |x|^2 |y|^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    den = pi_tensors(x, y, y, x)[0]
+    K + i Kt = (R(x,y,y,x) + i R(x,y,y,Jx)) / pi1(x,y,y,x) from the pairings of
+    x, y, Ax and Ay.  ok is False, and K, Kt are NaN, where |pi1| is within
+    threshold * |x|^2 |y|^2."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    zx, zy = to_complex(x), to_complex(y)
+    xx, xy, yy = bilinear(zx, zx), bilinear(zx, zy), bilinear(zy, zy)
+    den = yy.real * xx.real - xy.real * xy.real
+    num = complex(R.ambient.nu, R.ambient.nut) * (yy * xx - xy * xy)
+    if R.A_ambient is not None:
+        ax, ay = (to_complex(v) for v in R._shape(x, y))
+        num = num + (bilinear(ay, zy) * bilinear(ax, zx) - bilinear(ax, zy) * bilinear(ay, zx))
     scale = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
     ok = np.abs(den) > threshold * np.maximum(scale, 1e-300)
     safe = np.where(ok, den, np.nan)
-    return R(x, y, y, x) / safe, R(x, y, y, apply_J(x)) / safe, den, ok
+    return num.real / safe, num.imag / safe, den, ok
 
 
 def sectional_curvatures(R, plane, threshold=PLANE_DEGENERACY_THRESHOLD):

@@ -310,9 +310,10 @@ def default_fd_step(s, p):
 
 def _fd_steps(s, P, step):
     """The FD step at each point of a stack P (N, 2m): the default, or
-    `step`, which must lie in (1e-12, 0.05] times 1 + |p - z0|."""
+    `step`, scalar or per point, in (1e-12, 0.05] times 1 + |p - z0|."""
     scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
-    h = default_fd_step(s, P) if step is None else np.full(len(P), float(step))
+    h = default_fd_step(s, P) if step is None else np.asarray(step, dtype=float)
+    h, scale = np.broadcast_arrays(h, scale)
     for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
         if bad.any():
             raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")
@@ -448,26 +449,28 @@ def codazzi_residual(s, p, step=1e-4):
     Weingarten map; for h-spheres the analytic value is zero.  The inner
     Weingarten step is the outer step, so the truncation error of the A-field
     varies smoothly with h and the residual shows its second-order decrease
-    before hitting round-off.
+    before hitting round-off.  A sequence of steps gives their residuals.
     """
     p = np.asarray(p, dtype=float)
     # bounded first: a step beyond the sphere's scale would otherwise fail
     # as a projection error below
-    h = float(_fd_steps(s, p[None], step)[0])
+    h = _fd_steps(s, p[None], step)[:, None, None]  # (steps, 1, 1)
     T = tangent_adapted_basis(s, p)
-    # p, then its neighbours p + h t_i and p - h t_i on the quadric
-    Q = np.concatenate([p[None], project_to_sphere(s, p + h * T),
-                        project_to_sphere(s, p - h * T)])
-    st = surface_samples(s, Q, fd=True, step=h)
-    A = ambient_shape_operator(st)
-    proj = _tangential_projectors(st.xi)
+    # per step: p, then its neighbours p + h t_i and p - h t_i on the quadric
+    Q = np.concatenate([np.broadcast_to(p, (len(h), 1, len(p))),
+                        project_to_sphere(s, p + h * T), project_to_sphere(s, p - h * T)], axis=1)
+    st = surface_samples(s, Q.reshape(-1, len(p)), fd=True, step=np.repeat(h, Q.shape[1]))
+    A, proj = (M.reshape(Q.shape + M.shape[-1:])
+               for M in (ambient_shape_operator(st), _tangential_projectors(st.xi)))
     # y extended by tangential projection: (grad_{t_i} A) y = nabla[i] y
     n2 = len(T)
-    d_a = (A[1:n2 + 1] @ proj[1:n2 + 1] - A[n2 + 1:] @ proj[n2 + 1:]) / (2.0 * h)
-    d_y = (proj[1:n2 + 1] - proj[n2 + 1:]) / (2.0 * h)
-    nabla = proj[0] @ d_a - A[0] @ proj[0] @ d_y
-    R = nabla @ T.T  # R[i, :, j] = (grad_{t_i} A) t_j
-    return float(np.max(np.abs(R - R.transpose(2, 1, 0))))
+    h2 = 2.0 * h[..., None]
+    d_a = (A[:, 1:n2 + 1] @ proj[:, 1:n2 + 1] - A[:, n2 + 1:] @ proj[:, n2 + 1:]) / h2
+    d_y = (proj[:, 1:n2 + 1] - proj[:, n2 + 1:]) / h2
+    nabla = proj[:, :1] @ d_a - A[:, :1] @ proj[:, :1] @ d_y
+    R = nabla @ T.T  # R[k, i, :, j] = (grad_{t_i} A) t_j at step k
+    r = np.max(np.abs(R - R.transpose(0, 3, 2, 1)), axis=(1, 2, 3)).tolist()
+    return r if np.ndim(step) else r[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Each suite returns a list of Check records; a suite passes when every
 check's residual is within its tolerance.
 """
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,9 +199,8 @@ def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):
     """Codazzi symmetry of the FD shape-operator field, plus order check."""
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     p = sample(sph, 1, seed)[0]
-    r_at = codazzi_residual(sph, p, step=step)
     hs = (1.6e-2, 4e-3, 1e-3)
-    rs = [codazzi_residual(sph, p, step=h) for h in hs]
+    r_at, *rs = codazzi_residual(sph, p, step=(step, *hs))
     if m == 2:
         # n = 1: the truncation error vanishes identically and every r(h) is
         # round-off, so a ratio of two of them says nothing about the order
@@ -212,9 +210,7 @@ def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):
         # order check in the truncation-dominated regime: each step/4
         # refinement should cut the residual at least quadratically (factor
         # >= 4 observed margin of the asymptotic 16)
-        worst_ratio = max(
-            rs[i + 1] / max(rs[i], 1e-300) for i in range(len(rs) - 1)
-        )
+        worst_ratio = max(r1 / max(r0, 1e-300) for r0, r1 in zip(rs, rs[1:]))
         order = Check("second-order decrease (r(h/4)/r(h) <= 1/4)", worst_ratio, 0.25)
     return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-4), order]
 
@@ -255,24 +251,27 @@ SUITES = {
     "codazzi": suite_codazzi,
     "umbilic": suite_umbilic,
 }
-
-
-def _suites(name):
-    if name == "all":
-        return list(SUITES.values())
-    if name not in SUITES:
-        raise NordenError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
-    return [SUITES[name]]
+SUITE_PARAMS = {
+    "metrics": ("m", "seed", "count"),
+    "frame": ("m", "seed", "count"),
+    "curvature": ("a", "b", "m", "points", "planes", "seed", "fd", "step", "tol"),
+    "gauss": ("a", "b", "m", "seed", "quads"),
+    "sigma": ("a", "b", "m", "seed", "count"),
+    "ricci": ("a", "b", "m", "seed"),
+    "codazzi": ("a", "b", "m", "step", "seed"),
+    "umbilic": ("m", "seed"),
+}
 
 
 def run_suite(name, **params):
     """Run suite `name` (or every suite, for "all") with the set entries of
-    params each suite takes; returns the checks and the entries passed on
-    to some suite, in their given order."""
+    params each suite takes (SUITE_PARAMS, its signature in order); returns
+    the checks and the entries passed on to some suite, in their given order."""
+    if name != "all" and name not in SUITES:
+        raise NordenError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
     checks, used = [], set()
-    for fn in _suites(name):
-        names = inspect.signature(fn).parameters
-        kwargs = {k: v for k, v in params.items() if k in names and v is not None}
+    for key in SUITES if name == "all" else [name]:
+        kwargs = {k: v for k, v in params.items() if k in SUITE_PARAMS[key] and v is not None}
         used.update(kwargs)
-        checks.extend(fn(**kwargs))
+        checks.extend(SUITES[key](**kwargs))
     return checks, {k: v for k, v in params.items() if k in used}

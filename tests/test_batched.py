@@ -425,6 +425,26 @@ def test_sectional_and_ricci_match_reference(a, b):
         assert close(ricci(sf, B), ref_ricci(ref_tensor(-0.3, 0.7), B))
 
 
+@pytest.mark.parametrize("nu,nut", [(0.7, 0.0), (1.3, 2.1)])
+@pytest.mark.parametrize("a,b", GRID)
+def test_sectional_over_space_form_matches_reference(a, b, nu, nut):
+    # the Gauss tensor over a non-flat ambient adds (nu + i nut) W(x,y,y,x)
+    st = sphere_stack(a, b, 4, seed=40)
+    amb = SpaceFormParams(nu, nut)
+    pls = sample_totally_real_planes(st.tangent_bases, 30, seed=41 + np.arange(4))
+    K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A[:, None],
+                                                              st.tangent_bases[:, None], amb), pls)
+    want = []
+    for i, smp in enumerate(st):
+        R = gauss_curvature_from_shape(smp.A, smp.tangent_bases, amb)
+        ref = ref_tensor(nu, nut, ref_ambient_shape(smp))
+        for pl in pls[i]:
+            kk = ref_sectional(ref, pl.x, pl.y)
+            assert close(sectional_curvatures(R, pl), kk)
+            want.append(kk)
+    assert close(np.stack([K, Kt], axis=1), want)
+
+
 def test_totally_real_matches_reference():
     rng = np.random.default_rng(25)
     st = sphere_stack(3.0, 4.0, 1, seed=26)

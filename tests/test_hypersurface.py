@@ -372,6 +372,27 @@ class TestCodazzi:
         assert rs[1] <= rs[0] / 4.0
         assert rs[2] <= rs[1] / 4.0
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    # (-1, 0) lies on the branch cut of sqrt(a + ib)
+    @pytest.mark.parametrize("a,b", [(3.0, 4.0), (-1.0, 0.0), (0.05, 0.0)])
+    def test_step_ladder_equals_single_steps(self, a, b, m):
+        sph = make_h_sphere(np.zeros(2 * m), a, b)
+        p = sample(sph, 1, seed=m)[0]
+        hs = (1e-4, 1.6e-2, 4e-3, 1e-3)
+        single = [codazzi_residual(sph, p, step=h) for h in hs]
+        assert all(type(r) is float for r in single)
+        assert codazzi_residual(sph, p, step=hs) == single
+        assert codazzi_residual(sph, p, step=np.array(hs[1:3])) == single[1:3]
+
+    @pytest.mark.parametrize("bad", [1e-14, 10.0])
+    def test_step_ladder_out_of_range_raises_as_scalar(self, bad):
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        p = sample(sph, 1, seed=28)[0]
+        with pytest.raises(StepSizeError) as scalar:
+            codazzi_residual(sph, p, step=bad)
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(scalar.value))}$"):
+            codazzi_residual(sph, p, step=(1e-4, 4e-3, bad, 1e-3))
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("a", [-0.5, -1.0, -5.0])
     def test_suite_passes_on_negative_real_a(self, a, seed):

@@ -1,0 +1,51 @@
+"""Tests of the verify layer itself: suite parameters and planted faults."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from nordenhs import verify
+from nordenhs.core import metric_g
+from nordenhs.curvature import pi_tensors
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_suite_params_are_the_signature(name):
+    params = inspect.signature(verify.SUITES[name]).parameters
+    assert verify.SUITE_PARAMS[name] == tuple(params)
+
+
+def _planted(term):
+    """gauss_curvature_from_shape with `term` added to every tensor it builds."""
+    honest = verify.gauss_curvature_from_shape
+
+    def build(A, tangent_basis, ambient):
+        R = honest(A, tangent_basis, ambient)
+        return lambda x, y, z, u: R(x, y, z, u) + term(x, y, z, u)
+
+    return build
+
+
+# pi1 is antisymmetric in each pair but pi1(x,y,Jz,Ju) = pi2(x,y,z,u), so it
+# is not J-anti-invariant; g(x,y) g(z,u) is J-anti-invariant but symmetric in
+# each pair.  Each must fail its own check and only that symmetry check.
+PLANTS = {
+    "R(x,y,z,u) = -R(x,y,Jz,Ju)": lambda x, y, z, u: 0.1 * pi_tensors(x, y, z, u)[0],
+    "pair antisymmetry": lambda x, y, z, u: 0.1 * metric_g(x, y) * metric_g(z, u),
+}
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (3.0, 4.0)])
+@pytest.mark.parametrize("check", sorted(PLANTS))
+def test_suite_gauss_catches_planted_fault(monkeypatch, check, a, b):
+    # the suite evaluates R on swapped and J-rotated arguments; were one side
+    # of a check derived from the identity it checks, the plant would pass
+    assert all(c.passed for c in verify.suite_gauss(a=a, b=b, seed=2))
+    monkeypatch.setattr(verify, "gauss_curvature_from_shape", _planted(PLANTS[check]))
+    checks = {c.name: c for c in verify.suite_gauss(a=a, b=b, seed=2)}
+    assert not checks[check].passed
+    assert not checks["Gauss tensor equals space form"].passed
+    other = ({"R(x,y,z,u) = -R(x,y,Jz,Ju)", "pair antisymmetry"} - {check}).pop()
+    assert checks[other].residual <= 1e-14, checks[other]
+    assert np.isfinite(checks[check].residual)
