@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NordenSpace, apply_J, bilinear, metric_g, to_complex
+from .core import apply_J, bilinear, to_complex
 from .errors import (
     EmptySamples,
     NearZeroLambdaMu,
@@ -71,13 +71,14 @@ def estimate_invariants(sample):
     return tuple(per.tolist())
 
 
-def umbilicity_check(stack, tol=1e-6):
-    """Per-sample h-umbilicity deviations; (passed, deviations, worst_index)."""
+def umbilicity_check(stack):
+    """Per-sample h-umbilicity deviations against the Tolerances default;
+    (passed, deviations, worst_index)."""
     if len(stack) == 0:
         raise EmptySamples("no samples")
     _, devs = shape_invariants(stack)
     worst = int(np.argmax(devs))
-    return bool(devs[worst] <= tol), devs, worst
+    return bool(devs[worst] <= Tolerances().umbilicity), devs, worst
 
 
 def pair_crosscheck(pairs, ambient, observed):
@@ -105,9 +106,7 @@ def reconstruct_sphere(lam, mu, witness):
     z0 = (lam * C - mu * apply_J(C)) / den
     a = (lam * lam - mu * mu) / (den * den)
     b = 2.0 * lam * mu / (den * den)
-    return HSphere(
-        space=NordenSpace(Z.shape[0] // 2), center=z0, a=float(a), b=float(b)
-    )
+    return HSphere(center=z0, a=float(a), b=float(b))
 
 
 def _offsets(xi, P):
@@ -134,10 +133,11 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     spread = float(np.max(np.abs(xis - xi_mean)))
     if not spread <= tol:
         raise NonConstantNormal(f"normal spread {spread:.3e} exceeds tol")
-    xi_mean = xi_mean / np.sqrt(metric_g(xi_mean, xi_mean))
+    # g-unit, or DegenerateBasis for a normal with g(xi, xi) <= 0
+    xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi
     ds, dts = _offsets(xi_mean, stack.points)
     d_spread = max(float(np.ptp(ds)), float(np.ptp(dts)))
-    if d_spread > tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))):
+    if not d_spread <= tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))):
         raise NonConstantNormal(f"offset spread {d_spread:.3e} exceeds tol")
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
 

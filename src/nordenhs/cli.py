@@ -285,7 +285,3 @@ def main(argv=None):
         code, msg = LIBRARY_ERROR_EXIT.get(args.command, 2), str(exc)
     _err(msg)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

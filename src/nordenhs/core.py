@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     DegenerateBasis,
     DimensionMismatch,
+    NordenError,
     NotHDiagonalizable,
     NotHSymmetric,
 )
@@ -156,10 +157,10 @@ def h_symmetry_residual(S):
     return r_comm, r_sym
 
 
-def is_h_symmetric(S, tol=DEFAULT_TOL):
+def is_h_symmetric(S):
     r_comm, r_sym = h_symmetry_residual(S)
     s = _scale(S)
-    return r_comm <= tol * s and r_sym <= tol * s
+    return r_comm <= DEFAULT_TOL * s and r_sym <= DEFAULT_TOL * s
 
 
 def is_structure_group_member(M, tol=DEFAULT_TOL):
@@ -245,9 +246,9 @@ def random_complex_orthogonal(m, rng, im_scale=0.4):
     return R
 
 
-def random_structure_group_member(m, rng, im_scale=0.4):
+def random_structure_group_member(m, rng):
     """Random member of r(O(m, C)) as a real 2m x 2m matrix."""
-    return complex_op_to_real(random_complex_orthogonal(m, rng, im_scale=im_scale))
+    return complex_op_to_real(random_complex_orthogonal(m, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +270,11 @@ def _fix_sign(z):
     return z
 
 
-def bilinear_orthonormalize(W, iso_tol=ISO_TOL, max_combos=16):
+def bilinear_orthonormalize(W):
     """B-orthonormalize the span of the columns of W (B(z,w) = z^T w).
 
     Pivots on the candidate with the largest |B(v,v)| / ||v||^2; when every
-    candidate is isotropic, deterministic pseudo-random combinations are
+    candidate is isotropic, 16 deterministic pseudo-random combinations are
     tried before giving up.  The column the pivot came from (for a
     combination, the one with the largest coefficient) leaves the
     candidates, so the rest still span the remaining directions.  Raises
@@ -298,15 +299,15 @@ def bilinear_orthonormalize(W, iso_tol=ISO_TOL, max_combos=16):
             ratios.append(abs(np.dot(w, w)) / nrm2 if nrm2 >= 1e-24 else -1.0)
         pick = int(np.argmax(ratios))
         best = cand[pick]
-        if ratios[pick] < iso_tol:
+        if ratios[pick] < ISO_TOL:
             # every single candidate is isotropic; try mixtures
-            for _ in range(max_combos):
+            for _ in range(16):
                 coeffs = rng.standard_normal(len(cand)) + 1j * rng.standard_normal(
                     len(cand)
                 )
                 w = sum(c * v for c, v in zip(coeffs, cand))
                 nrm2 = float(np.real(np.vdot(w, w)))
-                if nrm2 >= 1e-24 and abs(np.dot(w, w)) / nrm2 >= iso_tol:
+                if nrm2 >= 1e-24 and abs(np.dot(w, w)) / nrm2 >= ISO_TOL:
                     best = w
                     pick = int(np.argmax(np.abs(coeffs)))
                     break
@@ -340,7 +341,7 @@ class HProperDecomposition:
         return complex_op_to_real(C)
 
 
-def h_proper_decomposition(S, tol=DEFAULT_TOL):
+def h_proper_decomposition(S):
     """Adapted basis of h-proper vectors of an h-symmetric operator.
 
     Maps S to its m x m complex symmetric matrix, diagonalizes, and
@@ -348,9 +349,12 @@ def h_proper_decomposition(S, tol=DEFAULT_TOL):
     complex eigenvalue lambda - i mu yields the real pair (lambda, mu).
     """
     S = np.asarray(S, dtype=float)
+    if not np.isfinite(S).all():
+        # a NaN residual would pass the h-symmetry gate below
+        raise NordenError("the operator must be finite")
     s = _scale(S)
     r_comm, r_sym = h_symmetry_residual(S)
-    if r_comm > tol * s or r_sym > tol * s:
+    if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:
         raise NotHSymmetric(
             f"residuals: commutator {r_comm:.3e}, self-adjointness {r_sym:.3e}"
         )

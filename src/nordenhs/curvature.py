@@ -136,11 +136,11 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient):
     return GaussShapeCurvature(ambient, np.swapaxes(rows, -1, -2) @ A @ coords)
 
 
-def _sectional(R, x, y, threshold):
+def _sectional(R, x, y):
     """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
     K + i Kt = (R(x,y,y,x) + i R(x,y,y,Jx)) / pi1(x,y,y,x) from the pairings of
     x, y, Ax and Ay.  ok is False, and K, Kt are NaN, where |pi1| is within
-    threshold * |x|^2 |y|^2."""
+    PLANE_DEGENERACY_THRESHOLD * |x|^2 |y|^2."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     zx, zy = to_complex(x), to_complex(y)
     xx, xy, yy = bilinear(zx, zx), bilinear(zx, zy), bilinear(zy, zy)
@@ -150,23 +150,23 @@ def _sectional(R, x, y, threshold):
         ax, ay = (to_complex(v) for v in R._shape(x, y))
         num = num + (bilinear(ay, zy) * bilinear(ax, zx) - bilinear(ax, zy) * bilinear(ay, zx))
     scale = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
-    ok = np.abs(den) > threshold * np.maximum(scale, 1e-300)
+    ok = np.abs(den) > PLANE_DEGENERACY_THRESHOLD * np.maximum(scale, 1e-300)
     safe = np.where(ok, den, np.nan)
     return num.real / safe, num.imag / safe, den, ok
 
 
-def sectional_curvatures(R, plane, threshold=PLANE_DEGENERACY_THRESHOLD):
+def sectional_curvatures(R, plane):
     """(K, Kt) of a non-degenerate 2-plane."""
-    K, Kt, den, ok = _sectional(R, plane.x, plane.y, threshold)
+    K, Kt, den, ok = _sectional(R, plane.x, plane.y)
     if not ok:
         raise DegeneratePlane(f"pi1 denominator {den:.3e} below threshold")
     return float(K), float(Kt)
 
 
-def sectional_batch_planes(R, planes, threshold=PLANE_DEGENERACY_THRESHOLD):
+def sectional_batch_planes(R, planes):
     """(K, Kt) over a TangentPlane of stacks, as flat arrays with the
     degenerate planes dropped."""
-    K, Kt, _, ok = _sectional(R, planes.x, planes.y, threshold)
+    K, Kt, _, ok = _sectional(R, planes.x, planes.y)
     return K[ok], Kt[ok]
 
 

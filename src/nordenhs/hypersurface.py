@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NordenSpace,
     apply_J,
     bilinear,
     from_complex,
@@ -43,7 +42,6 @@ from .errors import (
 class HSphere:
     """Locus g(Z - z0, Z - z0) = a, gt(Z - z0, Z - z0) = b."""
 
-    space: NordenSpace
     center: np.ndarray
     a: float
     b: float
@@ -53,7 +51,6 @@ class HSphere:
 class HolomorphicHyperplane:
     """Locus g(xi, Z) = d, gt(xi, Z) = dt with unit normal xi."""
 
-    space: NordenSpace
     xi: np.ndarray
     d: float
     dt: float
@@ -124,9 +121,7 @@ def make_h_sphere(center, a, b):
     if not (np.isfinite(center).all() and np.isfinite(a) and np.isfinite(b)):
         raise NordenError(f"a, b and the center must be finite, got a={a}, b={b}")
     _require_radius(("a", "b"), a, b, IsotropicParameters)
-    return HSphere(
-        space=NordenSpace(center.shape[0] // 2), center=center, a=float(a), b=float(b)
-    )
+    return HSphere(center=center, a=float(a), b=float(b))
 
 
 def h_sphere_from_curvatures(nu, nut, m=4):
@@ -138,7 +133,7 @@ def h_sphere_from_curvatures(nu, nut, m=4):
 
 def conjugate(s):
     """Same center and a, with b negated; flips the sign of nut."""
-    return HSphere(space=s.space, center=s.center, a=s.a, b=-s.b)
+    return HSphere(center=s.center, a=s.a, b=-s.b)
 
 
 def theoretical_curvatures(s):
@@ -174,14 +169,17 @@ def scaled_containment_residual(s, p):
     return np.maximum(np.abs(rg), np.abs(rgt)) / scale
 
 
-def contains(s, p, tol=1e-8):
-    return scaled_containment_residual(s, p) <= tol
+def contains(s, p):
+    """Whether a point, or each point of a stack, is on s: its scaled
+    containment residual is at most 1e-8.  Every on-surface check uses this
+    threshold."""
+    return scaled_containment_residual(s, p) <= 1e-8
 
 
-def _on_surface(s, P, tol):
+def _on_surface(s, P):
     """P as a float array; PointNotOnSurface unless every point is on s."""
     P = np.asarray(P, dtype=float)
-    bad = ~contains(s, P, tol=tol)
+    bad = ~contains(s, P)
     if bad.any():
         rg, rgt = containment_residual(s, P[np.unravel_index(np.argmax(bad), bad.shape)])
         raise PointNotOnSurface(f"residuals g: {rg:.3e}, gt: {rgt:.3e}")
@@ -213,12 +211,13 @@ def sample(s, count, seed):
     directions rescaled onto the quadric.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
     bound = 100 * max(count, 1) + 100
-    kept = [np.empty((0, s.space.dim))]
+    dim = len(s.center)
+    kept = [np.empty((0, dim))]
     have = drawn = 0
     while have < count:
         if drawn >= bound:
             raise SamplingExhausted("sphere sampling rejection bound exceeded")
-        W = rng.standard_normal((min(count - have, bound - drawn), s.space.dim))
+        W = rng.standard_normal((min(count - have, bound - drawn), dim))
         drawn += len(W)
         W = W[~_isotropic(W)]
         kept.append(W)
@@ -233,17 +232,18 @@ def _normals(s, P):
     return -lam * Z - mu * apply_J(Z)
 
 
-def normal_frame(s, p, tol=1e-8):
+def normal_frame(s, p):
     """Canonical frame (xi, J xi), xi = -lambda Z - mu JZ, Z = p - z0, at a
     point or at each point of a stack."""
-    xi = _normals(s, _on_surface(s, p, tol))
+    xi = _normals(s, _on_surface(s, p))
     return xi, apply_J(xi)
 
 
-def normalize_normal_frame(eta, jeta, tol=1e-8):
+def normalize_normal_frame(eta, jeta):
     """Rotate a pair (eta, J eta) with g(eta,eta)=1 into a frame satisfying
     g(xi,xi) = -g(Jxi,Jxi) = 1 and g(xi,Jxi) = 0, along the last axis.
-    BadInputNormalization if any pair of a stack fails a check."""
+    BadInputNormalization if any pair of a stack fails a check within 1e-8."""
+    tol = 1e-8
     eta = np.asarray(eta, dtype=float)
     jeta = np.asarray(jeta, dtype=float)
     off_j = np.max(np.abs(jeta - apply_J(eta)), axis=-1)
@@ -289,10 +289,10 @@ def _unit_directions(s, P):
     return to_complex(P - s.center) / np.sqrt(complex(s.a, s.b))
 
 
-def tangent_adapted_basis(s, p, tol=1e-8):
+def tangent_adapted_basis(s, p):
     """Adapted basis of the tangent space at p: 2(m-1) vectors (rows)
     x_1..x_n, Jx_1..Jx_n orthogonal to p - z0 and J(p - z0)."""
-    p = _on_surface(s, p, tol)
+    p = _on_surface(s, p)
     return _complement_bases(_unit_directions(s, p[None]))[0]
 
 
@@ -333,8 +333,8 @@ def shape_operators_fd(s, P, T, step=None):
     h = _fd_steps(s, P, step)
     coords, _, _ = tangent_reps(T)
     dP = h[:, None, None] * T
-    xi_p = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] + dP), 1e-8))
-    xi_m = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] - dP), 1e-8))
+    xi_p = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] + dP)))
+    xi_m = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] - dP)))
     dxi = (xi_p - xi_m) / (2.0 * h[:, None, None])  # row i: along t_i
     return -coords @ np.swapaxes(dxi, 1, 2)
 
@@ -345,9 +345,9 @@ def shape_operator_fd(s, p, tangent_basis, step=None):
     return shape_operators_fd(s, P, T, step=step)[0]
 
 
-def surface_samples(s, P, fd=False, step=None, tol=1e-8):
+def surface_samples(s, P, fd=False, step=None):
     """Second-order records at a stack of points of an h-sphere."""
-    P = _on_surface(s, P, tol)
+    P = _on_surface(s, P)
     T = _complement_bases(_unit_directions(s, P))
     if fd:
         A = shape_operators_fd(s, P, T, step=step)
@@ -358,9 +358,9 @@ def surface_samples(s, P, fd=False, step=None, tol=1e-8):
     return SampleStack(points=P, xi=_normals(s, P), tangent_bases=T, A=A)
 
 
-def surface_sample(s, p, fd=False, step=None, tol=1e-8):
-    """Full second-order record at a point of an h-sphere."""
-    return surface_samples(s, np.asarray(p, dtype=float)[None], fd=fd, step=step, tol=tol)[0]
+def surface_sample(s, p):
+    """Closed-form second-order record at a point of an h-sphere."""
+    return surface_samples(s, np.asarray(p, dtype=float)[None])[0]
 
 
 def make_surface_samples(s, count, seed, fd=False, step=None):
@@ -389,15 +389,15 @@ def second_fundamental(sample):
     return sigma
 
 
-def shape_operator_wrt(sample, eta, tol=1e-8):
+def shape_operator_wrt(sample, eta):
     """Shape operator at one record with respect to an arbitrary normal
     vector eta: A_eta = g(xi, eta) A - g(Jxi, eta) (J o A)."""
     eta = np.asarray(eta, dtype=float)
     T = sample.tangent_bases
     scale = max(1.0, float(np.max(np.abs(eta))))
     off = np.abs(metric_g(T, eta))
-    # not all(r <= tol) rather than any(r > tol), so that a NaN residual fails
-    if not (off <= tol * scale * np.maximum(1.0, np.max(np.abs(T), axis=-1))).all():
+    # not all(r <= bound) rather than any(r > bound), so that a NaN residual fails
+    if not (off <= 1e-8 * scale * np.maximum(1.0, np.max(np.abs(T), axis=-1))).all():
         raise DimensionMismatch("eta is not normal to the tangent space")
     _, J_rep, _ = tangent_reps(T)
     c1 = metric_g(sample.xi, eta)
@@ -425,11 +425,11 @@ def mean_curvature(sample):
     )
 
 
-def is_h_umbilical(sample, tol=1e-8):
-    """Whether A is within tol * max(1, max|A|) of its h-umbilical part, for
+def is_h_umbilical(sample):
+    """Whether A is within 1e-8 * max(1, max|A|) of its h-umbilical part, for
     one record or each record of a stack."""
     scale = np.maximum(1.0, np.max(np.abs(sample.A), axis=(-2, -1)))
-    return mean_curvature(sample).umbilicity <= tol * scale
+    return mean_curvature(sample).umbilicity <= 1e-8 * scale
 
 
 def _tangential_projectors(Xi):
@@ -481,13 +481,12 @@ def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
         raise DimensionMismatch("xi must have even length")
+    if not (np.isfinite(xi).all() and np.isfinite(d) and np.isfinite(dt)):
+        raise NordenError(f"xi, d and dt must be finite, got d={d}, dt={dt}")
     g = metric_g(xi, xi)
-    if g <= 0:
+    if not g > 0:
         raise DegenerateBasis("normal must have positive g-square")
-    xi = xi / np.sqrt(g)
-    return HolomorphicHyperplane(
-        space=NordenSpace(xi.shape[0] // 2), xi=xi, d=float(d), dt=float(dt)
-    )
+    return HolomorphicHyperplane(xi=xi / np.sqrt(g), d=float(d), dt=float(dt))
 
 
 def hyperplane_base_point(hp):
@@ -501,11 +500,11 @@ def hyperplane_tangent_basis(hp):
     return _complement_bases((z / np.sqrt(bilinear(z, z)))[None])[0]
 
 
-def hyperplane_samples(hp, count, seed, spread=2.0):
+def hyperplane_samples(hp, count, seed):
     """Totally geodesic samples (A = 0) of a holomorphic hyperplane."""
     rng = np.random.default_rng(seed)
     T = hyperplane_tangent_basis(hp)
-    coeffs = rng.uniform(-spread, spread, size=(count, len(T)))
+    coeffs = rng.uniform(-2.0, 2.0, size=(count, len(T)))
     return SampleStack(
         points=hyperplane_base_point(hp) + coeffs @ T,
         xi=np.tile(hp.xi, (count, 1)),

@@ -130,10 +130,10 @@ def _write(obj, indent, write):
         write(_fmt(obj))
 
 
-def dumps_canonical(obj, indent=0):
+def dumps_canonical(obj):
     """Deterministic JSON writer (17-significant-digit floats)."""
     parts = []
-    _write(obj, indent, parts.append)
+    _write(obj, 0, parts.append)
     return "".join(parts)
 
 

@@ -189,7 +189,7 @@ def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
     tr_a, tr_aj = mcd.traceA, mcd.traceAJ
     # rows A b_i and A A b_i, paired by g with the rows b_j and J b_j
     AB = B @ A_amb.T
-    G = sph.space.metric_matrix()
+    G = NordenSpace(m).metric_matrix()
     rhs = (tr_a * AB @ G @ B.T - tr_aj * AB @ G @ apply_J(B).T
            - 2.0 * (AB @ A_amb.T) @ G @ B.T)
     return [Check("Ricci identity (flat ambient)", float(np.max(np.abs(rho - rhs))), 1e-8)]

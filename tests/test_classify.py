@@ -20,7 +20,12 @@ from nordenhs.classify import (
     umbilicity_check,
 )
 from nordenhs.curvature import SpaceFormParams
-from nordenhs.errors import EmptySamples, NearZeroLambdaMu, NonConstantNormal
+from nordenhs.errors import (
+    DegenerateBasis,
+    EmptySamples,
+    NearZeroLambdaMu,
+    NonConstantNormal,
+)
 from nordenhs.hypersurface import (
     SampleStack,
     hyperplane_samples,
@@ -128,6 +133,16 @@ class TestReconstruct:
         assert np.allclose(rec.xi, hp.xi, atol=1e-10)
         assert rec.d == pytest.approx(hp.d, abs=1e-10)
         assert rec.dt == pytest.approx(hp.dt, abs=1e-10)
+
+    def test_timelike_normal_rejected(self):
+        # one constant normal with g(xi, xi) = -1 and A = 0: it has no g-unit
+        # multiple, so no hyperplane is recovered (and no NaN is computed)
+        hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
+        samples = dataclasses.replace(hyperplane_samples(hp, 10, seed=4),
+                                      xi=np.tile(np.eye(8)[4], (10, 1)))
+        for route in (reconstruct_hyperplane, classify):
+            with pytest.raises(DegenerateBasis, match="positive g-square"):
+                route(samples)
 
     def test_sphere_samples_rejected_as_hyperplane(self):
         _, ss = sphere_set(1.0, 0.0)

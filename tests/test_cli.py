@@ -570,6 +570,11 @@ def _flat_spread_normal(i, rec):
     rec["xi"] = [1 + 0.1 * i] + [0.0] * 7
 
 
+def _timelike_normal(i, rec):
+    rec["A"] = np.zeros_like(rec["A"]).tolist()
+    rec["xi"] = [0.0] * 4 + [1.0] + [0.0] * 3  # g(xi, xi) = -1
+
+
 FAILURES = {
     "sample --out into a missing directory": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
@@ -580,6 +585,9 @@ FAILURES = {
     "classify spread normal": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _flat_spread_normal)],
         4, "normal spread"),
+    "classify timelike normal": (
+        lambda tmp: ["classify", "--in", _samples_file(tmp, _timelike_normal)],
+        4, "positive g-square"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
 }
 

@@ -18,6 +18,7 @@ from nordenhs.errors import (
     DegenerateBasis,
     DimensionMismatch,
     IsotropicParameters,
+    NordenError,
     PointNotOnSurface,
     StepSizeError,
     ZeroCurvatures,
@@ -43,10 +44,12 @@ from nordenhs.hypersurface import (
     normalize_normal_frame,
     project_to_sphere,
     sample,
+    scaled_containment_residual,
     second_fundamental,
     shape_operator_fd,
     shape_operator_wrt,
     surface_sample,
+    surface_samples,
     tangent_adapted_basis,
     theoretical_curvatures,
 )
@@ -90,6 +93,14 @@ class TestConstructors:
             make_h_sphere(np.zeros(8), 0.0, np.float64(x))
         with pytest.raises(ZeroCurvatures, match=r"nu\^2 \+ nut\^2 must be finite"):
             h_sphere_from_curvatures(x, 0.0)
+
+    @pytest.mark.parametrize("xi0,d,dt", [
+        (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, np.inf, 0.0),
+        (1.0, np.nan, 0.0), (1.0, 0.0, -np.inf), (1.0, 0.0, np.nan),
+    ])
+    def test_non_finite_hyperplane_rejected(self, xi0, d, dt):
+        with pytest.raises(NordenError, match="must be finite"):
+            make_hyperplane(np.r_[xi0, np.zeros(7)], d, dt)
 
     def test_conjugate_flips_nut(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
@@ -200,6 +211,28 @@ class TestNormalFrame:
             normalize_normal_frame(2.0 * xi, 2.0 * jxi)
         with pytest.raises(BadInputNormalization):
             normalize_normal_frame(xi, xi)
+
+
+ON_SURFACE_CHECKS = {
+    "normal_frame": normal_frame,
+    "tangent_adapted_basis": tangent_adapted_basis,
+    "surface_samples": lambda s, p: surface_samples(s, p[None]),
+}
+
+
+@pytest.mark.parametrize("check", list(ON_SURFACE_CHECKS))
+@pytest.mark.parametrize("residual,on_surface", [(2e-8, False), (5e-9, True)])
+def test_shared_on_surface_threshold(check, residual, on_surface):
+    # t e1 on the (1, 0) sphere has the scaled containment residual
+    # (t^2 - 1) / (t^2 + 1); the threshold is 1e-8
+    sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+    p = np.sqrt((1.0 + residual) / (1.0 - residual)) * basis_vec(8, 0)
+    assert scaled_containment_residual(sph, p) == pytest.approx(residual, rel=1e-6)
+    if on_surface:
+        ON_SURFACE_CHECKS[check](sph, p)
+    else:
+        with pytest.raises(PointNotOnSurface):
+            ON_SURFACE_CHECKS[check](sph, p)
 
 
 class TestTangentBasis:

@@ -25,6 +25,7 @@ from nordenhs.core import (
 )
 from nordenhs.errors import (
     DimensionMismatch,
+    NordenError,
     NotHDiagonalizable,
     NotHSymmetric,
 )
@@ -266,6 +267,15 @@ class TestHProperDecomposition:
         S = np.eye(8)
         S[0, 1] = 0.5  # breaks the J-commutation block pattern
         with pytest.raises(NotHSymmetric):
+            h_proper_decomposition(S)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN residual fails no comparison, so without the up-front check
+        # it would pass the h-symmetry gate and reach np.linalg.eig
+        S = np.eye(8)
+        S[2, 2] = S[6, 6] = bad
+        with pytest.raises(NordenError, match="must be finite"):
             h_proper_decomposition(S)
 
     def test_nilpotent_not_diagonalizable(self):
