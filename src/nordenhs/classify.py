@@ -128,9 +128,11 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     stack."""
     if len(stack) == 0:
         raise EmptySamples("no samples")
-    xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
-    xi_mean = xis.mean(axis=0)
-    spread = float(np.max(np.abs(xis - xi_mean)))
+    # huge normals may overflow: an infinite dot keeps its sign, a NaN spread fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
+        xi_mean = xis.mean(axis=0)
+        spread = float(np.max(np.abs(xis - xi_mean)))
     if not spread <= tol:
         raise NonConstantNormal(f"normal spread {spread:.3e} exceeds tol")
     # g-unit, or DegenerateBasis for a normal with g(xi, xi) <= 0

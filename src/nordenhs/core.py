@@ -225,12 +225,9 @@ def complex_givens(m, p, q, theta):
     O(m, C) exactly (up to round-off).
     """
     R = np.eye(m, dtype=complex)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    R[p, p] = c
-    R[q, q] = c
-    R[p, q] = -s
-    R[q, p] = s
+    c, s = np.cos(theta), np.sin(theta)
+    R[p, p] = R[q, q] = c
+    R[p, q], R[q, p] = -s, s
     return R
 
 
@@ -302,9 +299,7 @@ def bilinear_orthonormalize(W):
         if ratios[pick] < ISO_TOL:
             # every single candidate is isotropic; try mixtures
             for _ in range(16):
-                coeffs = rng.standard_normal(len(cand)) + 1j * rng.standard_normal(
-                    len(cand)
-                )
+                coeffs = rng.standard_normal(len(cand)) + 1j * rng.standard_normal(len(cand))
                 w = sum(c * v for c, v in zip(coeffs, cand))
                 nrm2 = float(np.real(np.vdot(w, w)))
                 if nrm2 >= 1e-24 and abs(np.dot(w, w)) / nrm2 >= ISO_TOL:
@@ -312,9 +307,7 @@ def bilinear_orthonormalize(W):
                     pick = int(np.argmax(np.abs(coeffs)))
                     break
             else:
-                raise NotHDiagonalizable(
-                    "eigenspace contains only isotropic vectors"
-                )
+                raise NotHDiagonalizable("eigenspace contains only isotropic vectors")
         e = best / _principal_sqrt(np.dot(best, best))
         out.append(_fix_sign(e))
         cols.pop(pick)
@@ -355,19 +348,15 @@ def h_proper_decomposition(S):
     s = _scale(S)
     r_comm, r_sym = h_symmetry_residual(S)
     if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:
-        raise NotHSymmetric(
-            f"residuals: commutator {r_comm:.3e}, self-adjointness {r_sym:.3e}"
-        )
+        raise NotHSymmetric(f"residuals: commutator {r_comm:.3e}, self-adjointness {r_sym:.3e}")
     C = real_op_to_complex(S)
     m = C.shape[0]
     evals, evecs = np.linalg.eig(C)
     order = np.lexsort((evals.imag, evals.real))
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = evals[order], evecs[:, order]
 
     group_tol = 1e-8 * s
-    basis_c = []
-    pairs = []
+    basis_c, pairs = [], []
     i = 0
     while i < m:
         j = i + 1
@@ -386,9 +375,7 @@ def h_proper_decomposition(S):
     gram_err = float(np.max(np.abs(V.T @ V - np.eye(m))))
     if gram_err > 1e-6:
         raise NotHDiagonalizable(f"eigenbasis Gram residual {gram_err:.3e}")
-    dec = HProperDecomposition(
-        basis=tuple(from_complex(v) for v in basis_c), pairs=tuple(pairs)
-    )
+    dec = HProperDecomposition(basis=tuple(from_complex(v) for v in basis_c), pairs=tuple(pairs))
     recon_err = float(np.max(np.abs(dec.reconstruct() - S)))
     if recon_err > 1e-8 * s:
         raise NotHDiagonalizable(f"reconstruction residual {recon_err:.3e}")

@@ -7,6 +7,8 @@ of shape operators) evaluate in one call; nothing is materialized as a
 4-index array.  With q = g + i gt, W(x,y,z,u) = q(y,z) q(x,u) - q(x,z) q(y,u)
 gives pi1 - pi2 = Re W, pi3 = -Im W and R = Re[(nu + i nut) W + W(Ax,Ay,z,u)];
 as q(., Jv) = -i q(., v), R(x,y,y,x) + i R(x,y,y,Jx) is the bracket at (z,u) = (y,x).
+A plane is totally real when gt = Im q vanishes on it; the g-Gram matrix of
+(x, y, Jx, Jy) has determinant |det Q|^2 for the q-Gram Q of (x, y).
 """
 
 from dataclasses import dataclass
@@ -15,11 +17,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    apply_J,
     bilinear,
     from_complex,
     is_adapted_basis,
     metric_g,
+    metric_gt,
     random_complex_orthogonal,
     tangent_reps,
     to_complex,
@@ -173,19 +175,18 @@ def sectional_batch_planes(R, planes):
 def is_totally_real(plane, tol=DEFAULT_TOL):
     """gt vanishes on the plane, the plane is g-non-degenerate, and it is
     transversal to its J-image.  For a TangentPlane of stacks the answer is
-    a boolean array."""
+    a boolean array.  All three tests read g and gt = Im q of (x,x), (x,y),
+    (y,y): the g-Gram matrix G of (x, y, Jx, Jy) is [[A, B], [B, -A]] for the
+    g- and gt-Grams A, B of (x, y), so det G = |det Q|^2, Q = A + iB."""
     x = np.asarray(plane.x, dtype=float)
     y = np.asarray(plane.y, dtype=float)
     scale = np.maximum(np.maximum(np.sum(x * x, -1), np.sum(y * y, -1)), 1e-300)
-    V = np.stack([x, y, apply_J(x), apply_J(y)], axis=-2)
-    G = metric_g(V[..., :, None, :], V[..., None, :, :])
-    # gt(x, x), gt(x, y), gt(y, y) = g(Jx, x), g(Jx, y), g(Jy, y)
-    gt_max = np.max(np.abs(G[..., [2, 2, 3], [0, 1, 1]]), axis=-1)
-    pi1 = G[..., 1, 1] * G[..., 0, 0] - G[..., 0, 1] * G[..., 1, 0]
+    (gxx, gxy, gyy), gt = ([f(x, x), f(x, y), f(y, y)] for f in (metric_g, metric_gt))
+    det_q = (gxx + 1j * gt[0]) * (gyy + 1j * gt[2]) - (gxy + 1j * gt[1]) ** 2
     ok = (
-        (gt_max <= tol * scale)
-        & (np.abs(np.linalg.det(G)) >= 1e-10 * scale ** 4)
-        & (np.abs(pi1) > PLANE_DEGENERACY_THRESHOLD * scale)
+        (np.max(np.abs(gt), axis=0) <= tol * scale)
+        & (np.abs(det_q) ** 2 >= 1e-10 * scale ** 4)
+        & (np.abs(gyy * gxx - gxy * gxy) > PLANE_DEGENERACY_THRESHOLD * scale)  # pi1
     )
     return bool(ok) if np.ndim(ok) == 0 else ok
 
@@ -215,8 +216,9 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
     keeps the basis adapted, so the x-half always spans a totally real
-    subspace.  Each basis draws from two child streams of its seed,
-    ri, ru = np.random.default_rng(seed).spawn(2): attempt k takes the k-th
+    subspace.  Each basis draws from two child streams of its seed, the
+    streams ri, ru of np.random.default_rng(seed).spawn(2), built here from
+    SeedSequence(seed).spawn(2) without that parent: attempt k takes the k-th
     ri.integers(12) (the catalog member) and the k-th ru.uniform(-1, 1,
     (2, n)) block (the two combinations).  A size-k call on a stream returns
     the values of k size-1 calls, so a block of attempts is drawn in two
@@ -235,7 +237,8 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     V = V.reshape((-1,) + V.shape[-2:])
     # (bases, 12, m, n): the m-dim complex reps of every basis, rotated
     rotated = np.swapaxes(to_complex(V[:, None, :n, :]), -1, -2) @ _rotation_catalog(n)
-    ri, ru = zip(*(np.random.default_rng(s).spawn(2) for s in seeds.reshape(-1)))
+    ri, ru = zip(*([np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(2)]
+                   for s in seeds.reshape(-1)))
     left = np.full(len(V), 50 * max(count, 1) + 100)  # attempts each basis may still make
     have = np.zeros(len(V), dtype=np.intp)
     out = np.empty((len(V), 2, count, V.shape[-1]))
@@ -251,7 +254,8 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         # one mat-vec per candidate vector, as the per-attempt Xrot @ c
         Z = (rotated[owner, idx][:, None] @ C[..., None])[..., 0]
         xy = np.moveaxis(from_complex(Z), 1, 0)
-        ok = np.linalg.det(C @ np.swapaxes(C, -1, -2)) >= 1e-6
+        c1, c2 = C[:, 0], C[:, 1]
+        ok = np.vecdot(c1, c1) * np.vecdot(c2, c2) - np.vecdot(c1, c2) ** 2 >= 1e-6  # det C C^T
         ok &= is_totally_real(TangentPlane(*xy), tol=tol)
         # rank of each accepted candidate among its basis' accepted ones
         accepted = np.concatenate([[0], np.cumsum(ok)])

@@ -481,9 +481,11 @@ def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
         raise DimensionMismatch("xi must have even length")
-    if not (np.isfinite(xi).all() and np.isfinite(d) and np.isfinite(dt)):
-        raise NordenError(f"xi, d and dt must be finite, got d={d}, dt={dt}")
-    g = metric_g(xi, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = metric_g(xi, xi)  # not finite when xi is not, or when it overflows
+    if not np.isfinite([d, dt, g]).all():
+        raise NordenError(f"xi, d, dt and g(xi, xi) must be finite, got d={d}, dt={dt}, "
+                          f"g(xi, xi)={g}")
     if not g > 0:
         raise DegenerateBasis("normal must have positive g-square")
     return HolomorphicHyperplane(xi=xi / np.sqrt(g), d=float(d), dt=float(dt))

@@ -465,6 +465,59 @@ def test_totally_real_matches_reference():
     assert 0 < sum(want) < len(want)
 
 
+def _near_threshold_planes(m, targets, rng):
+    """Planes (x, y) with |det Q|^2 / scale^4 near each target, and that
+    design value t: x = r M u, y = r M (cos th u + sin th v) with u, v real
+    orthonormal and M complex-orthogonal, so q is real on the plane and
+    det Q = r^4 sin^2 th exactly; th is refined against the scale of y."""
+    out = []
+    for target in targets:
+        M = random_complex_orthogonal(m, rng, im_scale=0.3)
+        u, v = np.linalg.qr(rng.standard_normal((m, 2)))[0].T
+        r = rng.uniform(0.5, 3.0)
+        a, b = (from_complex(r * (M @ w)) for w in (u, v))
+        th = 0.0
+        for _ in range(6):
+            x, y = a, np.cos(th) * a + np.sin(th) * b
+            scale = max(x @ x, y @ y)
+            th = np.arcsin((target * scale ** 4 / r ** 8) ** 0.25)
+        x, y = a, np.cos(th) * a + np.sin(th) * b
+        out.append((x, y, (r ** 4 * np.sin(th) ** 2) ** 2 / max(x @ x, y @ y) ** 4))
+    return out
+
+
+def test_determinant_gate_sweep_matches_reference():
+    # det G / scale^4 from 1e-12 to 1e-8 (10 steps a decade) and at 1e-10
+    # (1 +- 1e-5), against the 4 x 4 LU reference; round-off moves det G
+    # by far less than the band of 1e-6 relative around the 1e-10 threshold
+    rng = np.random.default_rng(43)
+    targets = list(np.logspace(-12, -8, 41)) + [1e-10 * (1 + 1e-5), 1e-10 * (1 - 1e-5)]
+    compared = 0
+    for m in (3, 4, 5, 6):
+        planes = _near_threshold_planes(m, targets * 2, rng)
+        X, Y, t = (np.array(c) for c in zip(*planes))
+        outside = np.abs(t / 1e-10 - 1) > 1e-6
+        for tol in (1e-9, 1e-5):
+            got = is_totally_real(TangentPlane(X, Y), tol=tol)
+            want = np.array([ref_totally_real(x, y, tol) for x, y in zip(X, Y)])
+            assert np.array_equal(got[outside], want[outside])
+            assert np.array_equal(got[outside], t[outside] > 1e-10)
+            compared += outside.sum()
+    assert compared >= 4 * 2 * 2 * 42
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_gram_determinant_is_squared_modulus_of_q_determinant(m):
+    # G = [[A, B], [B, -A]] for the g- and gt-Grams A, B of (x, y)
+    x, y = np.random.default_rng(44 + m).uniform(-1, 1, (2, 200, 2 * m))
+    vecs = np.stack([x, y, apply_J(x), apply_J(y)], axis=1)
+    det_g = np.linalg.det(metric_g(vecs[:, :, None], vecs[:, None, :]))
+    zx, zy = to_complex(x), to_complex(y)
+    det_q = np.einsum("ni,ni->n", zx, zx) * np.einsum("ni,ni->n", zy, zy) \
+        - np.einsum("ni,ni->n", zx, zy) ** 2
+    assert np.all(np.abs(det_g - np.abs(det_q) ** 2) <= 1e-12 * np.abs(det_g))
+
+
 @pytest.mark.parametrize("basis,count,seed", [
     ("standard4", 30, 42),
     ("standard3", 25, 8),
@@ -490,7 +543,9 @@ def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
         assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
 
 
-@pytest.mark.parametrize("m,shape,count", [(4, (5,), 30), (3, (2, 3), 12), (5, (1,), 1)])
+@pytest.mark.parametrize("m,shape,count", [(4, (5,), 30), (3, (2, 3), 12), (5, (1,), 1),
+                                           # the `verify curvature` shape, and m = 6
+                                           (4, (20,), 50), (6, (3,), 20)])
 def test_stacked_sampler_equals_single_calls(m, shape, count):
     size = int(np.prod(shape))
     bases = sphere_stack(-1.137, 1.885, size, seed=33, m=m).tangent_bases

@@ -25,6 +25,7 @@ from nordenhs.errors import (
     EmptySamples,
     NearZeroLambdaMu,
     NonConstantNormal,
+    NordenError,
 )
 from nordenhs.hypersurface import (
     SampleStack,
@@ -142,6 +143,21 @@ class TestReconstruct:
                                       xi=np.tile(np.eye(8)[4], (10, 1)))
         for route in (reconstruct_hyperplane, classify):
             with pytest.raises(DegenerateBasis, match="positive g-square"):
+                route(samples)
+
+    @pytest.mark.parametrize("big,count,error,msg", [
+        # the mean of two equal normals is exact, so make_hyperplane sees it
+        (1e200, 2, NordenError, r"g\(xi, xi\)=inf"),
+        (1e200, 30, NonConstantNormal, "normal spread"),
+        (-1e308, 30, NonConstantNormal, "normal spread inf"),
+    ])
+    def test_overflowing_normal_rejected(self, big, count, error, msg):
+        # no RuntimeWarning on the way, and the sign test survives the overflow
+        hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
+        samples = dataclasses.replace(hyperplane_samples(hp, count, seed=4),
+                                      xi=np.tile(big * np.eye(8)[0], (count, 1)))
+        for route in (reconstruct_hyperplane, classify):
+            with pytest.raises(error, match=msg):
                 route(samples)
 
     def test_sphere_samples_rejected_as_hyperplane(self):

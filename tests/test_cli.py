@@ -575,6 +575,11 @@ def _timelike_normal(i, rec):
     rec["xi"] = [0.0] * 4 + [1.0] + [0.0] * 3  # g(xi, xi) = -1
 
 
+def _huge_normal(i, rec):
+    rec["A"] = np.zeros_like(rec["A"]).tolist()
+    rec["xi"] = [1e200] + [0.0] * 7  # g(xi, xi) and xi @ xi overflow
+
+
 FAILURES = {
     "sample --out into a missing directory": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
@@ -588,6 +593,9 @@ FAILURES = {
     "classify timelike normal": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _timelike_normal)],
         4, "positive g-square"),
+    "classify overflowing normal": (
+        lambda tmp: ["classify", "--in", _samples_file(tmp, _huge_normal)],
+        4, "normal spread"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
 }
 

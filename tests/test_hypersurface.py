@@ -102,6 +102,14 @@ class TestConstructors:
         with pytest.raises(NordenError, match="must be finite"):
             make_hyperplane(np.r_[xi0, np.zeros(7)], d, dt)
 
+    @pytest.mark.parametrize("xi", [[1e200] + [0.0] * 7,
+                                    [1e200] + [0.0] * 3 + [1e200] + [0.0] * 3],
+                             ids=["spacelike", "null"])
+    def test_overflowing_hyperplane_normal_rejected(self, xi):
+        # g(xi, xi) overflows to inf (or inf - inf); a RuntimeWarning fails the test
+        with pytest.raises(NordenError, match=r"g\(xi, xi\)=(inf|nan)"):
+            make_hyperplane(np.array(xi), 1.0, 0.0)
+
     def test_conjugate_flips_nut(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
         c = conjugate(sph)
