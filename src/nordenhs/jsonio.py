@@ -1,20 +1,24 @@
 """JSON wire format: point-cloud files, sample files and reports.
 
-Floats are written with 17 significant digits so files round-trip doubles
-exactly and repeated runs are byte-identical.  A sample document is written
-in blocks of records, each block one printf of a cached template over the
-block's numbers; the bytes are those of the list of record objects written
-one by one.  Numeric arrays read from a file must hold JSON numbers: a
-string or a boolean inside one is rejected.
+Floats are written with 17 significant digits, so the text holds each double
+exactly (-0.0 as -0, which the reader reads as 0), and repeated runs are
+byte-identical.  A sample document is written in blocks of records, each
+block one printf of a cached template, with the bytes of the list of record
+objects written one by one.  An A equal in every record bit for bit is
+formatted once, into the template, and a basis whose second half is J of its
+first half bit for bit reuses that half's text, -x by its sign.  Numeric
+arrays read from a file must hold JSON numbers, not strings or booleans.
 """
 
 import functools
 import json
 import math
+import operator
 import os
 
 import numpy as np
 
+from .core import apply_J
 from .errors import FormatError
 from .hypersurface import SampleStack
 
@@ -62,14 +66,25 @@ def _key(k):
 
 
 @functools.lru_cache(maxsize=8)
-def _records_template(shapes, count, indent):
-    """printf template of `count` sample records with fields of these
-    shapes, laid out as _write lays out a list of record objects, less the
-    brackets."""
+def _records_plan(shapes, count, indent, shared, jhalf):
+    """(template, fmt, get) of `count` records laid out as by _write, less the
+    brackets.  fmt gives one line per half row of the basis (its first half
+    if jhalf); get picks the template's values from the records' points, xi
+    and A (unless shared), those lines, the negated x lines and A's text."""
     pad, pad1 = "  " * indent, "  " * (indent + 1)
-    fields = ",\n".join(f"{pad1}{_key(k)}: {_array_template(shape, indent + 1)}"
-                        for k, shape in zip(SAMPLE_KEYS, shapes))
-    return (",\n" + pad).join(["{\n" + fields + "\n" + pad + "}"] * count)
+    (n2, w), lead = shapes[2], shapes[0][0] + shapes[1][0]
+    arrays = [_array_template(s, indent + 1) for s in (*shapes[:2], (n2, 2), shapes[3])]
+    arrays[2:] = arrays[2].replace("%.17g", "%s"), "%s" if shared else arrays[3]
+    fields = ",\n".join(f"{pad1}{_key(k)}: {a}" for k, a in zip(SAMPLE_KEYS, arrays))
+    size, rows = lead + (0 if shared else math.prod(shapes[3])), n2 // (1 + jhalf)
+    cut = np.cumsum([count * size, count * 2 * rows])
+    f, xy, nx = (a.reshape(count, -1) for a in np.split(np.arange(cut[1] + count * rows), cut))
+    jrows = np.stack([xy[:, 1::2], nx], -1).reshape(count, -1)  # J(x; y) = (y; -x)
+    order = np.concatenate([f[:, :lead], xy, jrows[:, :jhalf * n2], f[:, lead:],
+                            np.full((count, int(shared)), -1)], 1)
+    return ((",\n" + pad).join(["{\n" + fields + "\n" + pad + "}"] * count),
+            "\n".join([", ".join(["%.17g"] * (w // 2))] * (2 * rows * count)),
+            operator.itemgetter(*order.ravel().tolist()))
 
 
 def _write_records(stack, indent, write):
@@ -78,44 +93,49 @@ def _write_records(stack, indent, write):
     fields = (stack.points, stack.xi, stack.tangent_bases, stack.A)
     if not all(np.isfinite(f).all() for f in fields):
         raise FormatError("non-finite number in output")
-    n = len(stack)
-    if not n:
+    if not (n := len(stack)):
         write("[]")
         return
     shapes = tuple(f.shape[1:] for f in fields)
-    rows = [f.reshape(n, -1) for f in fields]
-    pad1 = "  " * (indent + 1)
-    sep = "[\n"
+    T, A = (np.asarray(f, dtype=float) for f in fields[2:])
+    h, bits = T.shape[1] // 2, A.reshape(n, -1).view(np.int64)
+    jhalf = bool((T[:, h:].view(np.int64) == apply_J(T[:, :h]).view(np.int64)).all())
+    shared = bool((bits == bits[0]).all())
+    a_text = _array_template(shapes[3], indent + 2) % tuple(A[0].ravel().tolist())
+    rows = [f.reshape(n, -1) for f in (*fields[:2], A)][:2 if shared else 3]
+    basis = (T[:, :h] if jhalf else T).reshape(n, -1)
+    pad1, sep = "  " * (indent + 1), "[\n"
     for start in range(0, n, BLOCK):
         block = np.concatenate([r[start:start + BLOCK] for r in rows], axis=1)
-        write(sep + pad1 + _records_template(shapes, len(block), indent + 1)
-              % tuple(block.ravel().tolist()))
+        template, fmt, get = _records_plan(shapes, len(block), indent + 1, shared, jhalf)
+        lines = (fmt % tuple(basis[start:start + BLOCK].ravel().tolist())).split("\n")
+        neg = ("-" + "\n-".join(lines[::2])).replace(", ", ", -").replace("--", "").split("\n")
+        write(sep + pad1 + template % get(block.ravel().tolist() + lines + neg + [a_text]))
         sep = ",\n"
     write("\n" + "  " * indent + "]")
 
 
 def _write(obj, indent, write):
     """Pass the canonical text of obj, in pieces, to write()."""
-    pad = "  " * indent
-    pad1 = "  " * (indent + 1)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, np.ndarray) and not obj.ndim:  # a 0-d array is its scalar
+        obj = obj.item()
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         if not np.isfinite(obj).all():
             raise FormatError("non-finite number in output")
         write(_array_template(obj.shape, indent) % tuple(obj.ravel().tolist()))
     elif isinstance(obj, SampleStack):
         _write_records(obj, indent, write)
     elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
         sep = "{\n"
         for k, v in obj.items():
             write(f"{sep}{pad1}{_key(k)}: ")
             _write(v, indent + 1, write)
             sep = ",\n"
-        write("\n" + pad + "}")
+        write("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else [
+            v.item() if isinstance(v, np.ndarray) and not v.ndim else v for v in obj]
         if all(isinstance(v, (int, float, np.integer, np.floating)) and
                not isinstance(v, bool) for v in seq):
             write("[" + ", ".join(_fmt(v) for v in seq) + "]")

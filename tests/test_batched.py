@@ -827,3 +827,89 @@ def test_block_writer_rejects_non_finite_last_record(tmp_path, field, bad):
     with pytest.raises(FormatError, match="non-finite"):
         jsonio.write_json(str(f), doc)
     assert not f.exists()
+
+
+# ---------------------------------------------------------------------------
+# sample documents: text reused for a shared A and for J-halves
+# ---------------------------------------------------------------------------
+
+def edge_stack(case, kind, m, n):
+    """The first n records of stack_2b3(kind, m), changed at the edges of the
+    writer's two bitwise checks: A equal in every record, and a tangent basis
+    whose second half is J of its first half."""
+    st = stack_2b3(kind, m)[:n]
+    P, xi, T, A = (v.copy() for v in (st.points, st.xi, st.tangent_bases, st.A))
+    h = m - 1
+
+    def j_half(T):
+        return np.concatenate([T[:, :h], apply_J(T[:, :h])], axis=1)
+
+    if case == "negzero":  # -0.0 in every A and in the first half of every basis
+        A[:, 0, -1] = -0.0
+        T[:, 0, 0] = -0.0
+        T = j_half(T)
+    elif case == "zero_sign":  # equal numbers, different bits
+        A[1:, 0, -1] = -0.0
+        A[0, 0, -1] = 0.0
+        T[:, 0, 0] = 0.0
+        T = j_half(T)
+        T[-1, h, m] = 0.0  # where J gives -0.0
+    elif case == "ulp_block_end":  # one ulp off in the last record of a block
+        r = min(n, B) - 1
+        A[r, 0, 0] = np.nextafter(A[r, 0, 0], np.inf)
+    elif case == "ulp_last":  # one ulp off in the last record of the stack
+        A[-1, -1, -1] = np.nextafter(A[-1, -1, -1], -np.inf)
+    elif case == "ulp_jhalf":  # a J-half entry one ulp off
+        T[-1, -1, -1] = np.nextafter(T[-1, -1, -1], np.inf)
+    elif case == "magnitudes":
+        A[:, 0, 0], A[:, 0, -1], A[:, -1, 0] = 5e-324, 1e308, -1e-300
+        T[:, 0, :3] = -1e-300, 5e-324, 1e308
+        T[:, h - 1, -1] = -5e-324
+        T = j_half(T)
+        P[:, 0], xi[:, -1] = -1e-300, 5e-324
+    return SampleStack(P, xi, T, A)
+
+
+# (shared A, J-half) that each case gives on n records
+EDGE_FLAGS = {
+    "model": lambda n: (True, True),
+    "negzero": lambda n: (True, True),
+    "zero_sign": lambda n: (n == 1, False),
+    "ulp_block_end": lambda n: (n == 1, True),
+    "ulp_last": lambda n: (n == 1, True),
+    "ulp_jhalf": lambda n: (True, False),
+    "magnitudes": lambda n: (True, True),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_FLAGS))
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["closed", "hyperplane"])
+def test_reused_text_matches_per_record(tmp_path, monkeypatch, kind, m, case):
+    plans, plan = set(), jsonio._records_plan
+
+    def recording_plan(shapes, count, indent, shared, jhalf):
+        plans.add((shared, jhalf))
+        return plan(shapes, count, indent, shared, jhalf)
+
+    monkeypatch.setattr(jsonio, "_records_plan", recording_plan)
+    f = tmp_path / "s.json"
+    for n in (1, B, B + 1, 2 * B + 3):
+        st = edge_stack(case, kind, m, n)
+        doc = jsonio.samples_to_doc(m, st)
+        want = ref_dumps(doc)
+        plans.clear()
+        assert jsonio.dumps_canonical(doc) == want
+        assert plans == {EDGE_FLAGS[case](n)}
+        jsonio.write_json(str(f), doc)
+        assert f.read_text() == want + "\n"
+        # load_pointcloud reads the literal -0 as 0, so it is bit-identical up
+        # to the sign of zero (x + 0.0 clears only that); the text holds the
+        # sign, read back by a parser that keeps it
+        got = jsonio.load_pointcloud(str(f))[2]
+        signed = json.loads(f.read_text(), parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        for key, (field, arr) in zip(jsonio.SAMPLE_KEYS, vars(st).items()):
+            read = getattr(got, field)
+            assert np.array_equal((read + 0.0).view(np.int64), (arr + 0.0).view(np.int64)), key
+            read = np.array([r[key] for r in signed["samples"]], dtype=float)
+            assert np.array_equal(read.view(np.int64), arr.view(np.int64)), key

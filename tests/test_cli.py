@@ -411,6 +411,28 @@ class TestJsonIO:
         with pytest.raises(FormatError):
             jsonio.load_pointcloud(str(f))
 
+    @pytest.mark.parametrize("x", [1.0, 1.5, -0.0, 5e-324, -1e308, 3, True, False])
+    def test_zero_d_array_written_as_its_scalar(self, tmp_path, x):
+        f = tmp_path / "x.json"
+        for obj, scalar in [(np.array(x), x), ([np.array(x)], [x]),
+                            ((np.array(x), 2.0), [x, 2.0]), ({"a": [np.array(x), "s"]},
+                                                             {"a": [x, "s"]}),
+                            ({"b": np.array(x)}, {"b": x})]:
+            want = jsonio.dumps_canonical(scalar)
+            assert jsonio.dumps_canonical(obj) == want
+            jsonio.write_json(str(f), obj)
+            assert f.read_text() == want + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_zero_d_array_rejected(self, tmp_path, bad):
+        f = tmp_path / "x.json"
+        for obj in [np.array(bad), [1.0, np.array(bad)], {"m": 4, "x": np.array(bad)}]:
+            with pytest.raises(FormatError, match="non-finite"):
+                jsonio.dumps_canonical(obj)
+            with pytest.raises(FormatError, match="non-finite"):
+                jsonio.write_json(str(f), obj)
+            assert not f.exists()
+
 
 def _report_argv(kind, tmp_path):
     """argv of a command whose report is `kind`, with its input files."""
