@@ -17,10 +17,8 @@ from .core import (
     q_value,
 )
 from .curvature import (
-    CurvatureStats,
     SpaceFormParams,
     TangentPlane,
-    curvature_constancy_report,
     gauss_curvature_from_shape,
     is_totally_real,
     pi_tensors,
@@ -32,13 +30,10 @@ from .curvature import (
 from .hypersurface import (
     HSphere,
     HolomorphicHyperplane,
-    MeanCurvatureData,
     SampleStack,
     codazzi_residual,
     conjugate,
-    h_sphere_from_curvatures,
     hyperplane_samples,
-    is_h_umbilical,
     lambda_mu,
     make_h_sphere,
     make_hyperplane,
@@ -56,13 +51,10 @@ from .hypersurface import (
 )
 from .classify import (
     ClassificationResult,
-    Tolerances,
     classify,
     pair_crosscheck,
-    estimate_invariants,
     reconstruct_hyperplane,
     reconstruct_sphere,
-    umbilicity_check,
 )
 
 __version__ = "0.1.0"

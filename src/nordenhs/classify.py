@@ -33,14 +33,6 @@ LAMBDA_MU_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    constancy: float = 1e-6
-    umbilicity: float = 1e-6
-    containment: float = 1e-6
-    normal_spread: float = 1e-6
-
-
-@dataclass(frozen=True)
 class ClassificationResult:
     verdict: str
     recovered: object = None
@@ -55,30 +47,14 @@ class ClassificationResult:
 def shape_invariants(stack):
     """Per-sample invariants of one record or a stack of them: an (..., 4)
     array of (lambda, mu, nu, nut), which is (lambda, mu, g(H, H), gt(H, H))
-    of the mean curvature data, and the h-umbilicity deviations relative to
-    max(1, max|A|)."""
-    mc = mean_curvature(stack)
+    from the traces of A (mean_curvature), and the h-umbilicity deviations
+    relative to max(1, max|A|)."""
+    tr_a, tr_aj, umbilicity = mean_curvature(stack)
     two_n = stack.A.shape[-1]
-    per = np.stack([mc.traceA / two_n, -mc.traceAJ / two_n, mc.gHH, mc.gtHH], axis=-1)
+    lam, mu = tr_a / two_n, -tr_aj / two_n
+    per = np.stack([lam, mu, lam * lam - mu * mu, -2.0 * lam * mu], axis=-1)
     scale = np.maximum(1.0, np.abs(stack.A).max(axis=(-2, -1)))
-    return per, mc.umbilicity / scale
-
-
-def estimate_invariants(sample):
-    """(lambda, mu, nu, nut) of one record from the traces of its shape
-    operator."""
-    per, _ = shape_invariants(sample)
-    return tuple(per.tolist())
-
-
-def umbilicity_check(stack):
-    """Per-sample h-umbilicity deviations against the Tolerances default;
-    (passed, deviations, worst_index)."""
-    if len(stack) == 0:
-        raise EmptySamples("no samples")
-    _, devs = shape_invariants(stack)
-    worst = int(np.argmax(devs))
-    return bool(devs[worst] <= Tolerances().umbilicity), devs, worst
+    return per, umbilicity / scale
 
 
 def pair_crosscheck(pairs, ambient, observed):
@@ -125,7 +101,8 @@ def _plane_residual(plane, P):
 
 def reconstruct_hyperplane(stack, tol=1e-6):
     """Average the (constant) normal field and the plane offsets of a
-    stack."""
+    stack.  The normals may vary by tol * max(1, max|xi|), as they are
+    stored unnormalized."""
     if len(stack) == 0:
         raise EmptySamples("no samples")
     # huge normals may overflow: an infinite dot keeps its sign, a NaN spread fails
@@ -133,7 +110,7 @@ def reconstruct_hyperplane(stack, tol=1e-6):
         xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
         xi_mean = xis.mean(axis=0)
         spread = float(np.max(np.abs(xis - xi_mean)))
-    if not spread <= tol:
+    if not spread <= tol * max(1.0, float(np.max(np.abs(stack.xi)))):
         raise NonConstantNormal(f"normal spread {spread:.3e} exceeds tol")
     # g-unit, or DegenerateBasis for a normal with g(xi, xi) <= 0
     xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi
@@ -144,11 +121,12 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
 
 
-def classify(stack, tolerances=None):
+def classify(stack, tol=1e-6):
     """Full pipeline on a SampleStack: dimension gate, invariant estimation,
     constancy and umbilicity tests, sphere or hyperplane reconstruction,
-    then the containment of every sample in the recovered surface."""
-    tols = tolerances or Tolerances()
+    then the containment of every sample in the recovered surface.  tol is
+    the tolerance of every gate: constancy, umbilicity, the totally
+    geodesic test, normal spread and containment."""
     dim = stack.points.shape[-1]
     if dim < 8:
         return ClassificationResult(
@@ -161,7 +139,7 @@ def classify(stack, tolerances=None):
     per, devs = shape_invariants(stack)
     per_sample = tuple(map(tuple, per.tolist()))
     spread = float(np.max(np.abs(per[:, 2:] - per[:, 2:].mean(axis=0))))
-    if not spread <= tols.constancy:
+    if not spread <= tol:
         return ClassificationResult(
             verdict=VERDICT_NON_CONSTANT,
             per_sample=per_sample,
@@ -170,7 +148,7 @@ def classify(stack, tolerances=None):
 
     worst = int(np.argmax(devs))
     umb_res = float(devs[worst])
-    if not umb_res <= tols.umbilicity:
+    if not umb_res <= tol:
         return ClassificationResult(
             verdict=VERDICT_NOT_UMBILICAL,
             per_sample=per_sample,
@@ -180,7 +158,7 @@ def classify(stack, tolerances=None):
         )
 
     lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
-    geodesic = float(np.max(np.abs(stack.A))) <= tols.umbilicity
+    geodesic = float(np.max(np.abs(stack.A))) <= tol
     notes = []
     if geodesic:
         notes.append("totally geodesic (A = 0): curvatures equal ambient (0, 0)")
@@ -197,11 +175,11 @@ def classify(stack, tolerances=None):
             )
     else:
         verdict = VERDICT_HYPERPLANE
-        recovered = reconstruct_hyperplane(stack, tol=tols.normal_spread)
+        recovered = reconstruct_hyperplane(stack, tol=tol)
         cres = float(np.max(_plane_residual(recovered, stack.points)))
-    if not cres <= tols.containment:
+    if not cres <= tol:
         notes = [f"no single {verdict} holds the samples: containment "
-                 f"residual {cres:.3e} > tol {tols.containment:.3e}"]
+                 f"residual {cres:.3e} > tol {tol:.3e}"]
         verdict, recovered = VERDICT_OFF_SURFACE, None
     return ClassificationResult(
         verdict=verdict,

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__, jsonio, verify
 from .classify import (
-    Tolerances,
     VERDICT_DIM_TOO_SMALL,
     VERDICT_HYPERPLANE,
     VERDICT_SPHERE,
@@ -134,13 +133,7 @@ def cmd_classify(args):
     _, kind, samples = jsonio.load_pointcloud(args.input)
     if kind != "samples":
         raise FormatError('classification requires kind="samples"')
-    tols = Tolerances(
-        constancy=args.tol,
-        umbilicity=args.tol,
-        containment=args.tol,
-        normal_spread=args.tol,
-    ) if args.tol is not None else Tolerances()
-    result = classify(samples, tols)
+    result = classify(samples, args.tol)
 
     def _opt(x):
         # residual fields are NaN until the corresponding stage runs
@@ -238,7 +231,8 @@ def build_parser():
 
     cls = sub.add_parser("classify", help="classify a sample file")
     cls.add_argument("--in", dest="input", required=True)
-    cls.add_argument("--tol", type=float, default=None)
+    cls.add_argument("--tol", type=float, default=1e-6,
+                     help="tolerance of every classify gate")
     cls.set_defaults(fn=cmd_classify)
 
     dec = sub.add_parser("decompose", help="adapted eigen-decomposition")

@@ -157,12 +157,6 @@ def h_symmetry_residual(S):
     return r_comm, r_sym
 
 
-def is_h_symmetric(S):
-    r_comm, r_sym = h_symmetry_residual(S)
-    s = _scale(S)
-    return r_comm <= DEFAULT_TOL * s and r_sym <= DEFAULT_TOL * s
-
-
 def is_structure_group_member(M, tol=DEFAULT_TOL):
     """True iff M preserves both J and g (the group r(O(m, C)))."""
     M = np.asarray(M, dtype=float)

@@ -1,6 +1,6 @@
 """Curvature machinery: pi-tensors, the Gauss-equation curvature tensor (a
 space form is the case A = 0), sectional curvatures on totally real planes,
-constancy reports, Ricci.
+Ricci.
 
 Everything acts on vectors along the last axis, so stacks of vectors (and
 of shape operators) evaluate in one call; nothing is materialized as a
@@ -58,15 +58,6 @@ class TangentPlane:
 
     def __getitem__(self, i):
         return TangentPlane(self.x[i], self.y[i])
-
-
-@dataclass(frozen=True)
-class CurvatureStats:
-    nu: float
-    nut: float
-    max_deviation_K: float
-    max_deviation_Kt: float
-    sample_count: int
 
 
 def pi_tensors(x, y, z, u):
@@ -158,8 +149,12 @@ def _sectional(R, x, y):
 
 
 def sectional_curvatures(R, plane):
-    """(K, Kt) of a non-degenerate 2-plane."""
+    """(K, Kt) of one non-degenerate 2-plane; sectional_batch_planes takes
+    a stack."""
     K, Kt, den, ok = _sectional(R, plane.x, plane.y)
+    if np.ndim(ok):
+        raise DimensionMismatch(f"one plane expected, got a stack of shape {np.shape(ok)}: "
+                                "use sectional_batch_planes")
     if not ok:
         raise DegeneratePlane(f"pi1 denominator {den:.3e} below threshold")
     return float(K), float(Kt)
@@ -266,20 +261,6 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         have += np.bincount(owner[keep], minlength=len(V))
     out = out.reshape(seeds.shape + out.shape[1:])
     return TangentPlane(*np.moveaxis(out, -3, 0))
-
-
-def curvature_constancy_report(R, planes):
-    """Mean and max deviation of (K, Kt) over a TangentPlane of stacks."""
-    ks, kts = sectional_batch_planes(R, planes)
-    if len(ks) < 1:
-        raise DegeneratePlane("all planes degenerate")
-    return CurvatureStats(
-        nu=float(ks.mean()),
-        nut=float(kts.mean()),
-        max_deviation_K=float(np.max(np.abs(ks - ks.mean()))),
-        max_deviation_Kt=float(np.max(np.abs(kts - kts.mean()))),
-        sample_count=len(ks),
-    )
 
 
 def ricci(R, basis):

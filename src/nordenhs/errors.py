@@ -29,10 +29,6 @@ class IsotropicParameters(NordenError):
     """(a, b) near (0, 0), the isotropic hypersurface, or a^2 + b^2 overflows."""
 
 
-class ZeroCurvatures(NordenError):
-    """(nu, nut) near (0, 0), a hyperplane, or nu^2 + nut^2 overflows."""
-
-
 class PointNotOnSurface(NordenError):
     """Point does not satisfy the defining quadric equations."""
 

@@ -2,8 +2,8 @@
 
 Implements the two model surfaces (h-spheres and holomorphic hyperplanes),
 point sampling, normal frames (xi, J xi), shape operators (closed form and
-finite difference), second fundamental form, mean curvature, h-umbilicity
-and the Codazzi residual check.
+finite difference), second fundamental form, mean curvature and the
+Codazzi residual check.
 
 Second-order samples are one type, SampleStack, holding one record or a
 stack of them.  The tangent bases of an h-sphere come from the unit
@@ -34,7 +34,6 @@ from .errors import (
     PointNotOnSurface,
     SamplingExhausted,
     StepSizeError,
-    ZeroCurvatures,
 )
 
 
@@ -76,59 +75,17 @@ class SampleStack:
         return SampleStack(self.points[i], self.xi[i], self.tangent_bases[i], self.A[i])
 
 
-@dataclass(frozen=True)
-class MeanCurvatureData:
-    """Mean curvature of one record, or arrays over the records of a stack.
-
-    With lambda = tr A / 2n and mu = -tr(A o J) / 2n, the h-umbilical part
-    of A is lambda I + mu J and H = lambda xi + mu J xi, so that
-    g(H, H) = lambda^2 - mu^2 and gt(H, H) = -2 lambda mu.  umbilicity is
-    the max-norm distance of A from its h-umbilical part.  H and JH are
-    computed on access, so a stack's invariants allocate no vectors.
-    """
-
-    xi: np.ndarray
-    gHH: float
-    gtHH: float
-    traceA: float
-    traceAJ: float
-    umbilicity: float
-
-    @property
-    def H(self):
-        two_n = self.xi.shape[-1] - 2
-        return (self.traceA[..., None] * self.xi
-                - self.traceAJ[..., None] * apply_J(self.xi)) / two_n
-
-    @property
-    def JH(self):
-        return apply_J(self.H)
-
-
-def _require_radius(names, a, b, error):
-    """error unless a^2 + b^2 is finite and above 1e-24 (in Python floats,
-    which overflow to inf without a warning)."""
-    if not 1e-24 < float(a) * float(a) + float(b) * float(b) < float("inf"):
-        x, y = names
-        raise error(f"({x}, {y}) = ({float(a)!r}, {float(b)!r}) is not an h-sphere: "
-                    f"{x}^2 + {y}^2 must be finite and above 1e-24")
-
-
 def make_h_sphere(center, a, b):
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.shape[0] % 2 != 0 or center.shape[0] < 4:
         raise DimensionMismatch("center must have even length >= 4")
     if not (np.isfinite(center).all() and np.isfinite(a) and np.isfinite(b)):
         raise NordenError(f"a, b and the center must be finite, got a={a}, b={b}")
-    _require_radius(("a", "b"), a, b, IsotropicParameters)
+    # a^2 + b^2 in Python floats, which overflow to inf without a warning
+    if not 1e-24 < float(a) * float(a) + float(b) * float(b) < float("inf"):
+        raise IsotropicParameters(f"(a, b) = ({float(a)!r}, {float(b)!r}) is not an h-sphere: "
+                                  "a^2 + b^2 must be finite and above 1e-24")
     return HSphere(center=center, a=float(a), b=float(b))
-
-
-def h_sphere_from_curvatures(nu, nut, m=4):
-    """Sphere with prescribed constant curvatures (nu, nut)."""
-    _require_radius(("nu", "nut"), nu, nut, ZeroCurvatures)
-    den = nu * nu + nut * nut
-    return make_h_sphere(np.zeros(2 * m), nu / den, -nut / den)
 
 
 def conjugate(s):
@@ -406,8 +363,14 @@ def shape_operator_wrt(sample, eta):
 
 
 def mean_curvature(sample):
-    """Mean curvature data (MeanCurvatureData) of one record or of each
-    record of a stack, from the traces of its shape operators."""
+    """(tr A, tr(A o J), umbilicity) of one record, or arrays over the
+    records of a stack.
+
+    With lambda = tr A / 2n and mu = -tr(A o J) / 2n, the h-umbilical part
+    of A is lambda I + mu J and H = (tr A xi - tr(A o J) J xi) / 2n, so that
+    g(H, H) = lambda^2 - mu^2 and gt(H, H) = -2 lambda mu.  umbilicity is
+    the max-norm distance of A from its h-umbilical part.
+    """
     _, J_rep, _ = tangent_reps(sample.tangent_bases)
     A = sample.A
     two_n = A.shape[-1]
@@ -415,21 +378,7 @@ def mean_curvature(sample):
     tr_aj = np.trace(A @ J_rep, axis1=-2, axis2=-1)
     lam, mu = tr_a / two_n, -tr_aj / two_n
     model = lam[..., None, None] * np.eye(two_n) + mu[..., None, None] * J_rep
-    return MeanCurvatureData(
-        xi=sample.xi,
-        gHH=lam * lam - mu * mu,
-        gtHH=-2.0 * lam * mu,
-        traceA=tr_a,
-        traceAJ=tr_aj,
-        umbilicity=np.max(np.abs(A - model), axis=(-2, -1)),
-    )
-
-
-def is_h_umbilical(sample):
-    """Whether A is within 1e-8 * max(1, max|A|) of its h-umbilical part, for
-    one record or each record of a stack."""
-    scale = np.maximum(1.0, np.max(np.abs(sample.A), axis=(-2, -1)))
-    return mean_curvature(sample).umbilicity <= 1e-8 * scale
+    return tr_a, tr_aj, np.max(np.abs(A - model), axis=(-2, -1))
 
 
 def _tangential_projectors(Xi):

@@ -16,6 +16,7 @@ from .core import (
     metric_gt,
     q_value,
 )
+from .classify import shape_invariants
 from .curvature import (
     SpaceFormParams,
     gauss_curvature_from_shape,
@@ -185,8 +186,7 @@ def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
     R = gauss_curvature_from_shape(smp.A, B, SpaceFormParams(0.0, 0.0))
     rho = ricci(R, B)
     A_amb = ambient_shape_operator(smp)
-    mcd = mean_curvature(smp)
-    tr_a, tr_aj = mcd.traceA, mcd.traceAJ
+    tr_a, tr_aj, _ = mean_curvature(smp)
     # rows A b_i and A A b_i, paired by g with the rows b_j and J b_j
     AB = B @ A_amb.T
     G = NordenSpace(m).metric_matrix()
@@ -233,10 +233,11 @@ def suite_umbilic(m=4, seed=0):
 
     sph2 = make_h_sphere(np.zeros(2 * m), 0.0, 1.0)
     smp = make_surface_samples(sph2, 1, seed + 1)[0]
-    mcd = mean_curvature(smp)
-    res.append(Check("(0,1): g(H,H) = 0", abs(mcd.gHH), 1e-12))
-    devs = [scalar_deviation(shape_operator_wrt(smp, eta))
-            for eta in (mcd.H, mcd.JH)]
+    (_, _, nu, _), _ = shape_invariants(smp)
+    res.append(Check("(0,1): g(H,H) = 0", abs(nu), 1e-12))
+    tr_a, tr_aj, _ = mean_curvature(smp)
+    H = (tr_a * smp.xi - tr_aj * apply_J(smp.xi)) / len(smp.A)
+    devs = [scalar_deviation(shape_operator_wrt(smp, eta)) for eta in (H, apply_J(H))]
     res.append(Check("(0,1): A_H or A_JH proportional to I", min(devs), 1e-9))
     return res
 

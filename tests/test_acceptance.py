@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from nordenhs.classify import Tolerances, VERDICT_HYPERPLANE, VERDICT_SPHERE, classify
+from nordenhs.classify import VERDICT_HYPERPLANE, VERDICT_SPHERE, classify, shape_invariants
 from nordenhs.core import (
     complex_op_to_real,
     h_proper_decomposition,
-    is_h_symmetric,
+    h_symmetry_residual,
     random_complex_orthogonal,
 )
 from nordenhs.curvature import SpaceFormParams, gauss_curvature_from_shape, ricci
@@ -24,7 +24,6 @@ from nordenhs.hypersurface import (
     make_h_sphere,
     make_hyperplane,
     make_surface_samples,
-    mean_curvature,
     sample,
     surface_sample,
     theoretical_curvatures,
@@ -84,9 +83,9 @@ def test_criterion_3_classification_round_trip():
         scale = max(abs(a), abs(b), float(np.max(np.abs(center))))
         for fd in (False, True):
             samples = make_surface_samples(sph, 40, seed=100 + i, fd=fd)
-            tols = Tolerances(constancy=1e-4, umbilicity=1e-4) if fd else Tolerances()
-            result = classify(samples, tols)
+            result = classify(samples, 1e-4 if fd else 1e-6)
             assert result.verdict == VERDICT_SPHERE
+            assert result.containment_residual <= 1e-6
             rec = result.recovered
             rel = max(
                 abs(rec.a - a), abs(rec.b - b), float(np.max(np.abs(rec.center - center)))
@@ -130,7 +129,7 @@ def test_criterion_4_decomposition_suite():
         worst = max(worst, err / max(1.0, float(np.max(np.abs(S)))))
         count += 1
     nilpotent = complex_op_to_real(np.array([[1.0, 1j], [1j, -1.0]]))
-    assert is_h_symmetric(nilpotent)
+    assert max(h_symmetry_residual(nilpotent)) == 0.0
     try:
         h_proper_decomposition(nilpotent)
         nil_ok = False
@@ -219,11 +218,9 @@ def test_criterion_9_mean_curvature_invariants():
         sph = make_h_sphere(np.zeros(8), a, b)
         p = sample(sph, 1, seed=i)[0]
         smp = surface_sample(sph, p)
-        mcd = mean_curvature(smp)
+        _, _, nu, nut = shape_invariants(smp)[0]
         params = theoretical_curvatures(sph)
-        worst = max(
-            worst, abs(mcd.gHH - params.nu), abs(mcd.gtHH - params.nut)
-        )
+        worst = max(worst, abs(nu - params.nu), abs(nut - params.nut))
         conj = theoretical_curvatures(conjugate(sph))
         flip_ok = flip_ok and conj.nu == params.nu and conj.nut == -params.nut
     ok = worst <= 1e-10 and flip_ok

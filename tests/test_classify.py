@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nordenhs.classify import (
-    Tolerances,
     VERDICT_DIM_TOO_SMALL,
     VERDICT_HYPERPLANE,
     VERDICT_NOT_UMBILICAL,
@@ -14,10 +13,9 @@ from nordenhs.classify import (
     VERDICT_SPHERE,
     classify,
     pair_crosscheck,
-    estimate_invariants,
     reconstruct_hyperplane,
     reconstruct_sphere,
-    umbilicity_check,
+    shape_invariants,
 )
 from nordenhs.curvature import SpaceFormParams
 from nordenhs.errors import (
@@ -34,6 +32,7 @@ from nordenhs.hypersurface import (
     make_h_sphere,
     make_hyperplane,
     make_surface_samples,
+    theoretical_curvatures,
 )
 
 GRID = [(1.0, 0.0), (0.0, 1.0), (3.0, 4.0), (-1.0, 2.0), (2.0, -3.0)]
@@ -55,7 +54,7 @@ class TestEstimateInvariants:
         sph, ss = sphere_set(3.0, 4.0)
         lam0, mu0 = lambda_mu(sph)
         for smp in ss:
-            lam, mu, nu, nut = estimate_invariants(smp)
+            lam, mu, nu, nut = shape_invariants(smp)[0]
             assert lam == pytest.approx(lam0, abs=1e-12)
             assert mu == pytest.approx(mu0, abs=1e-12)
             assert nu == pytest.approx(0.12, abs=1e-12)
@@ -64,27 +63,25 @@ class TestEstimateInvariants:
     def test_hyperplane_values(self):
         hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
         smp = hyperplane_samples(hp, 1, seed=1)[0]
-        assert estimate_invariants(smp) == (0.0, 0.0, 0.0, 0.0)
+        assert shape_invariants(smp)[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestUmbilicityCheck:
     def test_sphere_passes(self):
         _, ss = sphere_set(-1.0, 2.0)
-        ok, devs, worst = umbilicity_check(ss)
-        assert ok
-        assert np.max(devs) <= 1e-10
+        assert np.max(shape_invariants(ss)[1]) <= 1e-10
+        result = classify(ss)
+        assert result.verdict == VERDICT_SPHERE
+        assert result.umbilicity_residual <= 1e-10
 
     def test_planted_defect_detected(self):
+        # the defect keeps the traces, so the umbilicity gate decides
         sph, ss = sphere_set(1.0, 0.0, count=6)
         A = ss.A.copy()
         A[2] += np.kron(np.eye(2), np.diag([0.0, 0.1, -0.1]))
-        ok, devs, worst = umbilicity_check(dataclasses.replace(ss, A=A))
-        assert not ok
-        assert worst == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySamples):
-            umbilicity_check(empty_stack())
+        result = classify(dataclasses.replace(ss, A=A))
+        assert result.verdict == VERDICT_NOT_UMBILICAL
+        assert result.notes == ("worst sample index 2",)
 
 
 class TestPairCrosscheck:
@@ -148,7 +145,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("big,count,error,msg", [
         # the mean of two equal normals is exact, so make_hyperplane sees it
         (1e200, 2, NordenError, r"g\(xi, xi\)=inf"),
-        (1e200, 30, NonConstantNormal, "normal spread"),
+        # a constant normal: its spread is round-off, within tol * max|xi|
+        (1e200, 30, NordenError, r"g\(xi, xi\)=inf"),
         (-1e308, 30, NonConstantNormal, "normal spread inf"),
     ])
     def test_overflowing_normal_rejected(self, big, count, error, msg):
@@ -159,6 +157,17 @@ class TestReconstruct:
         for route in (reconstruct_hyperplane, classify):
             with pytest.raises(error, match=msg):
                 route(samples)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e10, 1e12, 1e100])
+    def test_scaled_normal_accepted(self, c):
+        # the spread of the stored normals c xi is compared with tol * max(1, max|c xi|)
+        hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
+        samples = hyperplane_samples(hp, 30, seed=4)
+        scaled = dataclasses.replace(samples, xi=c * samples.xi)
+        for rec in (reconstruct_hyperplane(scaled), classify(scaled).recovered):
+            assert np.max(np.abs(rec.xi - hp.xi)) <= 1e-15
+            assert rec.d == pytest.approx(hp.d, abs=1e-15)
+            assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
 
     def test_sphere_samples_rejected_as_hyperplane(self):
         _, ss = sphere_set(1.0, 0.0)
@@ -182,8 +191,9 @@ class TestClassifyEndToEnd:
 
     def test_fd_grid_looser(self):
         sph, ss = sphere_set(3.0, 4.0, count=8, seed=6, fd=True)
-        result = classify(ss, Tolerances(constancy=1e-4, umbilicity=1e-4))
+        result = classify(ss, tol=1e-4)
         assert result.verdict == VERDICT_SPHERE
+        assert result.containment_residual <= 1e-6
         assert abs(result.recovered.a - 3.0) <= 1e-3 * 3.0
         assert abs(result.recovered.b - 4.0) <= 1e-3 * 4.0
 
@@ -204,8 +214,21 @@ class TestClassifyEndToEnd:
     def test_non_umbilical_verdict(self):
         sph, ss = sphere_set(1.0, 0.0, count=5)
         A = ss.A + np.kron(np.eye(2), np.diag([0.0, 0.01, -0.01]))
-        result = classify(dataclasses.replace(ss, A=A), Tolerances(constancy=1.0))
+        result = classify(dataclasses.replace(ss, A=A))
         assert result.verdict == VERDICT_NOT_UMBILICAL
+        assert result.constancy_spread <= 1e-15
+
+    def test_curvature_route_note(self):
+        # (nu, nut) = (0.12, -0.16) of the (a, b) = (3, 4) sphere maps back to (3, 4)
+        sph, ss = sphere_set(3.0, 4.0)
+        result = classify(ss)
+        params = theoretical_curvatures(sph)
+        assert params.nu == pytest.approx(0.12, abs=1e-14)
+        assert params.nut == pytest.approx(-0.16, abs=1e-14)
+        note = next(n for n in result.notes if n.startswith("curvature-route parameters: "))
+        a, b = (float(f.split("=")[1]) for f in note.split(": ")[1].split(", "))
+        assert a == pytest.approx(3.0, abs=1e-12)
+        assert b == pytest.approx(4.0, abs=1e-12)
 
     def test_non_constant_verdict(self):
         sph1, ss1 = sphere_set(1.0, 0.0, count=4)
@@ -227,7 +250,7 @@ class TestClassifyEndToEnd:
             noise[:, :3, :3] = noise[:, 3:, 3:] = eps * E  # kron(I, E): keep J-commuting
             result = classify(
                 dataclasses.replace(ss, A=ss.A + noise),
-                Tolerances(constancy=1e-2, umbilicity=1e-2, containment=1e-2),
+                tol=1e-2,
             )
             assert result.verdict == VERDICT_SPHERE
             errs.append(

@@ -602,6 +602,23 @@ def _huge_normal(i, rec):
     rec["xi"] = [1e200] + [0.0] * 7  # g(xi, xi) and xi @ xi overflow
 
 
+def _umbilicity_defect(i, rec):
+    # keeps tr A and tr(A o J): only the umbilicity residual, 1e-5, moves
+    rec["A"] = (np.array(rec["A"]) + np.kron(np.eye(2), np.diag([0.0, 1e-5, -1e-5]))).tolist()
+
+
+@pytest.mark.parametrize("tol,code,verdict", [
+    (None, 4, "NotHUmbilical"), ("1e-4", 0, "HSphere"),
+])
+def test_classify_tol_sets_every_gate(capsys, tmp_path, tol, code, verdict):
+    argv = ["classify", "--in", _samples_file(tmp_path, _umbilicity_defect)]
+    got, out, _ = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+    doc = json.loads(out)
+    assert (got, doc["verdict"]) == (code, verdict)
+    assert doc["umbilicity_residual"] == pytest.approx(1e-5, rel=1e-9)
+    assert doc["constancy_spread"] <= 1e-15
+
+
 FAILURES = {
     "sample --out into a missing directory": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
@@ -617,7 +634,7 @@ FAILURES = {
         4, "positive g-square"),
     "classify overflowing normal": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _huge_normal)],
-        4, "normal spread"),
+        4, "g(xi, xi)=inf"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
 }
 

@@ -5,10 +5,8 @@ import pytest
 
 from nordenhs.core import NordenSpace, apply_J, random_structure_group_member
 from nordenhs.curvature import (
-    CurvatureStats,
     SpaceFormParams,
     TangentPlane,
-    curvature_constancy_report,
     gauss_curvature_from_shape,
     is_totally_real,
     pi_tensors,
@@ -21,6 +19,7 @@ from nordenhs.curvature import (
 from nordenhs.errors import (
     DegeneratePlane,
     DegenerateBasis,
+    DimensionMismatch,
     NotHSymmetric,
     SamplingExhausted,
 )
@@ -89,6 +88,13 @@ class TestSpaceForm:
         e1 = basis_vec(8, 0)
         with pytest.raises(DegeneratePlane):
             sectional_curvatures(R, TangentPlane(x=e1, y=2.0 * e1))
+
+    def test_stack_of_planes_rejected(self):
+        # a stack has one (K, Kt) per plane: sectional_batch_planes takes it
+        R = space_form_curvature(SpaceFormParams(1.0, 0.0))
+        planes = sample_totally_real_planes(standard_adapted(4), 3, seed=2)
+        with pytest.raises(DimensionMismatch, match="sectional_batch_planes"):
+            sectional_curvatures(R, planes)
 
 
 class TestGaussCurvature:
@@ -179,13 +185,12 @@ class TestConstancyReport:
     def test_space_form_report(self):
         R = space_form_curvature(SpaceFormParams(nu=2.0, nut=-1.0))
         planes = sample_totally_real_planes(standard_adapted(4), 40, seed=12)
-        stats = curvature_constancy_report(R, planes)
-        assert isinstance(stats, CurvatureStats)
-        assert stats.nu == pytest.approx(2.0, abs=1e-10)
-        assert stats.nut == pytest.approx(-1.0, abs=1e-10)
-        assert stats.max_deviation_K <= 1e-10
-        assert stats.max_deviation_Kt <= 1e-10
-        assert stats.sample_count == 40
+        K, Kt = sectional_batch_planes(R, planes)
+        assert len(K) == len(Kt) == 40
+        assert K.mean() == pytest.approx(2.0, abs=1e-10)
+        assert Kt.mean() == pytest.approx(-1.0, abs=1e-10)
+        assert np.max(np.abs(K - K.mean())) <= 1e-10
+        assert np.max(np.abs(Kt - Kt.mean())) <= 1e-10
 
     def test_non_umbilical_shape_varies(self):
         # block-diagonal non-umbilical A: curvature depends on the plane
@@ -197,8 +202,8 @@ class TestConstancyReport:
             A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 30, seed=14)
-        stats = curvature_constancy_report(R, planes)
-        assert stats.max_deviation_K > 1e-3
+        K, _ = sectional_batch_planes(R, planes)
+        assert np.max(np.abs(K - K.mean())) > 1e-3
 
 
 class TestRicci:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from nordenhs.classify import shape_invariants
 from nordenhs.core import apply_J, is_adapted_basis, metric_g, metric_gt, tangent_reps
 from nordenhs.curvature import (
     SpaceFormParams,
@@ -21,7 +22,6 @@ from nordenhs.errors import (
     NordenError,
     PointNotOnSurface,
     StepSizeError,
-    ZeroCurvatures,
 )
 from nordenhs.hypersurface import (
     adapted_j_rep,
@@ -30,11 +30,9 @@ from nordenhs.hypersurface import (
     conjugate,
     containment_residual,
     contains,
-    h_sphere_from_curvatures,
     hyperplane_base_point,
     hyperplane_samples,
     hyperplane_tangent_basis,
-    is_h_umbilical,
     lambda_mu,
     make_h_sphere,
     make_hyperplane,
@@ -62,6 +60,12 @@ def basis_vec(dim, i):
     return e
 
 
+def mean_curvature_vector(smp):
+    """H = (tr A xi - tr(A o J) J xi) / 2n of one record."""
+    tr_a, tr_aj, _ = mean_curvature(smp)
+    return (tr_a * smp.xi - tr_aj * apply_J(smp.xi)) / len(smp.A)
+
+
 class TestConstructors:
     def test_isotropic_parameters_rejected(self):
         with pytest.raises(IsotropicParameters):
@@ -71,19 +75,6 @@ class TestConstructors:
         with pytest.raises(DimensionMismatch):
             make_h_sphere(np.zeros(7), 1.0, 0.0)
 
-    def test_from_curvatures_round_trip(self):
-        # (nu, nut) = (0.12, -0.16) comes from the (a, b) = (3, 4) sphere
-        sph = h_sphere_from_curvatures(0.12, -0.16, m=4)
-        assert sph.a == pytest.approx(3.0, abs=1e-12)
-        assert sph.b == pytest.approx(4.0, abs=1e-12)
-        params = theoretical_curvatures(sph)
-        assert params.nu == pytest.approx(0.12, abs=1e-14)
-        assert params.nut == pytest.approx(-0.16, abs=1e-14)
-
-    def test_zero_curvatures_rejected(self):
-        with pytest.raises(ZeroCurvatures):
-            h_sphere_from_curvatures(0.0, 0.0)
-
     @pytest.mark.parametrize("x", [1e200, 1e-13, 1e-200])
     def test_parameters_out_of_range_rejected(self, x):
         # x^2 overflows, or falls below 1e-24
@@ -91,8 +82,6 @@ class TestConstructors:
             make_h_sphere(np.zeros(8), x, 0.0)
         with pytest.raises(IsotropicParameters, match=re.escape(f"(0.0, {x!r})")):
             make_h_sphere(np.zeros(8), 0.0, np.float64(x))
-        with pytest.raises(ZeroCurvatures, match=r"nu\^2 \+ nut\^2 must be finite"):
-            h_sphere_from_curvatures(x, 0.0)
 
     @pytest.mark.parametrize("xi0,d,dt", [
         (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, np.inf, 0.0),
@@ -352,13 +341,13 @@ class TestSecondFundamental:
         p = sample(sph, 1, seed=19)[0]
         smp = surface_sample(sph, p)
         sigma = second_fundamental(smp)
-        mcd = mean_curvature(smp)
+        H = mean_curvature_vector(smp)
         rng = np.random.default_rng(20)
         basis = list(smp.tangent_bases)
         for _ in range(10):
             x = sum(c * t for c, t in zip(rng.uniform(-1, 1, 6), basis))
             y = sum(c * t for c, t in zip(rng.uniform(-1, 1, 6), basis))
-            want = metric_g(x, y) * mcd.H - metric_gt(x, y) * mcd.JH
+            want = metric_g(x, y) * H - metric_gt(x, y) * apply_J(H)
             assert np.allclose(sigma(x, y), want, atol=1e-9)
 
 
@@ -369,35 +358,36 @@ class TestMeanCurvature:
             sph = make_h_sphere(np.zeros(8), a, b)
             p = sample(sph, 1, seed=22)[0]
             smp = surface_sample(sph, p)
-            mcd = mean_curvature(smp)
+            _, _, nu, nut = shape_invariants(smp)[0]
+            H = mean_curvature_vector(smp)
             params = theoretical_curvatures(sph)
-            assert mcd.gHH == pytest.approx(params.nu, abs=1e-12)
-            assert mcd.gtHH == pytest.approx(params.nut, abs=1e-12)
-            assert metric_g(mcd.H, mcd.H) == pytest.approx(params.nu, abs=1e-10)
-            assert metric_gt(mcd.H, mcd.H) == pytest.approx(params.nut, abs=1e-10)
+            assert nu == pytest.approx(params.nu, abs=1e-12)
+            assert nut == pytest.approx(params.nut, abs=1e-12)
+            assert metric_g(H, H) == pytest.approx(params.nu, abs=1e-10)
+            assert metric_gt(H, H) == pytest.approx(params.nut, abs=1e-10)
 
     def test_traces(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
         p = sample(sph, 1, seed=23)[0]
         smp = surface_sample(sph, p)
-        mcd = mean_curvature(smp)
+        tr_a, tr_aj, _ = mean_curvature(smp)
         lam, mu = lambda_mu(sph)
-        assert mcd.traceA == pytest.approx(6 * lam, abs=1e-12)
-        assert mcd.traceAJ == pytest.approx(-6 * mu, abs=1e-12)
+        assert tr_a == pytest.approx(6 * lam, abs=1e-12)
+        assert tr_aj == pytest.approx(-6 * mu, abs=1e-12)
 
 
 class TestUmbilicity:
     def test_sphere_is_umbilical(self):
         sph = make_h_sphere(np.zeros(8), 2.0, -3.0)
         for smp in make_surface_samples(sph, 5, seed=24):
-            assert is_h_umbilical(smp)
+            assert shape_invariants(smp)[1] <= 1e-8
 
     def test_non_umbilical_operator(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         smp = surface_sample(sph, sample(sph, 1, seed=24)[0])
         smp = dataclasses.replace(smp, A=np.kron(np.eye(2), np.diag([1.0, 2.0, 3.0])))
-        assert mean_curvature(smp).umbilicity > 0.5
-        assert not is_h_umbilical(smp)
+        assert mean_curvature(smp)[2] > 0.5
+        assert shape_invariants(smp)[1] > 1e-6
 
 
 class TestCodazzi:

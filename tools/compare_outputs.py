@@ -1,0 +1,331 @@
+"""Compare the CLI output of two nordenhs source trees on a fixed corpus.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT [--quick]
+
+OLD_ROOT and NEW_ROOT are repository roots, each holding src/nordenhs.  The
+package of each tree is imported in turn into this process, and every call
+of the corpus runs through that tree's nordenhs.cli.main inside a fresh
+temporary directory.  The file names are relative, so the reports of the two
+trees name the same files.
+
+Per call the script records the exit code, the stderr text and the sha256
+of stdout and of each file the call writes.  For a `verify` report that
+differs, it also gives the largest move of each residual.  It prints one
+line per call that differs, then a summary, and exits 0 when every call is
+identical and 1 otherwise.  --quick runs a small subset of the corpus.
+
+The corpus:
+- the round specs of each perfbench workload (perfbench/jobs.py), as the
+  benchmark runs them;
+- `sphere info` and `verify all` over m = 2..6 and six (a, b), and
+  `verify umbilic` over m = 2..6 and seeds 1..20;
+- `sample --with-frames`, with and without --fd, and `classify` of each file;
+- (a, b) edge cases at extreme scales;
+- hyperplane sample files, with unit and scaled normals;
+- a file with an umbilicity defect of 1e-5, classified with and without --tol;
+- `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices;
+- inputs that exit 2, 3, 4 and 5.
+"""
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import importlib
+import io
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import jobs  # noqa: E402
+
+AB = [(3.0, 4.0), (1.0, 0.0), (0.0, 1.0), (-1.137, 1.885), (0.5, -2.25), (7.0, 0.0)]
+NORMAL = (1.0, 0.3)  # leading entries of the hyperplane normals, padded with zeros
+SCALES = (1e-3, 1.0, 1e10, 1e12, 1e100, 1e200)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _text(name, text):
+    """A step writing a fixed input file."""
+    def write(lib):
+        with open(name, "w") as f:
+            f.write(text)
+    return (f"write {name}", write, [])
+
+
+def _real_form(C):
+    """The real 2m x 2m form of a complex m x m operator, which commutes with J."""
+    C = np.asarray(C, dtype=complex)
+    return np.block([[C.real, -C.imag], [C.imag, C.real]])
+
+
+def _matrix(name, S):
+    return _text(name, json.dumps({"matrix": np.asarray(S, dtype=float).tolist()}))
+
+
+def _samples(name, m, stack_of):
+    """A step writing the sample file of stack_of(lib) with the tree's own writer."""
+    def write(lib):
+        lib.jsonio.write_json(name, lib.jsonio.samples_to_doc(m, stack_of(lib)))
+    return (f"write {name}", write, [name])
+
+
+def _hyperplane(m, scale, count=30, seed=4):
+    def stack_of(lib):
+        xi = np.zeros(2 * m)
+        xi[:2] = NORMAL
+        st = lib.hypersurface.hyperplane_samples(
+            lib.hypersurface.make_hyperplane(xi, 1.5, 0.5), count, seed)
+        return dataclasses.replace(st, xi=scale * st.xi)
+    return stack_of
+
+
+def _sphere(a, b, count, seed, m=4, edit=None):
+    def stack_of(lib):
+        hs = lib.hypersurface
+        st = hs.make_surface_samples(hs.make_h_sphere(np.zeros(2 * m), a, b), count, seed)
+        return st if edit is None else edit(st)
+    return stack_of
+
+
+def _umbilicity_defect(st):
+    # keeps tr A and tr(A o J): only the umbilicity residual moves
+    return dataclasses.replace(st, A=st.A + np.kron(np.eye(2), np.diag([0.0, 1e-5, -1e-5])))
+
+
+def _mixed(lib):
+    one, two = (_sphere(a, b, 4, 0)(lib) for a, b in ((1.0, 0.0), (3.0, 4.0)))
+    return type(one)(*(np.concatenate([x, y]) for x, y in zip(vars(one).values(),
+                                                              vars(two).values())))
+
+
+def _cli(*argv, out=None):
+    argv = [str(x) for x in argv]
+    return (" ".join(argv), argv, [out] if out else [])
+
+
+def _sample_and_classify(name, *flags):
+    return [_cli("sample", *flags, "--with-frames", "--out", name, out=name),
+            _cli("classify", "--in", name)]
+
+
+def _quick():
+    return [
+        _cli("sphere", "info", "--a", 3, "--b", 4),
+        _cli("verify", "metrics", "--m", 3),
+        *_sample_and_classify("q.json", "--a", 3, "--b", 4, "--count", 5),
+        _samples("hq.json", 4, _hyperplane(4, 1.0, count=5)),
+        _cli("classify", "--in", "hq.json"),
+        _matrix("sj.json", _real_form(np.diag([0.4 - 0.2j] * 4))),
+        _cli("decompose", "--in", "sj.json"),
+        _cli("sphere", "info", "--a", 0, "--b", 0),
+        _cli("classify", "--in", "missing.json"),
+    ]
+
+
+def _perfbench():
+    steps, specs = [], jobs.corpus()
+    for workload in jobs.WORKLOADS:
+        for k in jobs.ROUND:
+            center, out = f"c{k}.json", f"{workload}_{k}.json"
+            steps.append(_text(center, jobs.center_doc(specs[k]["center"])))
+            steps += [_cli(*argv, out=out if argv[0] == "sample" else None)
+                      for argv in jobs.argvs(workload, specs[k], center, out)]
+    return steps
+
+
+def _spheres():
+    steps = []
+    for m in range(2, 7):
+        for a, b in AB:
+            steps.append(_cli("sphere", "info", "--a", a, "--b", b, "--m", m))
+            steps.append(_cli("verify", "all", "--a", a, "--b", b, "--m", m, "--seed", m))
+        steps += [_cli("verify", "umbilic", "--m", m, "--seed", seed) for seed in range(1, 21)]
+    for m in range(3, 7):
+        for a, b in AB[:4]:
+            steps.append(_cli("sample", "--a", a, "--b", b, "--m", m, "--count", 7,
+                              "--seed", m, "--with-frames"))
+            for fd in ([], ["--fd"]):
+                name = f"s{m}_{a}_{b}{'_fd' if fd else ''}.json"
+                steps += _sample_and_classify(name, "--a", a, "--b", b, "--m", m,
+                                              "--count", 25, "--seed", m, *fd)
+    steps.append(_cli("sample", "--a", 3, "--b", 4, "--count", 10, "--seed", 1))
+    return steps
+
+
+def _edge_cases():
+    return [
+        _cli("verify", "codazzi", "--a", 1e4, "--b", 0),
+        _cli("verify", "all", "--a", 1e150),
+        _cli("verify", "curvature", "--a", 1e-11, "--b", 0),
+        _cli("verify", "gauss", "--a", 1e-12, "--b", 1e-12),
+        _cli("verify", "curvature", "--fd"),
+        _cli("verify", "curvature", "--tol", 1e-30),
+        _cli("verify", "codazzi", "--m", 6, "--step", 1e-3),
+        *_sample_and_classify("e1.json", "--a", 1e-11, "--b", 0.5e-11, "--count", 50,
+                              "--seed", 3),
+        *_sample_and_classify("e2.json", "--a", 1e150, "--b", 0, "--count", 50, "--seed", 3),
+    ]
+
+
+def _files():
+    steps = []
+    for m in (3, 4, 6):
+        for scale in SCALES:
+            name = f"h{m}_{scale:g}.json"
+            steps += [_samples(name, m, _hyperplane(m, scale)), _cli("classify", "--in", name)]
+    steps += [
+        _samples("defect.json", 4, _sphere(3.0, 4.0, 30, 2, edit=_umbilicity_defect)),
+        _cli("classify", "--in", "defect.json"),
+        _cli("classify", "--in", "defect.json", "--tol", 1e-4),
+        _samples("mixed.json", 4, _mixed),
+        _cli("classify", "--in", "mixed.json"),
+        _cli("classify", "--in", "mixed.json", "--tol", 0),
+    ]
+    rng = np.random.default_rng(16)
+    C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    matrices = {
+        "sj": _real_form(np.diag([0.4 - 0.2j] * 4)),
+        "sym": _real_form(C + C.T),  # complex symmetric: h-symmetric
+        "nonsym": np.eye(8) + 0.5 * np.eye(8, k=1),
+        "nilpotent": _real_form([[1.0, 1j], [1j, -1.0]]),
+    }
+    for name, S in matrices.items():
+        steps += [_matrix(f"{name}.json", S), _cli("decompose", "--in", f"{name}.json")]
+    steps += [_matrix("odd.json", np.eye(3)), _cli("decompose", "--in", "odd.json")]
+    return steps
+
+
+def _failures():
+    points = json.dumps({"version": 1, "m": 4, "kind": "points", "points": [[0.0] * 8]})
+    return [
+        _cli("sphere", "info", "--a", 0, "--b", 0),
+        _cli("sphere", "info", "--a", 1e200, "--b", 0),
+        _cli("sphere", "info", "--a", "nan", "--b", 1),
+        _cli("sphere", "info", "--b", 1),
+        _cli("sample", "--a", 3, "--b", 4, "--count", 0),
+        _cli("sample", "--a", 3, "--b", 4, "--m", 0),
+        _cli("verify", "curvature", "--m", 2),
+        _cli("verify", "nope"),
+        _cli("verify", "all", "--a", "inf"),
+        _cli("verify", "codazzi", "--step", 0),
+        _cli("classify", "--in", "q.json", "--tol", -1),
+        _text("points.json", points),
+        _text("bad.json", '{"version": 1, "m": 4, "kind": "samples", "samples": [}'),
+        _cli("classify", "--in", "missing.json"),
+        _cli("classify", "--in", "bad.json"),
+        _cli("classify", "--in", "points.json"),
+        _cli("decompose", "--in", "missing.json"),
+        _cli("sample", "--a", 3, "--b", 4, "--center-file", "bad.json"),
+        _cli("sample", "--a", 3, "--b", 4, "--out", "missing/x.json"),
+    ]
+
+
+def corpus(quick=False):
+    """The steps, in order: (label, argv or a function of the tree, files written)."""
+    if quick:
+        return _quick()
+    return _quick() + _perfbench() + _spheres() + _edge_cases() + _files() + _failures()
+
+
+def _run(lib, label, action, files):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = action(lib) if callable(action) else lib.cli.main(action)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    rec = {"exit": code, "stderr": err.getvalue().strip(), "stdout": _sha(out.getvalue().encode())}
+    for name in files:
+        with contextlib.suppress(OSError), open(name, "rb") as f:
+            rec[name] = _sha(f.read())
+    if label.startswith("verify") and code in (0, 1):
+        rec["_residuals"] = {c["name"]: c["residual"] for c in json.loads(out.getvalue())["results"]}
+    return rec
+
+
+def run_tree(root, steps):
+    """The record of every step run against the tree at root."""
+    def ours():
+        return [k for k in sys.modules if k == "nordenhs" or k.startswith("nordenhs.")]
+
+    saved = {k: sys.modules.pop(k) for k in ours()}
+    src, cwd = os.path.join(os.path.abspath(root), "src"), os.getcwd()
+    sys.path.insert(0, src)
+    try:
+        lib = SimpleNamespace(**{name: importlib.import_module(f"nordenhs.{name}")
+                                 for name in ("cli", "jsonio", "hypersurface")})
+        if not lib.cli.__file__.startswith(src):
+            raise RuntimeError(f"nordenhs imported from {lib.cli.__file__}, not {src}")
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            return [_run(lib, *step) for step in steps]
+    finally:
+        os.chdir(cwd)
+        sys.path.remove(src)
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def _compared(rec):
+    """The fields of a record that must match: all but the _residuals detail."""
+    return {k: v for k, v in rec.items() if k[0] != "_"}
+
+
+def differences(steps, old, new):
+    """(label, old record, new record) of every step whose records differ."""
+    return [(label, a, b) for (label, _, _), a, b in zip(steps, old, new)
+            if _compared(a) != _compared(b)]
+
+
+def _describe(label, a, b):
+    parts = []
+    a_, b_ = _compared(a), _compared(b)
+    for key in a_.keys() | b_.keys():
+        x, y = a_.get(key), b_.get(key)
+        if x == y:
+            continue
+        if key not in ("exit", "stderr"):  # a sha256: its first 12 digits
+            x, y = (v[:12] if isinstance(v, str) else v for v in (x, y))
+        parts.append(f"{key}: {x!r} -> {y!r}")
+    ra, rb = a.get("_residuals", {}), b.get("_residuals", {})
+    for name in ra.keys() & rb.keys():
+        if ra[name] != rb[name]:
+            parts.append(f"residual {name!r} moved by {abs(ra[name] - rb[name]):.3e}")
+    return f"DIFF {label}: " + "; ".join(sorted(parts))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("--quick", action="store_true", help="run a small subset of the corpus")
+    args = ap.parse_args(argv)
+    steps = corpus(args.quick)
+    old, new = run_tree(args.old, steps), run_tree(args.new, steps)
+    diffs = differences(steps, old, new)
+    for diff in diffs:
+        print(_describe(*diff))
+    codes = Counter(str(r["exit"]) for (label, _, _), r in zip(steps, old)
+                    if not label.startswith("write "))
+    print(f"{len(steps)} steps ({sum(codes.values())} CLI calls; old exit codes "
+          f"{dict(sorted(codes.items()))}): {len(steps) - len(diffs)} identical, "
+          f"{len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
