@@ -83,6 +83,13 @@ class TestUmbilicityCheck:
         assert result.verdict == VERDICT_NOT_UMBILICAL
         assert result.notes == ("worst sample index 2",)
 
+    def test_empty_raises(self):
+        # no deviations to take a maximum of: the gate raises, not a verdict
+        per, devs = shape_invariants(empty_stack())
+        assert per.shape == (0, 4) and devs.shape == (0,)
+        with pytest.raises(EmptySamples):
+            classify(empty_stack())
+
 
 class TestPairCrosscheck:
     def test_consistent_pairs(self):
