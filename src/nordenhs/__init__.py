@@ -6,7 +6,6 @@ hyperplanes, and classification of sampled hypersurface data.
 
 from .core import (
     HProperDecomposition,
-    NordenSpace,
     apply_J,
     complex_scale,
     h_proper_decomposition,

@@ -105,9 +105,7 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    params = {k: getattr(args, k) for k in
-              ("a", "b", "m", "points", "planes", "seed", "step", "tol", "fd")}
-    checks, applied = verify.run_suite(args.suite, **params)
+    checks, applied = verify.run_suite(args.suite, **vars(args))
     results = [{"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
                for c in checks]
     ok = all(c.passed for c in checks)

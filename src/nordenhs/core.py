@@ -21,35 +21,6 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NordenSpace:
-    """Flat ambient arena of real dimension 2m with metrics (g, gt) and J."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DimensionMismatch("complex dimension m must be >= 1")
-
-    @property
-    def dim(self):
-        return 2 * self.m
-
-    def metric_matrix(self):
-        """Gram matrix of g on the standard basis: diag(I_m, -I_m)."""
-        d = np.ones(self.dim)
-        d[self.m:] = -1.0
-        return np.diag(d)
-
-    def j_matrix(self):
-        """Matrix of J in the standard basis (column convention)."""
-        m = self.m
-        J = np.zeros((2 * m, 2 * m))
-        J[:m, m:] = np.eye(m)
-        J[m:, :m] = -np.eye(m)
-        return J
-
-
 def _halves(u, v):
     """(u, v, m) as float arrays whose last axes have the same even length 2m."""
     u = np.asarray(u, dtype=float)
@@ -147,29 +118,31 @@ def _scale(M):
 
 
 def h_symmetry_residual(S):
-    """Max-norm residuals (commutator with J, g-self-adjointness)."""
+    """Max-norm residuals (commutator with J, g-self-adjointness).
+
+    S commutes with J iff it is the real form of a complex operator, and it
+    is g-self-adjoint iff GS, S with its y-half rows negated, is symmetric.
+    """
     S = np.asarray(S, dtype=float)
-    sp = NordenSpace(S.shape[0] // 2)
-    J = sp.j_matrix()
-    G = sp.metric_matrix()
-    r_comm = float(np.max(np.abs(S @ J - J @ S)))
-    r_sym = float(np.max(np.abs(G @ S - S.T @ G)))
+    GS = S.copy()
+    GS[S.shape[0] // 2:] *= -1.0
+    r_comm = float(np.max(np.abs(S - complex_op_to_real(real_op_to_complex(S)))))
+    r_sym = float(np.max(np.abs(GS - GS.T)))
     return r_comm, r_sym
 
 
 def is_structure_group_member(M, tol=DEFAULT_TOL):
-    """True iff M preserves both J and g (the group r(O(m, C)))."""
+    """True iff M preserves both J and g (the group r(O(m, C))): M is the
+    real form of a complex C with C^T C = I."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
         raise DimensionMismatch(f"expected square 2m x 2m matrix, got {M.shape}")
-    m = M.shape[0] // 2
-    sp = NordenSpace(m)
-    J = sp.j_matrix()
-    G = sp.metric_matrix()
+    C = real_op_to_complex(M)
     s = _scale(M)
-    if np.max(np.abs(M @ J - J @ M)) > tol * s:
+    if np.max(np.abs(M - complex_op_to_real(C))) > tol * s:
         return False
-    return float(np.max(np.abs(M.T @ G @ M - G))) <= tol * s * s
+    D = C.T @ C - np.eye(len(C))
+    return float(np.max(np.maximum(np.abs(D.real), np.abs(D.imag)))) <= tol * s * s
 
 
 def is_adapted_basis(vectors, tol=DEFAULT_TOL):

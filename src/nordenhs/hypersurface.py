@@ -430,8 +430,10 @@ def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
         raise DimensionMismatch("xi must have even length")
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = metric_g(xi, xi)  # not finite when xi is not, or when it overflows
+    # scaled by a power of two, g(xi, xi) cannot overflow and xi / sqrt(g) keeps every bit
+    xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), initial=0.0))[1])
+    with np.errstate(invalid="ignore"):
+        g = metric_g(xi, xi)  # not finite when xi is not
     if not np.isfinite([d, dt, g]).all():
         raise NordenError(f"xi, d, dt and g(xi, xi) must be finite, got d={d}, dt={dt}, "
                           f"g(xi, xi)={g}")

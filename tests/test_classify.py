@@ -23,7 +23,6 @@ from nordenhs.errors import (
     EmptySamples,
     NearZeroLambdaMu,
     NonConstantNormal,
-    NordenError,
 )
 from nordenhs.hypersurface import (
     SampleStack,
@@ -150,10 +149,6 @@ class TestReconstruct:
                 route(samples)
 
     @pytest.mark.parametrize("big,count,error,msg", [
-        # the mean of two equal normals is exact, so make_hyperplane sees it
-        (1e200, 2, NordenError, r"g\(xi, xi\)=inf"),
-        # a constant normal: its spread is round-off, within tol * max|xi|
-        (1e200, 30, NordenError, r"g\(xi, xi\)=inf"),
         (-1e308, 30, NonConstantNormal, "normal spread inf"),
     ])
     def test_overflowing_normal_rejected(self, big, count, error, msg):
@@ -165,9 +160,10 @@ class TestReconstruct:
             with pytest.raises(error, match=msg):
                 route(samples)
 
-    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e10, 1e12, 1e100])
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e10, 1e12, 1e100, 1e200])
     def test_scaled_normal_accepted(self, c):
-        # the spread of the stored normals c xi is compared with tol * max(1, max|c xi|)
+        # the spread of the stored normals c xi is compared with tol * max(1, max|c xi|),
+        # and g(c xi, c xi), which overflows at c = 1e200, is not computed
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 30, seed=4)
         scaled = dataclasses.replace(samples, xi=c * samples.xi)

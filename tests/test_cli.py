@@ -11,7 +11,7 @@ import pytest
 import nordenhs
 from nordenhs import jsonio
 from nordenhs.cli import main
-from nordenhs.core import complex_op_to_real, NordenSpace
+from nordenhs.core import apply_J, complex_op_to_real
 from nordenhs.errors import FormatError
 from nordenhs.hypersurface import (
     make_h_sphere,
@@ -287,7 +287,7 @@ class TestClassify:
 class TestDecompose:
     def test_scalar_plus_j(self, capsys, tmp_path):
         f = tmp_path / "op.json"
-        S = 0.4 * np.eye(8) + 0.2 * NordenSpace(4).j_matrix()
+        S = 0.4 * np.eye(8) + 0.2 * apply_J(np.eye(8)).T
         jsonio.write_json(str(f), {"matrix": [list(map(float, r)) for r in S]})
         code, out, _ = run_cli(capsys, "decompose", "--in", str(f))
         assert code == 0
@@ -599,7 +599,7 @@ def _timelike_normal(i, rec):
 
 def _huge_normal(i, rec):
     rec["A"] = np.zeros_like(rec["A"]).tolist()
-    rec["xi"] = [1e200] + [0.0] * 7  # g(xi, xi) and xi @ xi overflow
+    rec["xi"] = [1e200] + [0.0] * 7  # xi @ xi overflows
 
 
 def _umbilicity_defect(i, rec):
@@ -634,7 +634,7 @@ FAILURES = {
         4, "positive g-square"),
     "classify overflowing normal": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _huge_normal)],
-        4, "g(xi, xi)=inf"),
+        4, "offset spread"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
 }
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nordenhs.core import NordenSpace, apply_J, random_structure_group_member
+from nordenhs.core import apply_J, random_structure_group_member
 from nordenhs.curvature import (
     SpaceFormParams,
     TangentPlane,

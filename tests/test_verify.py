@@ -49,3 +49,12 @@ def test_suite_gauss_catches_planted_fault(monkeypatch, check, a, b):
     other = ({"R(x,y,z,u) = -R(x,y,Jz,Ju)", "pair antisymmetry"} - {check}).pop()
     assert checks[other].residual <= 1e-14, checks[other]
     assert np.isfinite(checks[check].residual)
+
+
+def test_suite_metrics_signature_reads_the_pairing(monkeypatch):
+    # "signature (m,m)" takes the eigenvalues of the Gram matrix of verify's
+    # own metric_g, so a pairing of the wrong signature fails it
+    assert all(c.passed for c in verify.suite_metrics(m=3))
+    monkeypatch.setattr(verify, "metric_g", lambda u, v: np.vecdot(u, v))  # signature (6, 0)
+    checks = {c.name: c for c in verify.suite_metrics(m=3)}
+    assert not checks["signature (m,m)"].passed

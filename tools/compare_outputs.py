@@ -21,6 +21,8 @@ The corpus:
   `verify umbilic` over m = 2..6 and seeds 1..20;
 - `sample --with-frames`, with and without --fd, and `classify` of each file;
 - (a, b) edge cases at extreme scales;
+- `verify` calls whose flags are taken by some suites only, so the `params`
+  echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
 - `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices;
@@ -172,6 +174,10 @@ def _edge_cases():
         _cli("verify", "curvature", "--fd"),
         _cli("verify", "curvature", "--tol", 1e-30),
         _cli("verify", "codazzi", "--m", 6, "--step", 1e-3),
+        _cli("verify", "all", "--m", 3, "--points", 3, "--planes", 4, "--step", 1e-3, "--fd",
+             "--tol", 1e-4, "--seed", 2),
+        _cli("verify", "metrics", "--a", 3, "--planes", 4, "--step", 0.5),
+        _cli("verify", "codazzi", "--points", 3, "--step", 1e-3),
         *_sample_and_classify("e1.json", "--a", 1e-11, "--b", 0.5e-11, "--count", 50,
                               "--seed", 3),
         *_sample_and_classify("e2.json", "--a", 1e150, "--b", 0, "--count", 50, "--seed", 3),
