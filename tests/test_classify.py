@@ -160,7 +160,19 @@ class TestReconstruct:
             with pytest.raises(error, match=msg):
                 route(samples)
 
-    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e10, 1e12, 1e100, 1e200])
+    @pytest.mark.parametrize("count", [2, 30])
+    def test_huge_constant_normal_recovered(self, count):
+        # the normal e1 stored as 1e200 e1: g(xi, xi) would overflow, but
+        # make_hyperplane takes it after an exact power-of-two rescaling
+        hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
+        samples = dataclasses.replace(hyperplane_samples(hp, count, seed=4),
+                                      xi=np.tile(1e200 * np.eye(8)[0], (count, 1)))
+        for rec in (reconstruct_hyperplane(samples), classify(samples).recovered):
+            assert np.array_equal(rec.xi, np.eye(8)[0])
+            assert rec.d == pytest.approx(1.0, abs=1e-15)
+            assert rec.dt == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("c",[1e-3, 1.0, 1e10, 1e12, 1e100, 1e200])
     def test_scaled_normal_accepted(self, c):
         # the spread of the stored normals c xi is compared with tol * max(1, max|c xi|),
         # and g(c xi, c xi), which overflows at c = 1e200, is not computed
