@@ -137,11 +137,14 @@ def is_structure_group_member(M, tol=DEFAULT_TOL):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
         raise DimensionMismatch(f"expected square 2m x 2m matrix, got {M.shape}")
-    C = real_op_to_complex(M)
+    # M / p and s / p for p = 2^e with s / p in [0.5, 1): exact, and C^T C cannot overflow
     s = _scale(M)
+    e = np.frexp(s)[1]
+    M, s = np.ldexp(M, -e), float(np.ldexp(s, -e))
+    C = real_op_to_complex(M)
     if np.max(np.abs(M - complex_op_to_real(C))) > tol * s:
         return False
-    D = C.T @ C - np.eye(len(C))
+    D = C.T @ C - np.ldexp(np.eye(len(C)), -2 * e)  # (C^T C - I) / p^2
     return float(np.max(np.maximum(np.abs(D.real), np.abs(D.imag)))) <= tol * s * s
 
 
@@ -175,7 +178,9 @@ def tangent_reps(T):
     TG = T.copy()  # rows of T^T G, G = diag(I, -I)
     TG[..., m:] *= -1.0
     Gt = TG @ np.swapaxes(T, -1, -2)
-    if (np.abs(np.linalg.det(Gt)) < 1e-12).any():
+    # det of G_t / 2^(e-1), max |G_t| in [2^(e-1), 2^e): the gate does not see the scale
+    e = np.frexp(np.abs(Gt).max(axis=(-2, -1)))[1]
+    if (np.abs(np.linalg.det(np.ldexp(Gt, 1 - e[..., None, None]))) < 1e-12).any():
         raise DegenerateBasis("tangent basis g-degenerate")
     coords = np.linalg.solve(Gt, TG)
     return coords, coords @ np.swapaxes(apply_J(T), -1, -2), Gt
@@ -222,10 +227,6 @@ def random_structure_group_member(m, rng):
 ISO_TOL = 1e-10
 
 
-def _principal_sqrt(c):
-    return complex(np.sqrt(complex(c)))
-
-
 def _fix_sign(z):
     idx = int(np.argmax(np.abs(z)))
     lead = z[idx]
@@ -246,17 +247,10 @@ def bilinear_orthonormalize(W):
     (diagonalization in an adapted basis is then impossible).
     """
     W = np.asarray(W, dtype=complex)
-    cols = [W[:, j].copy() for j in range(W.shape[1])]
+    cand = [W[:, j].copy() for j in range(W.shape[1])]
     rng = np.random.default_rng(0x5EED)
     out = []
-    for _ in range(len(cols)):
-        # project remaining candidates against the output so far
-        cand = []
-        for v in cols:
-            w = v.copy()
-            for e in out:
-                w = w - np.dot(w, e) * e
-            cand.append(w)
+    while cand:
         ratios = []
         for w in cand:
             nrm2 = float(np.real(np.vdot(w, w)))
@@ -275,9 +269,11 @@ def bilinear_orthonormalize(W):
                     break
             else:
                 raise NotHDiagonalizable("eigenspace contains only isotropic vectors")
-        e = best / _principal_sqrt(np.dot(best, best))
-        out.append(_fix_sign(e))
-        cols.pop(pick)
+        e = _fix_sign(best / np.sqrt(np.dot(best, best)))
+        out.append(e)
+        cand.pop(pick)
+        # project the remaining candidates against the new output
+        cand = [w - np.dot(w, e) * e for w in cand]
     return out
 
 

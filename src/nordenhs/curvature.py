@@ -11,6 +11,7 @@ A plane is totally real when gt = Im q vanishes on it; the g-Gram matrix of
 (x, y, Jx, Jy) has determinant |det Q|^2 for the q-Gram Q of (x, y).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,17 +191,15 @@ def is_totally_real(plane, tol=DEFAULT_TOL):
 # sampler: the identity, then 11 random members
 _CATALOG_SEED = 0x1985
 _CATALOG_SIZE = 12
-_catalog_cache = {}
 
 
+@functools.cache
 def _rotation_catalog(n):
-    if n not in _catalog_cache:
-        rng = np.random.default_rng(_CATALOG_SEED + n)
-        _catalog_cache[n] = np.array([np.eye(n, dtype=complex)] + [
-            random_complex_orthogonal(n, rng, im_scale=0.3)
-            for _ in range(_CATALOG_SIZE - 1)
-        ])
-    return _catalog_cache[n]
+    rng = np.random.default_rng(_CATALOG_SEED + n)
+    return np.array([np.eye(n, dtype=complex)] + [
+        random_complex_orthogonal(n, rng, im_scale=0.3)
+        for _ in range(_CATALOG_SIZE - 1)
+    ])
 
 
 def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
@@ -271,7 +270,7 @@ def ricci(R, basis):
     Ricci identity holds on the Kotel'nikov-Study sphere.
     """
     basis = np.asarray(basis, dtype=float)
-    _, _, Gt = tangent_reps(basis)
-    dual = np.linalg.solve(Gt, basis)
+    coords, _, _ = tangent_reps(basis)
+    dual = coords * np.repeat([1.0, -1.0], basis.shape[-1] // 2)  # coords G = G_t^-1 B
     return R(basis[:, None, None, :], basis[None, :, None, :],
              basis[None, None, :, :], dual[:, None, None, :]).sum(axis=0)

@@ -255,21 +255,14 @@ def tangent_adapted_basis(s, p):
 
 def adapted_j_rep(n):
     """Representation of J in an adapted basis (t_1..t_n, Jt_1..Jt_n)."""
-    J = np.zeros((2 * n, 2 * n))
-    J[n:, :n] = np.eye(n)
-    J[:n, n:] = -np.eye(n)
-    return J
-
-
-def default_fd_step(s, p):
-    return 1e-5 * (1.0 + np.linalg.norm(np.asarray(p) - s.center, axis=-1))
+    return -apply_J(np.eye(2 * n)).T
 
 
 def _fd_steps(s, P, step):
-    """The FD step at each point of a stack P (N, 2m): the default, or
-    `step`, scalar or per point, in (1e-12, 0.05] times 1 + |p - z0|."""
+    """The FD step at each point of a stack P (N, 2m): 1e-5 (1 + |p - z0|),
+    or `step`, scalar or per point, in (1e-12, 0.05] times 1 + |p - z0|."""
     scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
-    h = default_fd_step(s, P) if step is None else np.asarray(step, dtype=float)
+    h = 1e-5 * scale if step is None else np.asarray(step, dtype=float)
     h, scale = np.broadcast_arrays(h, scale)
     for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
         if bad.any():

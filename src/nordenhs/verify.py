@@ -59,6 +59,7 @@ def _require_count(count):
 
 def suite_metrics(m=4, seed=0, count=1000):
     """Algebraic identities of (g, gt, J) and complex scaling."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
     U, V = rng.uniform(-2.0, 2.0, (2, count, 2 * m))  # as two (count, 2m) draws
     re, im = rng.uniform(-2, 2, (count, 2)).T
@@ -141,6 +142,7 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
 def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     """Gauss-equation tensor from A = lambda I + mu J equals the space form
     with (lambda^2 - mu^2, -2 lambda mu); curvature symmetries hold."""
+    _require_count(quads)
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     lam, mu = lambda_mu(sph)
     smp = make_surface_samples(sph, 1, seed)[0]

@@ -190,6 +190,23 @@ class TestReconstruct:
             reconstruct_hyperplane(ss)
 
 
+class TestScaledTangentBases:
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1e3])
+    def test_sphere_recovered(self, m, scale):
+        # A in basis coordinates does not change when every basis vector is
+        # scaled alike; the degeneracy gate of tangent_reps is relative to
+        # max|G_t|, so det G_t = scale^(4n) det G_t(1) does not trip it
+        center = np.linspace(-1.0, 1.0, 2 * m)
+        sph, ss = sphere_set(3.0, 4.0, count=50, seed=7, center=center, m=m)
+        scaled = dataclasses.replace(ss, tangent_bases=scale * ss.tangent_bases)
+        result = classify(scaled)
+        assert result.verdict == VERDICT_SPHERE
+        rec = result.recovered
+        assert abs(rec.a - 3.0) <= 1e-14 and abs(rec.b - 4.0) <= 1e-14
+        assert np.max(np.abs(rec.center - center)) <= 1e-14
+
+
 class TestClassifyEndToEnd:
     @pytest.mark.parametrize("a,b", GRID)
     def test_closed_form_grid(self, a, b):

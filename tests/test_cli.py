@@ -14,6 +14,7 @@ from nordenhs.cli import main
 from nordenhs.core import apply_J, complex_op_to_real
 from nordenhs.errors import FormatError
 from nordenhs.hypersurface import (
+    contains,
     make_h_sphere,
     make_hyperplane,
     hyperplane_samples,
@@ -153,6 +154,34 @@ class TestSample:
             capsys, "sample", "--a", "1", "--b", "0", "--center-file", str(f)
         )
         assert code == 3
+
+    def test_center_file_sets_the_center(self, capsys, tmp_path):
+        center = np.linspace(-2.0, 3.0, 8)
+        f = tmp_path / "c.json"
+        jsonio.write_json(str(f), jsonio.points_to_doc(4, center[None]))
+        code, out, _ = run_cli(
+            capsys, "sample", "--a", "3", "--b", "4", "--count", "30",
+            "--center-file", str(f),
+        )
+        assert code == 0
+        points = np.array(json.loads(out)["points"])
+        assert points.shape == (30, 8)
+        assert contains(make_h_sphere(center, 3.0, 4.0), points).all()
+        assert not contains(make_h_sphere(np.zeros(8), 3.0, 4.0), points).any()
+
+    @pytest.mark.parametrize("doc", [
+        jsonio.points_to_doc(4, np.zeros((2, 8))),  # two points
+        jsonio.points_to_doc(3, np.zeros((1, 6))),  # m = 3 under --m 4
+        jsonio.samples_to_doc(4, make_surface_samples(make_h_sphere(np.zeros(8), 1.0, 0.0), 1, 0)),
+    ], ids=["two-points", "m3", "samples"])
+    def test_center_file_must_hold_one_point(self, capsys, tmp_path, doc):
+        f = tmp_path / "c.json"
+        jsonio.write_json(str(f), doc)
+        code, out, err = run_cli(
+            capsys, "sample", "--a", "3", "--b", "4", "--m", "4", "--center-file", str(f)
+        )
+        assert code == 3 and not out
+        assert err == "nordenhs: center file must hold exactly one point\n"
 
 
 class TestVerify:

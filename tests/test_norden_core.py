@@ -1,5 +1,7 @@
 """Tests for the split-signature linear algebra layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,14 @@ from nordenhs.core import (
     metric_g,
     metric_gt,
     q_value,
+    random_complex_orthogonal,
     random_structure_group_member,
     real_op_to_complex,
+    tangent_reps,
     to_complex,
 )
 from nordenhs.errors import (
+    DegenerateBasis,
     DimensionMismatch,
     NordenError,
     NotHDiagonalizable,
@@ -150,6 +155,18 @@ class TestStructureGroup:
         M[0, 0] = 2.0
         assert not is_structure_group_member(M)
 
+    @pytest.mark.parametrize("M, member", [
+        (complex_op_to_real(complex_givens(4, 0, 1, 360j)), True),  # max|M| 1.1e156
+        (complex_op_to_real(complex_givens(4, 0, 1, 400j)), True),  # max|M| 2.6e173
+        (1e160 * np.eye(8), False),
+        (1e200 * np.eye(8), False),
+    ], ids=["givens-360j", "givens-400j", "1e160-I", "1e200-I"])
+    def test_huge_matrices_decided_without_overflow(self, M, member):
+        # C^T C of these overflows; the check scales M by a power of two first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_structure_group_member(M) is member
+
     def test_preserves_metrics_pointwise(self):
         rng = np.random.default_rng(29)
         M = random_structure_group_member(4, rng)
@@ -255,6 +272,111 @@ class TestBilinearOrthonormalize:
         z = np.array([1.0, 1j], dtype=complex)  # z^T z = 0
         with pytest.raises(NotHDiagonalizable):
             bilinear_orthonormalize(z[:, None])
+
+    # every column isotropic, their span not: the pivot is a random mixture
+    ISOTROPIC = [
+        np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2),
+        np.array([[1.0, 1.0, 0.0], [1j, -1j, 1.0], [0.0, 0.0, 1j]]) / np.sqrt(2),
+    ]
+
+    @pytest.mark.parametrize("W", ISOTROPIC, ids=["2-columns", "3-columns"])
+    def test_isotropic_columns_mixed(self, W):
+        assert np.max(np.abs(np.sum(W * W, axis=0))) == 0.0
+        V = np.column_stack(bilinear_orthonormalize(W))
+        k = W.shape[1]
+        assert V.shape == W.shape
+        assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+        # V spans the columns of W
+        assert np.linalg.matrix_rank(np.column_stack([W, V])) == k
+
+    @staticmethod
+    def reprojecting(W):
+        """The former loop: each pass re-projects every remaining input column
+        through all outputs so far."""
+        cols = [W[:, j].copy() for j in range(W.shape[1])]
+        rng = np.random.default_rng(0x5EED)
+        out = []
+        for _ in range(len(cols)):
+            cand = []
+            for v in cols:
+                w = v.copy()
+                for e in out:
+                    w = w - np.dot(w, e) * e
+                cand.append(w)
+            ratios = []
+            for w in cand:
+                nrm2 = float(np.real(np.vdot(w, w)))
+                ratios.append(abs(np.dot(w, w)) / nrm2 if nrm2 >= 1e-24 else -1.0)
+            pick = int(np.argmax(ratios))
+            best = cand[pick]
+            if ratios[pick] < 1e-10:
+                for _ in range(16):
+                    coeffs = rng.standard_normal(len(cand)) + 1j * rng.standard_normal(len(cand))
+                    w = sum(c * v for c, v in zip(coeffs, cand))
+                    nrm2 = float(np.real(np.vdot(w, w)))
+                    if nrm2 >= 1e-24 and abs(np.dot(w, w)) / nrm2 >= 1e-10:
+                        best = w
+                        pick = int(np.argmax(np.abs(coeffs)))
+                        break
+                else:
+                    raise NotHDiagonalizable("eigenspace contains only isotropic vectors")
+            e = best / complex(np.sqrt(complex(np.dot(best, best))))
+            idx = int(np.argmax(np.abs(e)))
+            lead = e[idx]
+            if lead.real < 0 or (abs(lead.real) < 1e-14 and lead.imag < 0):
+                e = -e
+            out.append(e)
+            cols.pop(pick)
+        return out
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_bit_equal_to_reprojecting_loop(self, m):
+        rng = np.random.default_rng(m)
+        inputs = [rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+                  for k in range(1, m + 1) for _ in range(5)]
+        # pairs of isotropic columns (e_p + i e_q, e_p - i e_q), rotated
+        iso = np.zeros((m, 2 * (m // 2)), dtype=complex)
+        for j in range(m // 2):
+            iso[2 * j, 2 * j:2 * j + 2] = 1.0
+            iso[2 * j + 1, 2 * j:2 * j + 2] = 1j, -1j
+        inputs += [random_complex_orthogonal(m, rng) @ iso / np.sqrt(2) for _ in range(5)]
+        for W in inputs:
+            new, old = bilinear_orthonormalize(W), self.reprojecting(W)
+            assert len(new) == len(old)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
+
+
+class TestTangentReps:
+    # the adapted basis (e1, e2, e3, Je1, Je2, Je3) of a tangent space, m = 4
+    BASIS = np.concatenate([np.eye(8)[:3], apply_J(np.eye(8)[:3])])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_repeated_row_raises_at_every_scale(self, scale):
+        V = self.BASIS.copy()
+        V[1] = V[0]
+        with pytest.raises(DegenerateBasis):
+            tangent_reps(scale * V)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("eps, degenerate", [(1e-5, False), (1e-7, True)])
+    def test_nearly_repeated_row_decided_alike_at_every_scale(self, scale, eps, degenerate):
+        # det G_t is about eps^2 at scale 1; an absolute bound on det G_t
+        # would decide by the scale instead
+        V = self.BASIS.copy()
+        V[1] = V[0] + eps * np.eye(8)[1]
+        if degenerate:
+            with pytest.raises(DegenerateBasis):
+                tangent_reps(scale * V)
+        else:
+            tangent_reps(scale * V)
+
+    @pytest.mark.parametrize("k", [-30, -1, 0, 1, 30])
+    def test_gate_invariant_under_power_of_two(self, k):
+        # the gate reads det(G_t / 2^(e-1)), and G_t / 2^(e-1) does not move
+        # when the basis is scaled by 2^k
+        coords, J_rep, Gt = tangent_reps(np.ldexp(self.BASIS, k))
+        assert np.array_equal(Gt, np.ldexp(np.diag([1.0] * 3 + [-1.0] * 3), 2 * k))
+        assert np.array_equal(J_rep, tangent_reps(self.BASIS)[1])
 
 
 class TestHProperDecomposition:

@@ -8,12 +8,21 @@ import pytest
 from nordenhs import verify
 from nordenhs.core import metric_g
 from nordenhs.curvature import pi_tensors
+from nordenhs.errors import NordenError
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_suite_params_are_the_signature(name):
     params = inspect.signature(verify.SUITES[name]).parameters
     assert verify.SUITE_PARAMS[name] == tuple(params)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("name, param", [("metrics", "count"), ("frame", "count"),
+                                         ("gauss", "quads"), ("sigma", "count")])
+def test_count_below_one_rejected(name, param, count):
+    with pytest.raises(NordenError, match=f"count must be at least 1, got {count}"):
+        verify.SUITES[name](**{param: count})
 
 
 def _planted(term):

@@ -25,7 +25,11 @@ The corpus:
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
-- `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices;
+- a (3, 4) sphere file with every tangent basis scaled by 0.1 (A unchanged);
+- `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices,
+  and of a complex-symmetric operator R D R^T with a threefold eigenvalue,
+  R a product of complex Givens rotations, so that the eigenvectors of the
+  repeated eigenvalue go through the bilinear Gram-Schmidt of a group;
 - inputs that exit 2, 3, 4 and 5.
 """
 
@@ -71,6 +75,14 @@ def _real_form(C):
     return np.block([[C.real, -C.imag], [C.imag, C.real]])
 
 
+def _givens(m, p, q, theta):
+    """The complex-orthogonal rotation by the complex angle theta in the (p, q) plane."""
+    R = np.eye(m, dtype=complex)
+    R[p, p] = R[q, q] = np.cos(theta)
+    R[p, q], R[q, p] = -np.sin(theta), np.sin(theta)
+    return R
+
+
 def _matrix(name, S):
     return _text(name, json.dumps({"matrix": np.asarray(S, dtype=float).tolist()}))
 
@@ -103,6 +115,11 @@ def _sphere(a, b, count, seed, m=4, edit=None):
 def _umbilicity_defect(st):
     # keeps tr A and tr(A o J): only the umbilicity residual moves
     return dataclasses.replace(st, A=st.A + np.kron(np.eye(2), np.diag([0.0, 1e-5, -1e-5])))
+
+
+def _scaled_bases(st):
+    # A in basis coordinates is unchanged when every basis vector is scaled alike
+    return dataclasses.replace(st, tangent_bases=0.1 * st.tangent_bases)
 
 
 def _mixed(lib):
@@ -197,12 +214,16 @@ def _files():
         _samples("mixed.json", 4, _mixed),
         _cli("classify", "--in", "mixed.json"),
         _cli("classify", "--in", "mixed.json", "--tol", 0),
+        _samples("scaled_bases.json", 4, _sphere(3.0, 4.0, 50, 3, edit=_scaled_bases)),
+        _cli("classify", "--in", "scaled_bases.json"),
     ]
     rng = np.random.default_rng(16)
     C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    R = _givens(4, 0, 1, 0.7 + 0.3j) @ _givens(4, 1, 2, -0.4 + 0.9j) @ _givens(4, 2, 3, 1.1 - 0.2j)
     matrices = {
         "sj": _real_form(np.diag([0.4 - 0.2j] * 4)),
         "sym": _real_form(C + C.T),  # complex symmetric: h-symmetric
+        "repeated": _real_form(R @ np.diag([0.4 - 0.2j] * 3 + [1.5 + 0.5j]) @ R.T),
         "nonsym": np.eye(8) + 0.5 * np.eye(8, k=1),
         "nilpotent": _real_form([[1.0, 1j], [1j, -1.0]]),
     }
