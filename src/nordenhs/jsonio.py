@@ -6,10 +6,12 @@ byte-identical.  A sample document is written in blocks of records, each
 block one printf of a cached template, with the bytes of the list of record
 objects written one by one.  An A equal in every record bit for bit is
 formatted once, into the template, and a basis whose second half is J of its
-first half bit for bit reuses that half's text, -x by its sign.  Numeric
-arrays read from a file must hold JSON numbers, not strings or booleans.
+first half bit for bit reuses that half's text, -x by its sign.  The reader
+parses an A text repeated in the records once, and gives the same arrays.
+Numeric arrays read from a file must hold JSON numbers, not strings or booleans.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -193,15 +195,33 @@ def _reject_constant(name):
     raise FormatError(f"non-finite number {name} in input")
 
 
+def _shared_a_doc(text):
+    """text's document, each copy of its first "A": value text read as "A": NaN and
+    each NaN as the value; None unless the parse met no other NaN or Infinity."""
+    met = []
+    with contextlib.suppress(ValueError, RecursionError):
+        start = text.index('"A": ') + 5
+        value, end = json.JSONDecoder(parse_constant=met.append).raw_decode(text, start)
+        if not text.startswith(a := text[start - 5:end], text.index('"A": ', end)):
+            return None  # the next record's A differs, as in an FD file: parse in full
+        parts = text.split(a)
+        copies, text = len(parts) - 1, '"A": NaN'.join(parts)
+        del parts  # held through the parse, the pieces raised the peak RSS
+        doc = json.loads(text, parse_constant=lambda c: met.append(c) or value)
+        if len(met) == copies:
+            return doc
+
+
 def _read(path):
     """Parse a UTF-8 JSON file into (document, quotes); NaN and Infinity are
     rejected, and so are undecodable bytes and nesting too deep for the
     parser.  quotes is the number of '"' in the text, or None when the text
-    has a "u" or an "f", as every true and every false has."""
+    has a "u" or an "f", as every true and every false has.  A repeated
+    first "A": text is parsed once, by _shared_a_doc, to the same document."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = _shared_a_doc(text) or json.loads(text, parse_constant=_reject_constant)
     except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     return doc, None if "u" in text or "f" in text else text.count('"')

@@ -132,7 +132,8 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
     K, Kt = sectional_batch_planes(R, pls)
     r_k = float(np.max(np.abs(K - params.nu)))
     r_kt = float(np.max(np.abs(Kt - params.nut)))
-    tol = tol if tol is not None else (1e-5 if fd else 1e-9)
+    # K and Kt are of size |nu + i nut| = 1/|c|: tolerances scale with it below |c| = 1
+    tol = max(1.0, 1.0 / abs(complex(a, b))) * ((1e-5 if fd else 1e-9) if tol is None else tol)
     return [
         Check(f"max |K - {params.nu:g}|", r_k, tol),
         Check(f"max |Kt - {params.nut:g}|", r_kt, tol),
@@ -158,10 +159,11 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     r_anti = max(np.max(np.abs(v + R(y, x, z, u)) / scale),
                  np.max(np.abs(v + R(x, y, u, z)) / scale))
     r_j = np.max(np.abs(v + R(x, y, apply_J(z), apply_J(u))) / scale)
+    s = max(1.0, 1.0 / abs(complex(a, b)))  # R is of size 1/|c|, as in suite_curvature
     return [
-        Check("Gauss tensor equals space form", r_eq, 1e-9),
-        Check("pair antisymmetry", r_anti, 1e-10),
-        Check("R(x,y,z,u) = -R(x,y,Jz,Ju)", r_j, 1e-10),
+        Check("Gauss tensor equals space form", r_eq, 1e-9 * s),
+        Check("pair antisymmetry", r_anti, 1e-10 * s),
+        Check("R(x,y,z,u) = -R(x,y,Jz,Ju)", r_j, 1e-10 * s),
     ]
 
 

@@ -1,0 +1,260 @@
+"""The sample reader parses a repeated "A" text once: every file, edited or
+not, must load exactly as the full parse loads it.
+
+The reference below is the reader without that path, kept here: the whole
+text through json.loads, then load_pointcloud's own checks and _floats.  Each
+case compares the two bit for bit, or by the text of the FormatError.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from nordenhs import jsonio
+from nordenhs.errors import FormatError
+from nordenhs.hypersurface import (
+    hyperplane_samples,
+    make_h_sphere,
+    make_hyperplane,
+    make_surface_samples,
+)
+
+
+def _read_in_full(path):
+    """jsonio._read as it was before the shared-A path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text, parse_constant=jsonio._reject_constant)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    return doc, None if "u" in text or "f" in text else text.count('"')
+
+
+def _outcome(path):
+    """(m, kind, (dtype, shape, bytes) of each array), or the FormatError text."""
+    try:
+        m, kind, payload = jsonio.load_pointcloud(path)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    arrays = [payload] if kind == "points" else list(vars(payload).values())
+    return m, kind, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_same_as_full_parse(monkeypatch, path):
+    """Assert that the reader loads path as the full parse does; returns the outcome."""
+    got = _outcome(path)
+    with monkeypatch.context() as mp:
+        mp.setattr(jsonio, "_read", _read_in_full)
+        want = _outcome(path)
+    assert got == want
+    # the documents are the same too, number types and key order included
+    try:
+        doc = json.dumps(jsonio._read(path)[0])
+    except FormatError as exc:
+        doc = str(exc)
+    try:
+        ref = json.dumps(_read_in_full(path)[0])
+    except FormatError as exc:
+        ref = str(exc)
+    assert doc == ref
+    return got
+
+
+def _sphere_text(m=4, count=6, seed=3, a=3.0, b=4.0, fd=False):
+    st = make_surface_samples(make_h_sphere(np.zeros(2 * m), a, b), count, seed, fd=fd)
+    return jsonio.dumps_canonical(jsonio.samples_to_doc(m, st))
+
+
+def _a_text(text):
+    """The first '"A": value' text of a sample file."""
+    start = text.index('"A": ')
+    _, end = json.JSONDecoder().raw_decode(text, start + 5)
+    return text[start:end]
+
+
+def _other_a(a_text):
+    """'"A": value' with its first entry moved by 1e-3, written as json.dumps writes it."""
+    value = json.loads(a_text[5:])
+    value[0][0] += 1e-3
+    return '"A": ' + json.dumps(value)
+
+
+def _join(text, a_text, junctions):
+    """text with the k-th copy of a_text replaced by junctions[k], where given."""
+    parts = text.split(a_text)
+    out = parts[0]
+    for k, part in enumerate(parts[1:]):
+        out += junctions.get(k, a_text) + part
+    return out
+
+
+def _write(tmp_path, text):
+    f = tmp_path / "s.json"
+    f.write_text(text, encoding="utf-8")
+    return str(f)
+
+
+def _a_parsed_once(path):
+    recs = jsonio._read(path)[0]["samples"]
+    return all(r["A"] is recs[0]["A"] for r in recs)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_model_surface_files(monkeypatch, tmp_path, m):
+    sphere = _write(tmp_path, _sphere_text(m=m, count=9, seed=m))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, sphere), tuple)
+    assert _a_parsed_once(sphere)
+    xi = np.zeros(2 * m)
+    xi[:2] = 1.0, 0.3
+    st = hyperplane_samples(make_hyperplane(xi, 1.5, 0.5), 9, m)
+    plane = _write(tmp_path, jsonio.dumps_canonical(jsonio.samples_to_doc(m, st)))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, plane), tuple)
+    assert _a_parsed_once(plane)
+
+
+def test_fd_file(monkeypatch, tmp_path):
+    # the FD shape operator varies from record to record
+    path = _write(tmp_path, _sphere_text(count=8, fd=True))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+    assert not _a_parsed_once(path)
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_a_shared_by_every_record_but_one(monkeypatch, tmp_path, which):
+    text = _sphere_text()
+    a = _a_text(text)
+    k = 0 if which == "first" else text.count(a) - 1
+    path = _write(tmp_path, _join(text, a, {k: _other_a(a)}))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+
+
+@pytest.mark.parametrize("record", [0, 2, 5])
+@pytest.mark.parametrize("order", ["other first", "shared first"])
+def test_duplicate_a_keys(monkeypatch, tmp_path, record, order):
+    # the last of two "A" keys is the one a JSON parser keeps
+    text = _sphere_text()
+    a = _a_text(text)
+    pair = [_other_a(a), a] if order == "other first" else [a, _other_a(a)]
+    path = _write(tmp_path, _join(text, a, {record: ", ".join(pair)}))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+    path = _write(tmp_path, _join(text, a, {record: f"{a}, {a}"}))
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+
+
+@pytest.mark.parametrize("spelling", ['"A": null', '"A":null', '"A" : null', '"\\u0041": null'])
+@pytest.mark.parametrize("record", [0, 3])
+def test_a_that_is_null(monkeypatch, tmp_path, spelling, record):
+    text = _sphere_text()
+    a = _a_text(text)
+    path = _write(tmp_path, _join(text, a, {record: spelling}))
+    assert _assert_same_as_full_parse(monkeypatch, path).startswith("FormatError: A must")
+
+
+@pytest.mark.parametrize("spelling", ['"A":null', '"A" : NaN'])
+def test_null_a_beside_a_swallowed_copy(monkeypatch, tmp_path, spelling):
+    # record 1's duplicate key hides one copy of the shared text, and record
+    # 4's A is null or NaN in a spelling other than a copy's: a reader that
+    # counted only the records whose A it gave back would miss both
+    text = _sphere_text()
+    a = _a_text(text)
+    path = _write(tmp_path, _join(text, a, {1: f"{a}, {_other_a(a)}", 4: spelling}))
+    assert _assert_same_as_full_parse(monkeypatch, path).startswith("FormatError: ")
+
+
+@pytest.mark.parametrize("where", ["top", "record", "both"])
+def test_null_elsewhere(monkeypatch, tmp_path, where):
+    text = _sphere_text()
+    if where in ("top", "both"):
+        text = text.replace('"version": 1', '"note": null, "version": 1', 1)
+    if where in ("record", "both"):
+        text = text.replace('"point": ', '"label": null, "point": ')
+    path = _write(tmp_path, text)
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+    assert _a_parsed_once(path)
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_a_text_inside_a_string_or_key(monkeypatch, tmp_path, where):
+    text = _sphere_text()
+    a = _a_text(text)
+    # the text of A as a string value, and as the value of a key ending in \"A
+    extra = f'"note": {json.dumps(a)}, "x\\{a}, '
+    if where == "before":
+        text = text.replace('"version": 1', extra + '"version": 1', 1)
+    else:
+        text = text.replace('"point": ', extra + '"point": ', 1)
+    path = _write(tmp_path, text)
+    assert isinstance(_assert_same_as_full_parse(monkeypatch, path), tuple)
+
+
+@pytest.mark.parametrize("entry, error", [
+    ('"1"', 'non-numeric entry "1" in input'),
+    ("true", "non-numeric entry true in input"),
+    ("1" + "0" * 400, "non-finite number in input"),
+    ("1e999", "non-finite number in input"),
+    ("NaN", "non-finite number NaN in input"),
+    ("-Infinity", "non-finite number -Infinity in input"),
+])
+def test_bad_entry_in_the_shared_a(monkeypatch, tmp_path, entry, error):
+    text = _sphere_text()
+    a = _a_text(text)
+    bad = '"A": [[' + entry + a[a.index(","):]  # the first entry replaced
+    path = _write(tmp_path, text.replace(a, bad))
+    assert _assert_same_as_full_parse(monkeypatch, path) == "FormatError: " + error
+
+
+def test_wrong_shape_shared_a(monkeypatch, tmp_path):
+    text = _sphere_text()
+    a = _a_text(text)
+    value = json.loads(a[5:])
+    for bad in (value[:-1], [row[:-1] for row in value], value[0]):
+        path = _write(tmp_path, text.replace(a, '"A": ' + json.dumps(bad)))
+        assert _assert_same_as_full_parse(monkeypatch, path) == \
+            "FormatError: A must have shape (6, 6)"
+
+
+@pytest.mark.parametrize("zero", ["-0", "-0.0", "0", "-0e0"])
+def test_negative_zero_in_a(monkeypatch, tmp_path, zero):
+    # -0 is the integer 0 to json.loads, -0.0 keeps its sign: both as before
+    text = _sphere_text()
+    a = _a_text(text)
+    path = _write(tmp_path, text.replace(a, '"A": [[' + zero + a[a.index(","):]))
+    got = _assert_same_as_full_parse(monkeypatch, path)
+    A = np.frombuffer(got[2][3][2]).reshape(-1, 6, 6)
+    assert np.signbit(A[:, 0, 0]).all() == (zero in ("-0.0", "-0e0"))
+
+
+@pytest.mark.parametrize("text", [
+    '{"A": [1], "version": 1, "m": 2, "kind": "points", "points": [[1, 0, 0, 0.5]]}',
+    '[{"A": [1]}, {"A": [1]}]',
+    '{"A": [1], "A": [1]}',
+    '{"version": 1, "m": 2, "kind": "samples", "samples": [{"A": [1], "A": [1]',
+    '{"A": [1, {"A": [1]}]}',
+    '{"A": ',
+    '{"A": [1] "A": [1]}',
+    '{"x": "\\"A\\": [1]", "A": [1]}',
+    '\ufeff{"A": [1]}',
+])
+def test_other_documents(monkeypatch, tmp_path, text):
+    _assert_same_as_full_parse(monkeypatch, _write(tmp_path, text))
+
+
+def test_truncated_file_names_the_same_position(monkeypatch, tmp_path):
+    text = _sphere_text()
+    for cut in (len(text) // 2, len(text) - 3, text.rindex('"A": ') + 9):
+        got = _assert_same_as_full_parse(monkeypatch, _write(tmp_path, text[:cut]))
+        assert got.startswith("FormatError: cannot read") and "(char " in got
+
+
+def test_deep_nesting_in_a(monkeypatch, tmp_path):
+    text = _sphere_text()
+    path = _write(tmp_path, text.replace(_a_text(text), '"A": ' + "[" * 100000 + "]" * 100000))
+    assert "cannot read" in _assert_same_as_full_parse(monkeypatch, path)
+
+
+def test_load_matrix_with_an_a_key(tmp_path):
+    f = tmp_path / "op.json"
+    f.write_text('{"A": [1, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]], "B": {"A": [1, 2]}}')
+    assert jsonio.load_matrix(str(f)).tolist() == [[1.0, 0.0], [0.0, 1.0]]

@@ -1,11 +1,14 @@
 """Tests of the verify layer itself: suite parameters and planted faults."""
 
+import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 from nordenhs import verify
+from nordenhs.cli import main
 from nordenhs.core import metric_g
 from nordenhs.curvature import pi_tensors
 from nordenhs.errors import NordenError
@@ -67,3 +70,37 @@ def test_suite_metrics_signature_reads_the_pairing(monkeypatch):
     monkeypatch.setattr(verify, "metric_g", lambda u, v: np.vecdot(u, v))  # signature (6, 0)
     checks = {c.name: c for c in verify.suite_metrics(m=3)}
     assert not checks["signature (m,m)"].passed
+
+
+# K, Kt and R are of size 1/|c| = |nu + i nut|: below |c| = 1 the tolerances
+# of these suites scale with it, at and above |c| = 1 they are the absolute ones
+TINY = [("curvature", 1e-11, 0.0), ("gauss", 1e-12, 1e-12)]
+
+
+@pytest.mark.parametrize("name, a, b", TINY)
+def test_tiny_spheres_pass(capsys, name, a, b):
+    assert main(["verify", name, "--a", str(a), "--b", str(b)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    scale = 1.0 / abs(complex(a, b))
+    assert all(r["passed"] and r["tol"] in (1e-9 * scale, 1e-10 * scale) for r in results)
+
+
+@pytest.mark.parametrize("a, b, scale", [(3.0, 4.0, 1), (1.0, 0.0, 1), (0.0, -1.0, 1),
+                                          (0.6, 0.8, 1), (0.5, 0.0, 2), (0.0, 0.25, 4)])
+def test_tolerance_applied(a, b, scale):
+    for name in ("curvature", "gauss"):
+        assert verify.SUITES[name](a=a, b=b)[0].tol == 1e-9 * scale
+    assert verify.suite_curvature(a=a, b=b, points=2, fd=True)[0].tol == 1e-5 * scale
+    assert verify.suite_curvature(a=a, b=b, points=2, tol=1e-7)[0].tol == 1e-7 * scale
+
+
+@pytest.mark.parametrize("name, a, b", TINY + [("curvature", 1.0, 0.0), ("gauss", 0.6, 0.8)])
+def test_planted_shape_operator_fault_fails(monkeypatch, name, a, b):
+    honest = verify.make_surface_samples
+
+    def faulty(*args, **kwargs):
+        st = honest(*args, **kwargs)
+        return dataclasses.replace(st, A=st.A * (1 + 1e-6))
+
+    monkeypatch.setattr(verify, "make_surface_samples", faulty)
+    assert not verify.SUITES[name](a=a, b=b)[0].passed

@@ -26,6 +26,9 @@ The corpus:
 - hyperplane sample files, with unit and scaled normals;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
 - a (3, 4) sphere file with every tangent basis scaled by 0.1 (A unchanged);
+- (3, 4) sphere files whose text is edited around the A that every record
+  shares: another A in the first or the last record, a duplicate "A" key in
+  either order, null outside the arrays, and a boolean inside the shared A;
 - `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices,
   and of a complex-symmetric operator R D R^T with a threefold eigenvalue,
   R a product of complex Givens rotations, so that the eigenvectors of the
@@ -120,6 +123,41 @@ def _umbilicity_defect(st):
 def _scaled_bases(st):
     # A in basis coordinates is unchanged when every basis vector is scaled alike
     return dataclasses.replace(st, tangent_bases=0.1 * st.tangent_bases)
+
+
+def _a_text(text):
+    """The first '"A": value' text of a sample file."""
+    start = text.index('"A": ')
+    return text[start:json.JSONDecoder().raw_decode(text, start + 5)[1]]
+
+
+def _moved(a):
+    """'"A": value' text with the first entry of the value moved by 1e-3."""
+    value = json.loads(a[5:])
+    value[0][0] += 1e-3
+    return '"A": ' + json.dumps(value)
+
+
+# edits of a sample file's text t whose records all share the A text a
+EDITS = {
+    "a_first": lambda t, a: t.replace(a, _moved(a), 1),
+    "a_last": lambda t, a: _moved(a).join(t.rsplit(a, 1)),
+    "dup_a_moved_first": lambda t, a: t.replace(a, f"{_moved(a)}, {a}", 1),
+    "dup_a_moved_last": lambda t, a: t.replace(a, f"{a}, {_moved(a)}", 1),
+    "null_elsewhere": lambda t, a: t.replace('"version": 1', '"note": null, "version": 1')
+                                    .replace('"point": ', '"label": null, "point": '),
+    "bool_in_a": lambda t, a: t.replace(a, '"A": [[true' + a[a.index(","):]),
+}
+
+
+def _edited(name, edit):
+    """A step writing a (3, 4) sphere file with the tree's own writer, its text edited."""
+    def write(lib):
+        st = _sphere(3.0, 4.0, 20, 5)(lib)
+        text = lib.jsonio.dumps_canonical(lib.jsonio.samples_to_doc(4, st))
+        with open(name, "w") as f:
+            f.write(edit(text, _a_text(text)))
+    return (f"write {name}", write, [name])
 
 
 def _mixed(lib):
@@ -217,6 +255,8 @@ def _files():
         _samples("scaled_bases.json", 4, _sphere(3.0, 4.0, 50, 3, edit=_scaled_bases)),
         _cli("classify", "--in", "scaled_bases.json"),
     ]
+    for name, edit in EDITS.items():
+        steps += [_edited(f"{name}.json", edit), _cli("classify", "--in", f"{name}.json")]
     rng = np.random.default_rng(16)
     C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     R = _givens(4, 0, 1, 0.7 + 0.3j) @ _givens(4, 1, 2, -0.4 + 0.9j) @ _givens(4, 2, 3, 1.1 - 0.2j)
