@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_J, bilinear, to_complex
+from .core import bilinear, complex_scale, to_complex
 from .errors import (
     EmptySamples,
     NearZeroLambdaMu,
@@ -73,16 +73,14 @@ def pair_crosscheck(pairs, ambient, observed):
 
 
 def reconstruct_sphere(lam, mu, witness):
-    """Center and parameters from the conserved field xi + lambda Z + mu JZ."""
-    den = lam * lam + mu * mu
-    if den <= LAMBDA_MU_THRESHOLD:
+    """Center and parameters from the conserved field xi + kappa Z = kappa z0,
+    kappa = lambda - i mu: z0 = (xi + kappa Z) / kappa, a + ib = 1/kappa^2."""
+    if lam * lam + mu * mu <= LAMBDA_MU_THRESHOLD:
         raise NearZeroLambdaMu("lambda^2 + mu^2 below threshold")
-    Z = np.asarray(witness.points, dtype=float)
-    C = witness.xi + lam * Z + mu * apply_J(Z)
-    z0 = (lam * C - mu * apply_J(C)) / den
-    a = (lam * lam - mu * mu) / (den * den)
-    b = 2.0 * lam * mu / (den * den)
-    return HSphere(center=z0, a=float(a), b=float(b))
+    k = complex(lam, -mu)
+    z0 = complex_scale(1.0 / k, witness.xi + complex_scale(k, witness.points))
+    c = 1.0 / (k * k)
+    return HSphere(center=z0, a=c.real, b=c.imag)
 
 
 def _offsets(xi, P):
@@ -167,12 +165,9 @@ def classify(stack, tol=1e-6):
         verdict = VERDICT_SPHERE
         recovered = reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
         cres = float(np.max(scaled_containment_residual(recovered, stack.points)))
-        den = nu * nu + nut * nut
-        if den > 0:
-            notes.append(
-                "curvature-route parameters: "
-                f"a={nu / den:.12g}, b={-nut / den:.12g}"
-            )
+        if nu or nut:
+            c = 1.0 / complex(nu, nut)  # a + ib = 1/(nu + i nut)
+            notes.append(f"curvature-route parameters: a={c.real:.12g}, b={c.imag:.12g}")
     else:
         verdict = VERDICT_HYPERPLANE
         recovered = reconstruct_hyperplane(stack, tol=tol)

@@ -6,8 +6,10 @@ finite difference), second fundamental form, mean curvature and the
 Codazzi residual check.
 
 Second-order samples are one type, SampleStack, holding one record or a
-stack of them.  The tangent bases of an h-sphere come from the unit
-directions (p - z0) / sqrt(a + ib), one branch of the root per sphere.
+stack of them.  One complex root per h-sphere, kappa = lambda - i mu =
+1/sqrt(a + ib), gives the unit directions kappa (p - z0), the canonical
+normals xi = -kappa (p - z0) and, from the same directions, the tangent
+bases.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ import numpy as np
 from .core import (
     apply_J,
     bilinear,
+    complex_scale,
     from_complex,
     metric_g,
     metric_gt,
@@ -98,18 +101,18 @@ def theoretical_curvatures(s):
     return SpaceFormParams(nu=s.a / den, nut=-s.b / den)
 
 
+def _kappa(s):
+    """kappa = 1/sqrt(a + ib) on the principal branch, b = -0 read as +0."""
+    return 1.0 / np.sqrt(complex(s.a, s.b + 0.0))
+
+
 def lambda_mu(s):
-    """The normal-frame coefficients: lambda^2 - mu^2 = a/(a^2+b^2),
-    2 lambda mu = b/(a^2+b^2), branch lambda >= 0 (mu >= 0 when lambda = 0).
-    """
-    r2 = s.a * s.a + s.b * s.b
-    r = np.sqrt(r2)
-    # 0.5 x / r2 rounds as x / (2 r2), and 2 r2 may overflow
-    lam = np.sqrt(max(0.0, 0.5 * (r + s.a) / r2))
-    mu = np.sqrt(max(0.0, 0.5 * (r - s.a) / r2))
-    if lam >= 1e-15 and s.b < 0:
-        mu = -mu
-    return float(lam), float(mu)
+    """The normal-frame coefficients (lambda, mu) of kappa = lambda - i mu =
+    1/sqrt(a + ib), so that kappa^2 = nu + i nut: lambda^2 - mu^2 =
+    a/(a^2+b^2) and 2 lambda mu = b/(a^2+b^2).  The principal branch gives
+    lambda >= 0; b = -0 is read as +0, so mu >= 0 when lambda = 0."""
+    k = _kappa(s)
+    return float(k.real), 0.0 - float(k.imag)  # 0.0 - 0.0 is +0: no -0 is printed
 
 
 def containment_residual(s, p):
@@ -151,8 +154,7 @@ def _isotropic(W):
 def _rescale(s, W):
     """z0 + c W, with the complex factor c = sqrt((a + ib) / q(W)) per row
     landing exactly on the quadric."""
-    c = np.sqrt(complex(s.a, s.b) / q_value(W))
-    return s.center + from_complex(c[..., None] * to_complex(W))
+    return s.center + complex_scale(np.sqrt(complex(s.a, s.b) / q_value(W)), W)
 
 
 def project_to_sphere(s, p):
@@ -182,17 +184,10 @@ def sample(s, count, seed):
     return _rescale(s, np.concatenate(kept))
 
 
-def _normals(s, P):
-    """Canonical normals xi = -lambda Z - mu JZ, Z = p - z0."""
-    lam, mu = lambda_mu(s)
-    Z = P - s.center
-    return -lam * Z - mu * apply_J(Z)
-
-
 def normal_frame(s, p):
-    """Canonical frame (xi, J xi), xi = -lambda Z - mu JZ, Z = p - z0, at a
-    point or at each point of a stack."""
-    xi = _normals(s, _on_surface(s, p))
+    """Canonical frame (xi, J xi), xi = -kappa Z = -lambda Z - mu JZ,
+    Z = p - z0, at a point or at each point of a stack."""
+    xi = -from_complex(_unit_directions(s, _on_surface(s, p)))
     return xi, apply_J(xi)
 
 
@@ -239,11 +234,11 @@ def _complement_bases(zh):
 
 
 def _unit_directions(s, P):
-    """Z / sqrt(a + ib), Z = p - z0, for points P on the sphere, where
-    q(Z) = a + ib.  One branch of the root serves the whole sphere; the
-    per-point sqrt(q(Z)) would flip sign between neighbouring points
-    through round-off when a + ib lies on its branch cut (b = 0, a < 0)."""
-    return to_complex(P - s.center) / np.sqrt(complex(s.a, s.b))
+    """kappa Z = Z / sqrt(a + ib) as complex vectors, Z = p - z0, for points P
+    on the sphere, where q(Z) = a + ib.  The one root kappa serves the whole
+    sphere; the per-point sqrt(q(Z)) would flip sign between neighbouring
+    points through round-off when a + ib lies on its branch cut (b = 0, a < 0)."""
+    return to_complex(P - s.center) * _kappa(s)
 
 
 def tangent_adapted_basis(s, p):
@@ -283,9 +278,10 @@ def shape_operators_fd(s, P, T, step=None):
     h = _fd_steps(s, P, step)
     coords, _, _ = tangent_reps(T)
     dP = h[:, None, None] * T
-    xi_p = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] + dP)))
-    xi_m = _normals(s, _on_surface(s, project_to_sphere(s, P[:, None] - dP)))
-    dxi = (xi_p - xi_m) / (2.0 * h[:, None, None])  # row i: along t_i
+    # kappa Z, minus the canonical normals, at p + h t_i and at p - h t_i
+    U_p, U_m = (_unit_directions(s, _on_surface(s, project_to_sphere(s, P[:, None] + d)))
+                for d in (dP, -dP))
+    dxi = from_complex(U_m - U_p) / (2.0 * h[:, None, None])  # row i: along t_i
     return -coords @ np.swapaxes(dxi, 1, 2)
 
 
@@ -298,14 +294,15 @@ def shape_operator_fd(s, p, tangent_basis, step=None):
 def surface_samples(s, P, fd=False, step=None):
     """Second-order records at a stack of points of an h-sphere."""
     P = _on_surface(s, P)
-    T = _complement_bases(_unit_directions(s, P))
+    U = _unit_directions(s, P)  # the normals are -U
+    T = _complement_bases(U)
     if fd:
         A = shape_operators_fd(s, P, T, step=step)
     else:
         n = T.shape[1] // 2
         lam, mu = lambda_mu(s)
         A = np.tile(lam * np.eye(2 * n) + mu * adapted_j_rep(n), (len(P), 1, 1))
-    return SampleStack(points=P, xi=_normals(s, P), tangent_bases=T, A=A)
+    return SampleStack(points=P, xi=-from_complex(U), tangent_bases=T, A=A)
 
 
 def surface_sample(s, p):
@@ -326,15 +323,14 @@ def ambient_shape_operator(sample):
 
 
 def second_fundamental(sample):
-    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi at one record, for ambient
-    tangent x, y or for stacks of them along the last axis."""
+    """sigma(x, y) = g(Ax, y) xi - gt(Ax, y) J xi, which is q(Ax, y) xi, at
+    one record, for ambient tangent x, y or for stacks of them along the
+    last axis."""
     A_amb = ambient_shape_operator(sample)
-    xi = sample.xi
-    jxi = apply_J(xi)
 
     def sigma(x, y):
         ax = np.asarray(x, dtype=float) @ A_amb.T
-        return metric_g(ax, y)[..., None] * xi - metric_gt(ax, y)[..., None] * jxi
+        return complex_scale(bilinear(to_complex(ax), to_complex(y)), sample.xi)
 
     return sigma
 
@@ -374,16 +370,6 @@ def mean_curvature(sample):
     return tr_a, tr_aj, np.max(np.abs(A - model), axis=(-2, -1))
 
 
-def _tangential_projectors(Xi):
-    """Projectors v -> v - g(v, xi) xi + g(v, Jxi) Jxi onto the tangent
-    spaces with canonical normals Xi (N, 2m)."""
-    m = Xi.shape[-1] // 2
-    g = np.r_[np.ones(m), -np.ones(m)]
-    JXi = apply_J(Xi)
-    return (np.eye(2 * m) - Xi[:, :, None] * (g * Xi)[:, None, :]
-            + JXi[:, :, None] * (g * JXi)[:, None, :])
-
-
 def codazzi_residual(s, p, step=1e-4):
     """Max over tangent basis pairs of ||(grad_x A) y - (grad_y A) x||.
 
@@ -402,8 +388,10 @@ def codazzi_residual(s, p, step=1e-4):
     Q = np.concatenate([np.broadcast_to(p, (len(h), 1, len(p))),
                         project_to_sphere(s, p + h * T), project_to_sphere(s, p - h * T)], axis=1)
     st = surface_samples(s, Q.reshape(-1, len(p)), fd=True, step=np.repeat(h, Q.shape[1]))
-    A, proj = (M.reshape(Q.shape + M.shape[-1:])
-               for M in (ambient_shape_operator(st), _tangential_projectors(st.xi)))
+    # the tangential projectors T^T coords, and A as T^T A coords
+    coords, _, _ = tangent_reps(st.tangent_bases)
+    Tt = np.swapaxes(st.tangent_bases, -1, -2)
+    A, proj = (M.reshape(Q.shape + M.shape[-1:]) for M in (Tt @ st.A @ coords, Tt @ coords))
     # y extended by tangential projection: (grad_{t_i} A) y = nabla[i] y
     n2 = len(T)
     h2 = 2.0 * h[..., None]
@@ -436,8 +424,8 @@ def make_hyperplane(xi, d, dt):
 
 
 def hyperplane_base_point(hp):
-    """A point on the plane: d xi - dt J xi."""
-    return hp.d * hp.xi - hp.dt * apply_J(hp.xi)
+    """A point on the plane: d xi - dt J xi, which is (d + i dt) xi."""
+    return complex_scale(complex(hp.d, hp.dt), hp.xi)
 
 
 def hyperplane_tangent_basis(hp):

@@ -132,8 +132,8 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
     K, Kt = sectional_batch_planes(R, pls)
     r_k = float(np.max(np.abs(K - params.nu)))
     r_kt = float(np.max(np.abs(Kt - params.nut)))
-    # K and Kt are of size |nu + i nut| = 1/|c|: tolerances scale with it below |c| = 1
-    tol = max(1.0, 1.0 / abs(complex(a, b))) * ((1e-5 if fd else 1e-9) if tol is None else tol)
+    # K and Kt are of size |nu + i nut| = 1/|c|: tolerances scale with it
+    tol = (1.0 / abs(complex(a, b))) * ((1e-5 if fd else 1e-9) if tol is None else tol)
     return [
         Check(f"max |K - {params.nu:g}|", r_k, tol),
         Check(f"max |Kt - {params.nut:g}|", r_kt, tol),
@@ -159,7 +159,7 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     r_anti = max(np.max(np.abs(v + R(y, x, z, u)) / scale),
                  np.max(np.abs(v + R(x, y, u, z)) / scale))
     r_j = np.max(np.abs(v + R(x, y, apply_J(z), apply_J(u))) / scale)
-    s = max(1.0, 1.0 / abs(complex(a, b)))  # R is of size 1/|c|, as in suite_curvature
+    s = 1.0 / abs(complex(a, b))  # R is of size 1/|c|, as in suite_curvature
     return [
         Check("Gauss tensor equals space form", r_eq, 1e-9 * s),
         Check("pair antisymmetry", r_anti, 1e-10 * s),
@@ -200,23 +200,27 @@ def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
 
 
 def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):
-    """Codazzi symmetry of the FD shape-operator field, plus order check."""
+    """Codazzi symmetry of the FD shape-operator field, plus order check.
+    The c-sphere, c = a + ib, is the unit one scaled by sqrt c, so the steps
+    (`step` included) are in units of sqrt|c| and the residual tolerances,
+    of derivatives of A, in units of 1/|c|."""
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     p = sample(sph, 1, seed)[0]
+    c = abs(complex(a, b))
     hs = (1.6e-2, 4e-3, 1e-3)
-    r_at, *rs = codazzi_residual(sph, p, step=(step, *hs))
+    r_at, *rs = codazzi_residual(sph, p, step=[np.sqrt(c) * h for h in (step, *hs)])
     if m == 2:
         # n = 1: the truncation error vanishes identically and every r(h) is
         # round-off, so a ratio of two of them says nothing about the order
         order = Check("Codazzi residual at h=" + ", ".join(f"{h:g}" for h in hs),
-                      max(rs), 1e-4)
+                      max(rs), 1e-4 / c)
     else:
         # order check in the truncation-dominated regime: each step/4
         # refinement should cut the residual at least quadratically (factor
         # >= 4 observed margin of the asymptotic 16)
         worst_ratio = max(r1 / max(r0, 1e-300) for r0, r1 in zip(rs, rs[1:]))
         order = Check("second-order decrease (r(h/4)/r(h) <= 1/4)", worst_ratio, 0.25)
-    return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-4), order]
+    return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-4 / c), order]
 
 
 def suite_umbilic(m=4, seed=0):

@@ -51,6 +51,14 @@ class TestSphereInfo:
         assert doc["gHH"] == doc["nu"]
         assert doc["gtHH"] == doc["nut"]
 
+    def test_huge_sphere_with_negative_b(self, capsys):
+        # lambda ~ 1e-15 and mu < 0: gtHH = -2 lambda mu and gHH = lambda^2 - mu^2
+        code, out, _ = run_cli(capsys, "sphere", "info", "--a", "1e30", "--b=-1e29")
+        assert code == 0
+        doc = json.loads(out)
+        assert -2.0 * doc["lambda"] * doc["mu"] == pytest.approx(doc["gtHH"], rel=1e-14, abs=0)
+        assert doc["lambda"] ** 2 - doc["mu"] ** 2 == pytest.approx(doc["gHH"], rel=1e-14, abs=0)
+
     def test_isotropic_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "sphere", "info", "--a", "0", "--b", "0"

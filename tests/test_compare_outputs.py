@@ -25,3 +25,22 @@ def test_a_changed_record_is_reported():
     (label, a, b), = compare_outputs.differences(steps, old, new)
     assert label == "sphere info --a 3 --b 4"
     assert "exit: 0 -> 1" in compare_outputs._describe(label, a, b)
+
+
+def test_number_moves_are_reported():
+    old_text = b'{"x": [1.0, 2.5], "note": "a=0.5", "passed": true}'
+    old = {"exit": 0, "stdout": "0", "_numbers stdout": compare_outputs._numbers(old_text)}
+
+    def describe(new_text):
+        new = dict(old, stdout="1", **{"_numbers stdout": compare_outputs._numbers(new_text)})
+        return compare_outputs._describe("label", old, new)
+
+    # relative to max(1, max |x|) of the old document; numbers in strings count
+    assert "stdout numbers moved by up to 4.000e-11 relative" in describe(
+        b'{"x": [1.0, 2.5000000001], "note": "a=0.5", "passed": true}')
+    assert "stdout numbers moved by up to 4.000e-02 relative" in describe(
+        b'{"x": [1.0, 2.5], "note": "a=0.6", "passed": true}')
+    for other in (b'{"x": [1.0, 2.5], "note": "a=0.5", "passed": false}',
+                  b'{"x": [1.0], "note": "a=0.5", "passed": true}'):
+        assert "stdout structure differs" in describe(other)
+    assert compare_outputs._numbers(b"not json") is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,47 @@ class TestLambdaMu:
             assert lam * lam - mu * mu == pytest.approx(a / r2, abs=1e-12)
             assert 2.0 * lam * mu == pytest.approx(b / r2, abs=1e-12)
             assert lam >= 0.0
+
+    # |c| from 1.5e-12 (a^2 + b^2 must exceed 1e-24) to 1e150, on the four
+    # half-axes and at one angle inside each quadrant
+    @pytest.mark.parametrize("r", [1.5e-12, 1e-5, 0.3, 1.0, 7e4, 1e30, 1e100, 1e150])
+    @pytest.mark.parametrize("unit", [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                                      (0.8, 0.6), (-0.28, 0.96), (-0.6, -0.8), (0.96, -0.28)])
+    def test_kappa_squared_inverts_c(self, r, unit):
+        # (lambda - i mu)^2 (a + ib) = 1 within 1e-15, evaluated exactly in rationals
+        a, b = r * unit[0], r * unit[1]
+        lam, mu = map(Fraction, lambda_mu(make_h_sphere(np.zeros(8), a, b)))
+        k2 = (lam * lam - mu * mu, -2 * lam * mu)
+        re = k2[0] * Fraction(a) - k2[1] * Fraction(b) - 1
+        im = k2[0] * Fraction(b) + k2[1] * Fraction(a)
+        assert re * re + im * im <= Fraction(1e-15) ** 2, (float(re), float(im))
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1.0, -0.0), (-3e40, -0.0), (-2e-12, 0.0),
+                                      (1.0, -0.0), (-1.0, -1e-17), (1e30, -1e29),
+                                      (1e100, -3e99), (-1e-6, -1e-7), (-5.0, 1e-3)])
+    def test_branch(self, a, b):
+        # lambda >= 0, mu >= 0 when lambda = 0, no -0, and 2 lambda mu has the sign of b
+        lam, mu = lambda_mu(make_h_sphere(np.zeros(8), a, b))
+        assert lam >= 0.0 and not np.signbit(lam)
+        assert mu != 0.0 or not np.signbit(mu)
+        if lam == 0.0:
+            assert mu > 0.0
+        elif b != 0.0:
+            assert np.sign(mu) == np.sign(b)
+
+    @pytest.mark.parametrize("a, b", [(1e30, -1e29), (1e100, -3e99), (-1e30, -1e29)])
+    def test_huge_sphere_frames_are_unit(self, a, b):
+        xi = make_surface_samples(make_h_sphere(np.zeros(8), a, b), 20, seed=5).xi
+        assert np.abs(metric_g(xi, xi) - 1.0).max() <= 1e-12
+        assert np.abs(metric_gt(xi, xi)).max() <= 1e-12
+
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_negative_zero_b_is_zero_b(self, fd):
+        # one root kappa for the bases and the normals, whatever the sign of b = 0
+        plus, minus = (make_surface_samples(make_h_sphere(np.arange(8.0), -1.0, b), 20, seed=6,
+                                            fd=fd) for b in (0.0, -0.0))
+        for field in ("points", "xi", "tangent_bases", "A"):
+            assert getattr(plus, field).tobytes() == getattr(minus, field).tobytes(), field
 
 
 class TestSampling:

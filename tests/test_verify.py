@@ -72,8 +72,8 @@ def test_suite_metrics_signature_reads_the_pairing(monkeypatch):
     assert not checks["signature (m,m)"].passed
 
 
-# K, Kt and R are of size 1/|c| = |nu + i nut|: below |c| = 1 the tolerances
-# of these suites scale with it, at and above |c| = 1 they are the absolute ones
+# K, Kt and R are of size 1/|c| = |nu + i nut|: the tolerances of these suites
+# scale with it on both sides of |c| = 1, and at |c| = 1 they are the absolute ones
 TINY = [("curvature", 1e-11, 0.0), ("gauss", 1e-12, 1e-12)]
 
 
@@ -85,7 +85,7 @@ def test_tiny_spheres_pass(capsys, name, a, b):
     assert all(r["passed"] and r["tol"] in (1e-9 * scale, 1e-10 * scale) for r in results)
 
 
-@pytest.mark.parametrize("a, b, scale", [(3.0, 4.0, 1), (1.0, 0.0, 1), (0.0, -1.0, 1),
+@pytest.mark.parametrize("a, b, scale", [(3.0, 4.0, 0.2), (1.0, 0.0, 1), (0.0, -1.0, 1),
                                           (0.6, 0.8, 1), (0.5, 0.0, 2), (0.0, 0.25, 4)])
 def test_tolerance_applied(a, b, scale):
     for name in ("curvature", "gauss"):
@@ -94,7 +94,8 @@ def test_tolerance_applied(a, b, scale):
     assert verify.suite_curvature(a=a, b=b, points=2, tol=1e-7)[0].tol == 1e-7 * scale
 
 
-@pytest.mark.parametrize("name, a, b", TINY + [("curvature", 1.0, 0.0), ("gauss", 0.6, 0.8)])
+@pytest.mark.parametrize("name, a, b", TINY + [("curvature", 1.0, 0.0), ("gauss", 0.6, 0.8),
+                                                ("curvature", 1e30, -1e29)])
 def test_planted_shape_operator_fault_fails(monkeypatch, name, a, b):
     honest = verify.make_surface_samples
 
@@ -104,3 +105,23 @@ def test_planted_shape_operator_fault_fails(monkeypatch, name, a, b):
 
     monkeypatch.setattr(verify, "make_surface_samples", faulty)
     assert not verify.SUITES[name](a=a, b=b)[0].passed
+
+
+# The Codazzi suite takes its steps in units of sqrt|c| and its residual
+# tolerances in units of 1/|c|: fixed steps would leave every residual at
+# round-off at large |c|, and would reach beyond the sphere at small |c|.
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("r, theta", [(1e-6, 0.4), (0.01, np.pi), (64.0, 7 * np.pi / 4),
+                                      (1e4, 0.0), (1e30, -2.5), (1e150, 2.0)])
+def test_codazzi_passes_at_every_scale(m, r, theta):
+    a, b = r * np.cos(theta), r * np.sin(theta)
+    checks = verify.suite_codazzi(a=a, b=b, m=m, seed=2)
+    assert all(c.passed for c in checks), checks
+    assert checks[0].tol == 1e-4 / abs(complex(a, b))
+    assert checks[1].tol == 0.25
+
+
+@pytest.mark.parametrize("argv", [["codazzi", "--a", "1e4"], ["all", "--a", "1e150"]])
+def test_large_spheres_pass(capsys, argv):
+    assert main(["verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

@@ -10,9 +10,13 @@ trees name the same files.
 
 Per call the script records the exit code, the stderr text and the sha256
 of stdout and of each file the call writes.  For a `verify` report that
-differs, it also gives the largest move of each residual.  It prints one
-line per call that differs, then a summary, and exits 0 when every call is
-identical and 1 otherwise.  --quick runs a small subset of the corpus.
+differs, it also gives the largest move of each residual.  For a JSON
+stdout or file that differs, it gives the largest move of its numbers
+relative to max(1, max |x|) over the old document, when both documents have
+the same structure (the text with every number, inside strings too, read
+as #), and says so when they do not.  It prints one line per call that
+differs, then a summary, and exits 0 when every call is identical and 1
+otherwise.  --quick runs a small subset of the corpus.
 
 The corpus:
 - the round specs of each perfbench workload (perfbench/jobs.py), as the
@@ -20,7 +24,12 @@ The corpus:
 - `sphere info` and `verify all` over m = 2..6 and six (a, b), and
   `verify umbilic` over m = 2..6 and seeds 1..20;
 - `sample --with-frames`, with and without --fd, and `classify` of each file;
-- (a, b) edge cases at extreme scales;
+- (a, b) edge cases at extreme scales, among them `sphere info`, `sample
+  --with-frames` with `classify`, and `verify curvature` at (1e30, -1e29),
+  where mu is of the sign of b although lambda is about 1e-15;
+- sample files at (-1, 0) and (-1, -0.0), on the branch cut of sqrt(a + ib);
+- `verify codazzi` at m = 4, |c| = 64, theta = 7 pi/4, seed 2, a case that
+  fixed steps put near the order check's bound;
 - `verify` calls whose flags are taken by some suites only, so the `params`
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
@@ -44,6 +53,7 @@ import importlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -60,8 +70,37 @@ NORMAL = (1.0, 0.3)  # leading entries of the hyperplane normals, padded with ze
 SCALES = (1e-3, 1.0, 1e10, 1e12, 1e100, 1e200)
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _numbers(data):
+    """(sha256 of the structure, the numbers) of a JSON text, or None when it
+    is not JSON.  The structure is the document with every number, inside
+    strings too, read as #."""
+    nums = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        if isinstance(x, str):
+            nums.extend(NUMBER.findall(x))
+            return NUMBER.sub("#", x)
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            nums.append(x)
+            return "#"
+        return x
+
+    try:
+        skeleton = json.dumps(walk(json.loads(data)))
+        return _sha(skeleton.encode()), np.array(nums, dtype=float)
+    except (ValueError, OverflowError, RecursionError):
+        return None
 
 
 def _text(name, text):
@@ -236,6 +275,15 @@ def _edge_cases():
         *_sample_and_classify("e1.json", "--a", 1e-11, "--b", 0.5e-11, "--count", 50,
                               "--seed", 3),
         *_sample_and_classify("e2.json", "--a", 1e150, "--b", 0, "--count", 50, "--seed", 3),
+        _cli("sphere", "info", "--a", 1e30, "--b=-1e29"),
+        *_sample_and_classify("e3.json", "--a", 1e30, "--b=-1e29", "--count", 50, "--seed", 3),
+        _cli("verify", "curvature", "--a", 1e30, "--b=-1e29"),
+        _cli("sample", "--a=-1", "--b=0", "--count", 20, "--seed", 4, "--with-frames",
+             "--out", "cut_plus.json", out="cut_plus.json"),
+        _cli("sample", "--a=-1", "--b=-0.0", "--count", 20, "--seed", 4, "--with-frames",
+             "--out", "cut_minus.json", out="cut_minus.json"),
+        _cli("verify", "codazzi", f"--a={float(64 * np.cos(7 * np.pi / 4))!r}",
+             f"--b={float(64 * np.sin(7 * np.pi / 4))!r}", "--seed", 2),
     ]
 
 
@@ -314,10 +362,13 @@ def _run(lib, label, action, files):
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    rec = {"exit": code, "stderr": err.getvalue().strip(), "stdout": _sha(out.getvalue().encode())}
+    texts = {"stdout": out.getvalue().encode()}
     for name in files:
         with contextlib.suppress(OSError), open(name, "rb") as f:
-            rec[name] = _sha(f.read())
+            texts[name] = f.read()
+    rec = {"exit": code, "stderr": err.getvalue().strip()}
+    for key, data in texts.items():
+        rec[key], rec["_numbers " + key] = _sha(data), _numbers(data)
     if label.startswith("verify") and code in (0, 1):
         rec["_residuals"] = {c["name"]: c["residual"] for c in json.loads(out.getvalue())["results"]}
     return rec
@@ -348,7 +399,8 @@ def run_tree(root, steps):
 
 
 def _compared(rec):
-    """The fields of a record that must match: all but the _residuals detail."""
+    """The fields of a record that must match: all but the _residuals and
+    _numbers details."""
     return {k: v for k, v in rec.items() if k[0] != "_"}
 
 
@@ -367,6 +419,14 @@ def _describe(label, a, b):
             continue
         if key not in ("exit", "stderr"):  # a sha256: its first 12 digits
             x, y = (v[:12] if isinstance(v, str) else v for v in (x, y))
+            na, nb = a.get("_numbers " + key), b.get("_numbers " + key)
+            if na and nb and na[0] == nb[0]:
+                with np.errstate(invalid="ignore"):
+                    move = np.max(np.abs(na[1] - nb[1]), initial=0.0)
+                scale = max(1.0, float(np.max(np.abs(na[1]), initial=0.0)))
+                parts.append(f"{key} numbers moved by up to {move / scale:.3e} relative")
+            elif na and nb:
+                parts.append(f"{key} structure differs")
         parts.append(f"{key}: {x!r} -> {y!r}")
     ra, rb = a.get("_residuals", {}), b.get("_residuals", {})
     for name in ra.keys() & rb.keys():
