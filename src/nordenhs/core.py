@@ -113,10 +113,6 @@ def bilinear(z, w):
     return np.sum(np.asarray(z) * np.asarray(w), axis=-1)
 
 
-def _scale(M):
-    return max(1.0, float(np.max(np.abs(M))))
-
-
 def h_symmetry_residual(S):
     """Max-norm residuals (commutator with J, g-self-adjointness).
 
@@ -129,23 +125,6 @@ def h_symmetry_residual(S):
     r_comm = float(np.max(np.abs(S - complex_op_to_real(real_op_to_complex(S)))))
     r_sym = float(np.max(np.abs(GS - GS.T)))
     return r_comm, r_sym
-
-
-def is_structure_group_member(M, tol=DEFAULT_TOL):
-    """True iff M preserves both J and g (the group r(O(m, C))): M is the
-    real form of a complex C with C^T C = I."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
-        raise DimensionMismatch(f"expected square 2m x 2m matrix, got {M.shape}")
-    # M / p and s / p for p = 2^e with s / p in [0.5, 1): exact, and C^T C cannot overflow
-    s = _scale(M)
-    e = np.frexp(s)[1]
-    M, s = np.ldexp(M, -e), float(np.ldexp(s, -e))
-    C = real_op_to_complex(M)
-    if np.max(np.abs(M - complex_op_to_real(C))) > tol * s:
-        return False
-    D = C.T @ C - np.ldexp(np.eye(len(C)), -2 * e)  # (C^T C - I) / p^2
-    return float(np.max(np.maximum(np.abs(D.real), np.abs(D.imag)))) <= tol * s * s
 
 
 def is_adapted_basis(vectors, tol=DEFAULT_TOL):
@@ -213,11 +192,6 @@ def random_complex_orthogonal(m, rng, im_scale=0.4):
         theta = rng.uniform(-np.pi, np.pi) + 1j * rng.uniform(-im_scale, im_scale)
         R = complex_givens(m, int(p), int(q), theta) @ R
     return R
-
-
-def random_structure_group_member(m, rng):
-    """Random member of r(O(m, C)) as a real 2m x 2m matrix."""
-    return complex_op_to_real(random_complex_orthogonal(m, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +282,7 @@ def h_proper_decomposition(S):
     if not np.isfinite(S).all():
         # a NaN residual would pass the h-symmetry gate below
         raise NordenError("the operator must be finite")
-    s = _scale(S)
+    s = max(1.0, float(np.max(np.abs(S))))
     r_comm, r_sym = h_symmetry_residual(S)
     if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:
         raise NotHSymmetric(f"residuals: commutator {r_comm:.3e}, self-adjointness {r_sym:.3e}")

@@ -254,11 +254,13 @@ def adapted_j_rep(n):
 
 
 def _fd_steps(s, P, step):
-    """The FD step at each point of a stack P (N, 2m): 1e-5 (1 + |p - z0|),
-    or `step`, scalar or per point, in (1e-12, 0.05] times 1 + |p - z0|."""
-    scale = 1.0 + np.linalg.norm(P - s.center, axis=-1)
-    h = 1e-5 * scale if step is None else np.asarray(step, dtype=float)
-    h, scale = np.broadcast_arrays(h, scale)
+    """The FD step at each point of a stack P (N, 2m): 1e-5 (sqrt|a + ib| + |p - z0|),
+    relative to the sphere, or `step`, scalar or per point, in (1e-12, 0.05]
+    times 1 + |p - z0|."""
+    norm = np.linalg.norm(P - s.center, axis=-1)
+    if step is None:
+        return 1e-5 * (np.sqrt(abs(complex(s.a, s.b))) + norm)
+    h, scale = np.broadcast_arrays(np.asarray(step, dtype=float), 1.0 + norm)
     for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
         if bad.any():
             raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")

@@ -614,9 +614,12 @@ def loop_suite_curvature(a, b, m, points, planes, seed, fd=False):
     (3.0, 4.0, 4, 20, 50, 0, False),
     (-1.137, 1.885, 3, 7, 13, 9, False),
     (2.0, -3.0, 5, 4, 20, 3, True),
+    # the default FD step is relative to the sphere; the former 1e-5 was 1 % of this radius
+    (1e-6, 0.0, 4, 5, 20, 1, True),
 ])
 def test_suite_curvature_matches_per_point_loop(a, b, m, points, planes, seed, fd):
     got = suite_curvature(a=a, b=b, m=m, points=points, planes=planes, seed=seed, fd=fd)
+    assert all(c.passed for c in got), got
     assert tuple(c.residual for c in got) == loop_suite_curvature(a, b, m, points, planes,
                                                                   seed, fd)
 
@@ -806,7 +809,7 @@ def stack_2b3(kind, m):
 @pytest.mark.parametrize("kind", ["closed", "fd", "hyperplane"])
 def test_block_writer_matches_per_record(tmp_path, kind, m):
     f = tmp_path / "s.json"
-    for n in COUNTS:
+    for n in (0, *COUNTS):  # an empty stack is written as []
         doc = jsonio.samples_to_doc(m, stack_2b3(kind, m)[:n])
         want = ref_dumps(doc)
         assert jsonio.dumps_canonical(doc) == want

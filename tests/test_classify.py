@@ -184,6 +184,10 @@ class TestReconstruct:
             assert rec.d == pytest.approx(hp.d, abs=1e-15)
             assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
 
+    def test_empty_hyperplane_stack_rejected(self):
+        with pytest.raises(EmptySamples, match="no samples"):
+            reconstruct_hyperplane(empty_stack())
+
     def test_sphere_samples_rejected_as_hyperplane(self):
         _, ss = sphere_set(1.0, 0.0)
         with pytest.raises(NonConstantNormal):

@@ -366,6 +366,11 @@ class TestJsonIO:
         with pytest.raises(FormatError):
             jsonio.dumps_canonical({"x": float("nan")})
 
+    @pytest.mark.parametrize("x", [1j, b"1", object()], ids=["complex", "bytes", "object"])
+    def test_unsupported_scalar_rejected(self, x):
+        with pytest.raises(FormatError, match="unsupported scalar"):
+            jsonio.dumps_canonical({"x": [x]})
+
     def test_array_rows_match_list_layout(self):
         A = np.array([[0.1, -0.0, 1e300], [2.0, 1.0 / 3.0, -2.5e-17]])
         doc = {"A": A, "rows": [A[0], np.zeros(0)], "x": A[1, 1]}
@@ -528,14 +533,17 @@ def test_codazzi_step_beyond_sphere_scale_exit_2(capsys, step):
     assert f"step {float(step):.3e} too large" in err
 
 
-def test_python_dash_m(tmp_path):
+def run_python(tmp_path, *args):
+    """A fresh interpreter run with args, importing nordenhs from this tree."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(nordenhs.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+
+
+def test_python_dash_m(tmp_path):
+    proc = run_python(tmp_path, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "sphere info"
 
@@ -555,17 +563,30 @@ def test_m_below_one_exit_2(capsys, cmd, m):
 
 
 def test_python_dash_m_negative_m_exit_2(tmp_path):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(nordenhs.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4", "--m", "-1"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    proc = run_python(tmp_path, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4",
+                      "--m", "-1")
     assert proc.returncode == 2
     assert not proc.stdout
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "--m" in proc.stderr
+
+
+def test_cli_loads_every_layer(tmp_path):
+    # the benchmark's tracer reads sys.modules["nordenhs.<layer>"] of every
+    # layer right after importing nordenhs.cli; the package re-exports no
+    # names, so nordenhs.classify is the module, not the function
+    code = """
+import sys
+import types
+import nordenhs.cli
+import nordenhs.classify as m
+layers = ("core", "curvature", "hypersurface", "classify", "jsonio", "verify", "cli")
+print([name for name in layers if "nordenhs." + name not in sys.modules])
+print(isinstance(m, types.ModuleType), hasattr(m, "reconstruct_sphere"))
+"""
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 @pytest.mark.parametrize("content", [

@@ -44,3 +44,15 @@ def test_number_moves_are_reported():
                   b'{"x": [1.0], "note": "a=0.5", "passed": true}'):
         assert "stdout structure differs" in describe(other)
     assert compare_outputs._numbers(b"not json") is None
+
+
+def test_per_number_moves_are_reported():
+    # a sign flip of a tiny number hides under the document's largest one;
+    # a number that was 0 has no relative move
+    old_text = b'{"big": 1e30, "mu": 4.969e-17, "zero": 0}'
+    old = {"exit": 0, "stdout": "0", "_numbers stdout": compare_outputs._numbers(old_text)}
+    new_text = b'{"big": 1e30, "mu": -4.969e-17, "zero": 1e-47}'
+    new = dict(old, stdout="1", **{"_numbers stdout": compare_outputs._numbers(new_text)})
+    text = compare_outputs._describe("label", old, new)
+    assert "stdout numbers moved by up to 9.938e-47 relative" in text
+    assert "by up to 2.000e+00 per number" in text

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nordenhs.core import apply_J, random_structure_group_member
+from nordenhs.core import apply_J
 from nordenhs.curvature import (
     SpaceFormParams,
     TangentPlane,
@@ -123,6 +123,24 @@ class TestGaussCurvature:
             gauss_curvature_from_shape(
                 A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
             )
+
+    def test_rejects_basis_of_another_size(self):
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        with pytest.raises(DimensionMismatch, match="tangent basis size does not match A"):
+            gauss_curvature_from_shape(smp.A[:4, :4], smp.tangent_bases,
+                                       SpaceFormParams(0.0, 0.0))
+
+    def test_rejects_j_commuting_shape_not_self_adjoint(self):
+        # in an adapted orthonormal basis, diag(K, K) commutes with J_rep, and
+        # G_t diag(K, K) with G_t = diag(I, -I) is antisymmetric for antisymmetric K
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        K = np.zeros((3, 3))
+        K[0, 1], K[1, 0] = 0.1, -0.1
+        A = smp.A + np.kron(np.eye(2), K)
+        with pytest.raises(NotHSymmetric, match="not g-self-adjoint"):
+            gauss_curvature_from_shape(A, smp.tangent_bases, SpaceFormParams(0.0, 0.0))
 
     def test_plane_rebasing_invariance(self):
         # sectional curvature depends on the plane, not the spanning pair

@@ -17,9 +17,9 @@ from nordenhs.core import (
     complex_op_to_real,
     h_proper_decomposition,
     random_complex_orthogonal,
-    random_structure_group_member,
 )
 from nordenhs.hypersurface import SampleStack, make_h_sphere, make_surface_samples
+from structure_group import random_structure_group_member
 
 # bounded and reproducible: Tier-1 runs the same examples every time
 EXAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)

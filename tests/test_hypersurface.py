@@ -76,6 +76,10 @@ class TestConstructors:
         with pytest.raises(DimensionMismatch):
             make_h_sphere(np.zeros(7), 1.0, 0.0)
 
+    def test_odd_hyperplane_normal_rejected(self):
+        with pytest.raises(DimensionMismatch, match="xi must have even length"):
+            make_hyperplane(np.r_[1.0, np.zeros(6)], 1.0, 0.0)
+
     @pytest.mark.parametrize("x", [1e200, 1e-13, 1e-200])
     def test_parameters_out_of_range_rejected(self, x):
         # x^2 overflows, or falls below 1e-24

@@ -16,12 +16,10 @@ from nordenhs.core import (
     h_proper_decomposition,
     h_symmetry_residual,
     is_adapted_basis,
-    is_structure_group_member,
     metric_g,
     metric_gt,
     q_value,
     random_complex_orthogonal,
-    random_structure_group_member,
     real_op_to_complex,
     tangent_reps,
     to_complex,
@@ -33,6 +31,7 @@ from nordenhs.errors import (
     NotHDiagonalizable,
     NotHSymmetric,
 )
+from structure_group import is_structure_group_member, random_structure_group_member
 
 
 def basis_vec(dim, i):
@@ -246,6 +245,11 @@ class TestAdaptedBasis:
 
     def test_wrong_ordering_rejected(self):
         assert not is_adapted_basis(np.eye(8))
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 7)])
+    def test_odd_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="2k vectors of even length"):
+            is_adapted_basis(np.ones(shape))
 
 
 class TestBilinearOrthonormalize:

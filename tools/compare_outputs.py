@@ -12,11 +12,12 @@ Per call the script records the exit code, the stderr text and the sha256
 of stdout and of each file the call writes.  For a `verify` report that
 differs, it also gives the largest move of each residual.  For a JSON
 stdout or file that differs, it gives the largest move of its numbers
-relative to max(1, max |x|) over the old document, when both documents have
-the same structure (the text with every number, inside strings too, read
-as #), and says so when they do not.  It prints one line per call that
-differs, then a summary, and exits 0 when every call is identical and 1
-otherwise.  --quick runs a small subset of the corpus.
+relative to max(1, max |x|) over the old document, and the largest move
+|x_new - x_old| / |x_old| of one number over the old numbers x_old != 0,
+when both documents have the same structure (the text with every number,
+inside strings too, read as #), and says so when they do not.  It prints
+one line per call that differs, then a summary, and exits 0 when every call
+is identical and 1 otherwise.  --quick runs a small subset of the corpus.
 
 The corpus:
 - the round specs of each perfbench workload (perfbench/jobs.py), as the
@@ -30,6 +31,9 @@ The corpus:
 - sample files at (-1, 0) and (-1, -0.0), on the branch cut of sqrt(a + ib);
 - `verify codazzi` at m = 4, |c| = 64, theta = 7 pi/4, seed 2, a case that
   fixed steps put near the order check's bound;
+- `sample --with-frames --fd` with `classify` at (1, 0) and (0, -1), where
+  the default FD step is 1e-5 (1 + |p - z0|), and at (1e-6, 0), where it
+  is relative to the sphere, and `verify curvature --fd` at (1e-6, 0);
 - `verify` calls whose flags are taken by some suites only, so the `params`
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
@@ -284,6 +288,10 @@ def _edge_cases():
              "--out", "cut_minus.json", out="cut_minus.json"),
         _cli("verify", "codazzi", f"--a={float(64 * np.cos(7 * np.pi / 4))!r}",
              f"--b={float(64 * np.sin(7 * np.pi / 4))!r}", "--seed", 2),
+        *_sample_and_classify("fd1.json", "--a", 1, "--b", 0, "--count", 20, "--fd"),
+        *_sample_and_classify("fd2.json", "--a", 0, "--b=-1", "--count", 20, "--fd"),
+        *_sample_and_classify("fd3.json", "--a", 1e-6, "--b", 0, "--count", 20, "--fd"),
+        _cli("verify", "curvature", "--fd", "--a", 1e-6, "--b", 0),
     ]
 
 
@@ -421,10 +429,14 @@ def _describe(label, a, b):
             x, y = (v[:12] if isinstance(v, str) else v for v in (x, y))
             na, nb = a.get("_numbers " + key), b.get("_numbers " + key)
             if na and nb and na[0] == nb[0]:
-                with np.errstate(invalid="ignore"):
-                    move = np.max(np.abs(na[1] - nb[1]), initial=0.0)
-                scale = max(1.0, float(np.max(np.abs(na[1]), initial=0.0)))
-                parts.append(f"{key} numbers moved by up to {move / scale:.3e} relative")
+                old = na[1]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    moves = np.abs(nb[1] - old)
+                    each = np.max(moves[old != 0] / np.abs(old[old != 0]), initial=0.0)
+                scale = max(1.0, float(np.max(np.abs(old), initial=0.0)))
+                parts.append(f"{key} numbers moved by up to "
+                             f"{np.max(moves, initial=0.0) / scale:.3e} relative, "
+                             f"by up to {each:.3e} per number")
             elif na and nb:
                 parts.append(f"{key} structure differs")
         parts.append(f"{key}: {x!r} -> {y!r}")
