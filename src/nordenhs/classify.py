@@ -36,7 +36,6 @@ LAMBDA_MU_THRESHOLD = 1e-10
 class ClassificationResult:
     verdict: str
     recovered: object = None
-    per_sample: tuple = ()
     containment_residual: float = float("nan")
     umbilicity_residual: float = float("nan")
     constancy_spread: float = float("nan")
@@ -61,13 +60,14 @@ def pair_crosscheck(pairs, ambient, observed):
     """Max residual of the cross-pair compatibility relations
 
         nu' - nu  = mu_j mu_k - lambda_j lambda_k
-        nut' - nut = lambda_j mu_k + lambda_k mu_j   (j != k).
-    """
+        nut' - nut = lambda_j mu_k + lambda_k mu_j   (j != k)
+
+    with ambient = nu' + i nut' and observed = nu + i nut complex numbers."""
     lam, mu = np.array(list(pairs), dtype=float).reshape(-1, 2).T
     if len(lam) < 2:
         raise EmptySamples("need at least two (lambda, mu) pairs")
-    r1 = (ambient.nu - observed.nu) - (np.outer(mu, mu) - np.outer(lam, lam))
-    r2 = (ambient.nut - observed.nut) - (np.outer(lam, mu) + np.outer(mu, lam))
+    r1 = (ambient.real - observed.real) - (np.outer(mu, mu) - np.outer(lam, lam))
+    r2 = (ambient.imag - observed.imag) - (np.outer(lam, mu) + np.outer(mu, lam))
     off = ~np.eye(len(lam), dtype=bool)
     return float(max(np.max(np.abs(r1[off])), np.max(np.abs(r2[off]))))
 
@@ -135,12 +135,10 @@ def classify(stack, tol=1e-6):
         raise EmptySamples("no samples")
 
     per, devs = shape_invariants(stack)
-    per_sample = tuple(map(tuple, per.tolist()))
     spread = float(np.max(np.abs(per[:, 2:] - per[:, 2:].mean(axis=0))))
     if not spread <= tol:
         return ClassificationResult(
             verdict=VERDICT_NON_CONSTANT,
-            per_sample=per_sample,
             constancy_spread=spread,
         )
 
@@ -149,7 +147,6 @@ def classify(stack, tol=1e-6):
     if not umb_res <= tol:
         return ClassificationResult(
             verdict=VERDICT_NOT_UMBILICAL,
-            per_sample=per_sample,
             umbilicity_residual=umb_res,
             constancy_spread=spread,
             notes=(f"worst sample index {worst}",),
@@ -179,7 +176,6 @@ def classify(stack, tol=1e-6):
     return ClassificationResult(
         verdict=verdict,
         recovered=recovered,
-        per_sample=per_sample,
         containment_residual=cres,
         umbilicity_residual=umb_res,
         constancy_spread=spread,

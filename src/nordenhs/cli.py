@@ -50,7 +50,7 @@ def _err(msg):
 
 def cmd_sphere_info(args):
     sph = make_h_sphere(np.zeros(2 * args.m), args.a, args.b)
-    params = theoretical_curvatures(sph)
+    nu = theoretical_curvatures(sph)
     lam, mu = lambda_mu(sph)
     _emit(
         {
@@ -59,12 +59,12 @@ def cmd_sphere_info(args):
             "a": sph.a,
             "b": sph.b,
             "m": args.m,
-            "nu": params.nu,
-            "nut": params.nut,
+            "nu": nu.real,
+            "nut": nu.imag,
             "lambda": lam,
             "mu": mu,
-            "gHH": params.nu,
-            "gtHH": params.nut,
+            "gHH": nu.real,
+            "gtHH": nu.imag,
         }
     )
     return 0

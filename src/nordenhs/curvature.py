@@ -5,8 +5,8 @@ Ricci.
 Everything acts on vectors along the last axis, so stacks of vectors (and
 of shape operators) evaluate in one call; nothing is materialized as a
 4-index array.  With q = g + i gt, W(x,y,z,u) = q(y,z) q(x,u) - q(x,z) q(y,u)
-gives pi1 - pi2 = Re W, pi3 = -Im W and R = Re[(nu + i nut) W + W(Ax,Ay,z,u)];
-as q(., Jv) = -i q(., v), R(x,y,y,x) + i R(x,y,y,Jx) is the bracket at (z,u) = (y,x).
+gives pi1 - pi2 = Re W, pi3 = -Im W and R = Re B, B = (nu + i nut) W + W(Ax,Ay,z,u);
+as q(., Jv) = -i q(., v), R(x,y,y,x) + i R(x,y,y,Jx) is B at (z,u) = (y,x).
 A plane is totally real when gt = Im q vanishes on it; the g-Gram matrix of
 (x, y, Jx, Jy) has determinant |det Q|^2 for the q-Gram Q of (x, y).
 """
@@ -39,14 +39,6 @@ PLANE_DEGENERACY_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
-class SpaceFormParams:
-    """Constant totally real sectional curvatures (nu, nut)."""
-
-    nu: float
-    nut: float
-
-
-@dataclass(frozen=True)
 class TangentPlane:
     """A 2-plane spanned by x and y, or a stack of planes when x and y are
     stacks (..., 2m); a stack indexes and iterates along its first axis."""
@@ -71,46 +63,54 @@ def pi_tensors(x, y, z, u):
     return p1, p2, p3
 
 
+def _nondegenerate(pi1, xx, yy):
+    """|pi1(x,y,y,x)| > PLANE_DEGENERACY_THRESHOLD |x|^2 |y|^2, xx = |x|^2, yy = |y|^2."""
+    return np.abs(pi1) > PLANE_DEGENERACY_THRESHOLD * np.maximum(xx * yy, 1e-300)
+
+
+def _w(x, y, z, u):
+    """W(x,y,z,u) = pi1 - pi2 - i pi3."""
+    p1, p2, p3 = pi_tensors(x, y, z, u)
+    return (p1 - p2) - 1j * p3
+
+
 class GaussShapeCurvature:
     """Curvature tensor of a hypersurface by the Gauss equation:
 
         R(x,y,z,u) = R'(x,y,z,u) + pi1(Ax,Ay,z,u) - pi2(Ax,Ay,z,u)
 
-    with R' = nu (pi1 - pi2) + nut pi3 the ambient space form and A_ambient
-    the shape operator acting on ambient tangent vectors.  A = 0
-    (A_ambient None) is the space form R' itself.  A stack of shape
-    operators (..., 2m, 2m) is a stack of tensors; its leading axes
-    broadcast against those of the vectors.
+    with R' = nu (pi1 - pi2) + nut pi3 the ambient space form, given as one
+    complex number ambient = nu + i nut, and A_ambient the shape operator on
+    ambient tangent vectors; A = 0 (A_ambient None) is R' itself.  A stack of
+    shape operators (..., 2m, 2m) is a stack of tensors, broadcast as vectors are.
     """
 
-    def __init__(self, ambient, A_ambient=None):
-        self.ambient = ambient
+    def __init__(self, ambient=0, A_ambient=None):
+        self.ambient = complex(ambient)
         self.A_ambient = A_ambient
 
     def __call__(self, x, y, z, u):
-        nu, nut = self.ambient.nu, self.ambient.nut
-        if self.A_ambient is not None:
-            q1, q2, _ = pi_tensors(*self._shape(x, y), z, u)
-            if nu == 0 and nut == 0:
-                # a flat ambient adds R' = 0
-                return q1 - q2
-        p1, p2, p3 = pi_tensors(x, y, z, u)
-        r = nu * (p1 - p2) + nut * p3
-        return r if self.A_ambient is None else r + q1 - q2
+        return self._bracket(x, y, z, u).real
 
-    def _shape(self, *vs):
-        return (np.einsum("...ij,...j->...i", self.A_ambient, v) for v in vs)
+    def _bracket(self, x, y, z, u):
+        """B = (nu + i nut) W(x,y,z,u) + W(Ax,Ay,z,u), so that R = Re B."""
+        if self.A_ambient is None:
+            return self.ambient * _w(x, y, z, u)
+        shape = _w(*(np.einsum("...ij,...j->...i", self.A_ambient, v) for v in (x, y)), z, u)
+        # a flat ambient adds R' = 0
+        return self.ambient * _w(x, y, z, u) + shape if self.ambient else shape
 
 
-def space_form_curvature(params):
-    """R = nu (pi1 - pi2) + nut pi3: the Gauss tensor with A = 0."""
-    return GaussShapeCurvature(params)
+def space_form_curvature(ambient):
+    """R = nu (pi1 - pi2) + nut pi3, ambient = nu + i nut: the Gauss tensor with A = 0."""
+    return GaussShapeCurvature(ambient)
 
 
-def gauss_curvature_from_shape(A, tangent_basis, ambient):
-    """Gauss tensor of the shape operator A given on a tangent basis (rows);
-    it evaluates ambient vectors lying in that tangent space.  Stacks of A
-    (..., 2n, 2n) and of bases (..., 2n, 2m) give a stack of tensors."""
+def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
+    """Gauss tensor of the shape operator A given on a tangent basis (rows) over
+    the ambient nu + i nut (flat by default); it evaluates ambient vectors lying
+    in that tangent space.  Stacks of A (..., 2n, 2n) and of bases (..., 2n, 2m)
+    give a stack of tensors."""
     A = np.asarray(A, dtype=float)
     rows = np.asarray(tangent_basis, dtype=float)
     if rows.shape[-2] != A.shape[-1]:
@@ -132,20 +132,13 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient):
 
 def _sectional(R, x, y):
     """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
-    K + i Kt = (R(x,y,y,x) + i R(x,y,y,Jx)) / pi1(x,y,y,x) from the pairings of
-    x, y, Ax and Ay.  ok is False, and K, Kt are NaN, where |pi1| is within
-    PLANE_DEGENERACY_THRESHOLD * |x|^2 |y|^2."""
+    K + i Kt = B(x,y,y,x) / pi1(x,y,y,x) for the Gauss bracket B of R.  ok is
+    False, and K, Kt are NaN, where the plane is degenerate (_nondegenerate)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    zx, zy = to_complex(x), to_complex(y)
-    xx, xy, yy = bilinear(zx, zx), bilinear(zx, zy), bilinear(zy, zy)
-    den = yy.real * xx.real - xy.real * xy.real
-    num = complex(R.ambient.nu, R.ambient.nut) * (yy * xx - xy * xy)
-    if R.A_ambient is not None:
-        ax, ay = (to_complex(v) for v in R._shape(x, y))
-        num = num + (bilinear(ay, zy) * bilinear(ax, zx) - bilinear(ax, zy) * bilinear(ay, zx))
-    scale = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
-    ok = np.abs(den) > PLANE_DEGENERACY_THRESHOLD * np.maximum(scale, 1e-300)
+    den = pi_tensors(x, y, y, x)[0]
+    ok = _nondegenerate(den, np.sum(x * x, axis=-1), np.sum(y * y, axis=-1))
     safe = np.where(ok, den, np.nan)
+    num = R._bracket(x, y, y, x)
     return num.real / safe, num.imag / safe, den, ok
 
 
@@ -173,16 +166,21 @@ def is_totally_real(plane, tol=DEFAULT_TOL):
     transversal to its J-image.  For a TangentPlane of stacks the answer is
     a boolean array.  All three tests read g and gt = Im q of (x,x), (x,y),
     (y,y): the g-Gram matrix G of (x, y, Jx, Jy) is [[A, B], [B, -A]] for the
-    g- and gt-Grams A, B of (x, y), so det G = |det Q|^2, Q = A + iB."""
+    g- and gt-Grams A, B of (x, y), so det G = |det Q|^2, Q = A + iB.  A power
+    of two scales max(|x|, |y|) into [1/2, 1) first: that is exact and every
+    test is homogeneous, so the answer is the same for (t x, t y)."""
     x = np.asarray(plane.x, dtype=float)
     y = np.asarray(plane.y, dtype=float)
-    scale = np.maximum(np.maximum(np.sum(x * x, -1), np.sum(y * y, -1)), 1e-300)
+    e = np.frexp(np.maximum(np.abs(x).max(-1, initial=0.0), np.abs(y).max(-1, initial=0.0)))[1]
+    x, y = (np.ldexp(v, -np.expand_dims(e, -1)) for v in (x, y))
+    xx, yy = np.sum(x * x, -1), np.sum(y * y, -1)
+    scale = np.maximum(np.maximum(xx, yy), 1e-300)
     (gxx, gxy, gyy), gt = ([f(x, x), f(x, y), f(y, y)] for f in (metric_g, metric_gt))
     det_q = (gxx + 1j * gt[0]) * (gyy + 1j * gt[2]) - (gxy + 1j * gt[1]) ** 2
     ok = (
         (np.max(np.abs(gt), axis=0) <= tol * scale)
         & (np.abs(det_q) ** 2 >= 1e-10 * scale ** 4)
-        & (np.abs(gyy * gxx - gxy * gxy) > PLANE_DEGENERACY_THRESHOLD * scale)  # pi1
+        & _nondegenerate(gyy * gxx - gxy * gxy, xx, yy)  # pi1(x,y,y,x)
     )
     return bool(ok) if np.ndim(ok) == 0 else ok
 

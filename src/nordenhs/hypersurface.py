@@ -27,7 +27,6 @@ from .core import (
     tangent_reps,
     to_complex,
 )
-from .curvature import SpaceFormParams
 from .errors import (
     BadInputNormalization,
     DegenerateBasis,
@@ -97,8 +96,9 @@ def conjugate(s):
 
 
 def theoretical_curvatures(s):
+    """The totally real sectional curvatures as one complex number 1/(a + ib)."""
     den = s.a * s.a + s.b * s.b
-    return SpaceFormParams(nu=s.a / den, nut=-s.b / den)
+    return complex(s.a / den, -s.b / den)
 
 
 def _kappa(s):

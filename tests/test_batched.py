@@ -25,7 +25,6 @@ from nordenhs.core import (
     to_complex,
 )
 from nordenhs.curvature import (
-    SpaceFormParams,
     TangentPlane,
     gauss_curvature_from_shape,
     is_totally_real,
@@ -172,8 +171,6 @@ def test_classify_invariants_match_loop(fd):
     ref = np.array([loop_invariants(smp) for smp in st])
     assert np.max(np.abs(per - ref[:, :4])) <= 1e-12
     assert np.max(np.abs(devs - ref[:, 4])) <= 1e-12
-    result = classify(st)
-    assert np.max(np.abs(np.array(result.per_sample) - ref[:, :4])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +361,9 @@ def test_tensors_match_reference(a, b):
     got = pi_tensors(x, y, z, u)
     for i, k in np.ndindex(6, 40):
         assert close([p[i, k] for p in got], ref_pi(x[i, k], y[i, k], z[i, k], u[i, k]))
-    flat = SpaceFormParams(0.0, 0.0)
+    flat = 0j
     stacked = gauss_curvature_from_shape(st.A, st.tangent_bases, flat)
-    sf = space_form_curvature(SpaceFormParams(0.12, -0.16))
+    sf = space_form_curvature(complex(0.12, -0.16))
     ref_sf = ref_tensor(0.12, -0.16)
     v_stack = stacked(*(w.transpose(1, 0, 2) for w in (x, y, z, u)))  # (40, 6)
     v_sf = sf(x, y, z, u)
@@ -382,8 +379,7 @@ def test_tensors_match_reference(a, b):
 def test_flat_gauss_tensor_is_the_shape_term_exactly():
     st = sphere_stack(-1.137, 1.885, 5, seed=36)
     x, y, z, u = np.random.default_rng(37).uniform(-1, 1, (4, 5, 30, 6)) @ st.tangent_bases
-    R = gauss_curvature_from_shape(st.A[:, None], st.tangent_bases[:, None],
-                                   SpaceFormParams(0.0, 0.0))
+    R = gauss_curvature_from_shape(st.A[:, None], st.tangent_bases[:, None])
     ax, ay = (np.einsum("...ij,...j->...i", R.A_ambient, v) for v in (x, y))
     q1, q2, _ = pi_tensors(ax, ay, z, u)
     assert np.array_equal(R(x, y, z, u), q1 - q2)
@@ -394,16 +390,16 @@ def test_gauss_tensor_is_space_form_plus_shape_term(nu, nut):
     st = sphere_stack(3.0, 4.0, 5, seed=38)
     x, y, z, u = np.random.default_rng(39).uniform(-1, 1, (4, 5, 30, 6)) @ st.tangent_bases
     A, T = st.A[:, None], st.tangent_bases[:, None]
-    got = gauss_curvature_from_shape(A, T, SpaceFormParams(nu, nut))(x, y, z, u)
-    want = (space_form_curvature(SpaceFormParams(nu, nut))(x, y, z, u)
-            + gauss_curvature_from_shape(A, T, SpaceFormParams(0.0, 0.0))(x, y, z, u))
+    got = gauss_curvature_from_shape(A, T, complex(nu, nut))(x, y, z, u)
+    want = (space_form_curvature(complex(nu, nut))(x, y, z, u)
+            + gauss_curvature_from_shape(A, T)(x, y, z, u))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("a,b", GRID)
 def test_sectional_and_ricci_match_reference(a, b):
     st = sphere_stack(a, b, 4, seed=23)
-    flat = SpaceFormParams(0.0, 0.0)
+    flat = 0j
     pls = [sample_totally_real_planes(T, 30, seed=24 + i) for i, T in enumerate(st.tangent_bases)]
     XY = np.array([[(p.x, p.y) for p in ps] for ps in pls]).transpose(2, 1, 0, 3)
     K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A, st.tangent_bases, flat),
@@ -421,7 +417,7 @@ def test_sectional_and_ricci_match_reference(a, b):
         B = smp.tangent_bases
         R = gauss_curvature_from_shape(smp.A, B, flat)
         assert close(ricci(R, B), ref_ricci(ref_tensor(0.0, 0.0, ref_ambient_shape(smp)), B))
-        sf = space_form_curvature(SpaceFormParams(-0.3, 0.7))
+        sf = space_form_curvature(complex(-0.3, 0.7))
         assert close(ricci(sf, B), ref_ricci(ref_tensor(-0.3, 0.7), B))
 
 
@@ -430,7 +426,7 @@ def test_sectional_and_ricci_match_reference(a, b):
 def test_sectional_over_space_form_matches_reference(a, b, nu, nut):
     # the Gauss tensor over a non-flat ambient adds (nu + i nut) W(x,y,y,x)
     st = sphere_stack(a, b, 4, seed=40)
-    amb = SpaceFormParams(nu, nut)
+    amb = complex(nu, nut)
     pls = sample_totally_real_planes(st.tangent_bases, 30, seed=41 + np.arange(4))
     K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A[:, None],
                                                               st.tangent_bases[:, None], amb), pls)
@@ -462,6 +458,25 @@ def test_totally_real_matches_reference():
         want = [ref_totally_real(x, y, tol) for x, y in pairs]
         assert got.tolist() == want
         assert [is_totally_real(TangentPlane(x, y), tol=tol) for x, y in pairs] == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-4, 1.0, 1e40, 1e150])
+def test_totally_real_is_scale_free(t):
+    # total reality is a property of the span: (t x, t y) answers as (x, y)
+    # does, with no overflow of the quartic gates
+    st = sphere_stack(3.0, 4.0, 1, seed=26)
+    good = [(p.x, p.y) for p in sample_totally_real_planes(st.tangent_bases[0], 10, seed=27)]
+    e = np.eye(8)
+    special = [(e[0], apply_J(e[0])), (e[0] + e[4], e[1]), (e[0], 2.0 * e[0]),
+               (e[0], e[1]), (e[0] + 1e-12 * e[4], e[1]),
+               (e[0] + e[2], e[0] + e[2] + 1e-3 * e[1]), (e[0] + e[2], e[0] + e[2] + 1e-2 * e[1])]
+    X, Y = np.array(good + special).transpose(1, 0, 2)
+    for tol in (1e-9, 1e-5):
+        want = [ref_totally_real(x, y, tol) for x, y in zip(X, Y)]
+        assert is_totally_real(TangentPlane(t * X, t * Y), tol=tol).tolist() == want
+        assert [is_totally_real(TangentPlane(t * x, t * y), tol=tol)
+                for x, y in zip(X, Y)] == want
     assert 0 < sum(want) < len(want)
 
 
@@ -602,12 +617,12 @@ def loop_suite_curvature(a, b, m, points, planes, seed, fd=False):
     sph = make_h_sphere(np.zeros(2 * m), a, b)
     params = theoretical_curvatures(sph)
     st = make_surface_samples(sph, points, seed, fd=fd)
-    R = gauss_curvature_from_shape(st.A, st.tangent_bases, SpaceFormParams(0.0, 0.0))
+    R = gauss_curvature_from_shape(st.A, st.tangent_bases)
     pls = np.array([ref_sampler(T, planes, seed + 1000 + i)
                     for i, T in enumerate(st.tangent_bases)])
     X, Y = pls.transpose(2, 1, 0, 3)
     K, Kt = sectional_batch_planes(R, TangentPlane(X, Y))
-    return float(np.max(np.abs(K - params.nu))), float(np.max(np.abs(Kt - params.nut)))
+    return float(np.max(np.abs(K - params.real))), float(np.max(np.abs(Kt - params.imag)))
 
 
 @pytest.mark.parametrize("a,b,m,points,planes,seed,fd", [

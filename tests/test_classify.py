@@ -17,7 +17,6 @@ from nordenhs.classify import (
     reconstruct_sphere,
     shape_invariants,
 )
-from nordenhs.curvature import SpaceFormParams
 from nordenhs.errors import (
     DegenerateBasis,
     EmptySamples,
@@ -95,10 +94,10 @@ class TestPairCrosscheck:
         # two hypersurface branches of the same ambient space form
         lam1, mu1 = 0.4, 0.2
         lam2, mu2 = -0.1, 0.3
-        ambient = SpaceFormParams(0.0, 0.0)
+        ambient = 0j
         # observed curvature offsets for the pair (j, k) are symmetric, so
         # feed the relation with the values it should reproduce
-        obs = SpaceFormParams(
+        obs = complex(
             -(mu1 * mu2 - lam1 * lam2), -(lam1 * mu2 + lam2 * mu1)
         )
         assert pair_crosscheck(
@@ -106,14 +105,14 @@ class TestPairCrosscheck:
         ) == pytest.approx(0.0, abs=1e-14)
 
     def test_inconsistent_pairs(self):
-        ambient = SpaceFormParams(0.0, 0.0)
-        obs = SpaceFormParams(0.0, 0.0)
+        ambient = 0j
+        obs = 0j
         res = pair_crosscheck([(1.0, 0.0), (0.0, 1.0)], ambient, obs)
         assert res == pytest.approx(1.0, abs=1e-14)
 
     def test_needs_two_pairs(self):
         with pytest.raises(EmptySamples):
-            pair_crosscheck([(1.0, 0.0)], SpaceFormParams(0, 0), SpaceFormParams(0, 0))
+            pair_crosscheck([(1.0, 0.0)], 0j, 0j)
 
 
 class TestReconstruct:
@@ -259,8 +258,8 @@ class TestClassifyEndToEnd:
         sph, ss = sphere_set(3.0, 4.0)
         result = classify(ss)
         params = theoretical_curvatures(sph)
-        assert params.nu == pytest.approx(0.12, abs=1e-14)
-        assert params.nut == pytest.approx(-0.16, abs=1e-14)
+        assert params.real == pytest.approx(0.12, abs=1e-14)
+        assert params.imag == pytest.approx(-0.16, abs=1e-14)
         note = next(n for n in result.notes if n.startswith("curvature-route parameters: "))
         a, b = (float(f.split("=")[1]) for f in note.split(": ")[1].split(", "))
         assert a == pytest.approx(3.0, abs=1e-12)

@@ -589,6 +589,19 @@ print(isinstance(m, types.ModuleType), hasattr(m, "reconstruct_sphere"))
     assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
+def test_sampling_layers_do_not_load_curvature(tmp_path):
+    # the ambient curvatures are one complex number, so hypersurface needs
+    # no type from curvature
+    code = """
+import sys
+import nordenhs.hypersurface, nordenhs.classify, nordenhs.jsonio
+print("nordenhs.curvature" in sys.modules)
+"""
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 @pytest.mark.parametrize("content", [
     b'{"version": 1, "m": 4, "kind": "points\xd0"}',
     b"[" * 100000 + b"]" * 100000,

@@ -56,3 +56,4 @@ def test_per_number_moves_are_reported():
     text = compare_outputs._describe("label", old, new)
     assert "stdout numbers moved by up to 9.938e-47 relative" in text
     assert "by up to 2.000e+00 per number" in text
+    assert "(4.969e-17 -> -4.969e-17)" in text

@@ -5,7 +5,6 @@ import pytest
 
 from nordenhs.core import apply_J
 from nordenhs.curvature import (
-    SpaceFormParams,
     TangentPlane,
     gauss_curvature_from_shape,
     is_totally_real,
@@ -64,7 +63,7 @@ class TestPiTensors:
 
 class TestSpaceForm:
     def test_sectional_constancy(self):
-        params = SpaceFormParams(nu=0.12, nut=-0.16)
+        params = complex(0.12, -0.16)
         R = space_form_curvature(params)
         basis = standard_adapted(4)
         planes = sample_totally_real_planes(basis, 30, seed=1)
@@ -74,7 +73,7 @@ class TestSpaceForm:
             assert Kt == pytest.approx(-0.16, abs=1e-10)
 
     def test_batch_matches_scalar(self):
-        R = space_form_curvature(SpaceFormParams(nu=1.0, nut=0.5))
+        R = space_form_curvature(complex(1.0, 0.5))
         basis = standard_adapted(4)
         planes = sample_totally_real_planes(basis, 20, seed=2)
         Ks, Kts = sectional_batch_planes(R, planes)
@@ -84,14 +83,14 @@ class TestSpaceForm:
             assert Kt == pytest.approx(kt, abs=1e-11)
 
     def test_degenerate_plane_raises(self):
-        R = space_form_curvature(SpaceFormParams(1.0, 0.0))
+        R = space_form_curvature(complex(1.0, 0.0))
         e1 = basis_vec(8, 0)
         with pytest.raises(DegeneratePlane):
             sectional_curvatures(R, TangentPlane(x=e1, y=2.0 * e1))
 
     def test_stack_of_planes_rejected(self):
         # a stack has one (K, Kt) per plane: sectional_batch_planes takes it
-        R = space_form_curvature(SpaceFormParams(1.0, 0.0))
+        R = space_form_curvature(complex(1.0, 0.0))
         planes = sample_totally_real_planes(standard_adapted(4), 3, seed=2)
         with pytest.raises(DimensionMismatch, match="sectional_batch_planes"):
             sectional_curvatures(R, planes)
@@ -105,7 +104,7 @@ class TestGaussCurvature:
         p = sample(sph, 1, 9)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 25, seed=3)
         for pl in planes:
@@ -121,15 +120,14 @@ class TestGaussCurvature:
         A[0, 1] += 0.1  # breaks commutation with J
         with pytest.raises(NotHSymmetric):
             gauss_curvature_from_shape(
-                A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+                A, smp.tangent_bases
             )
 
     def test_rejects_basis_of_another_size(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         smp = surface_sample(sph, sample(sph, 1, 10)[0])
         with pytest.raises(DimensionMismatch, match="tangent basis size does not match A"):
-            gauss_curvature_from_shape(smp.A[:4, :4], smp.tangent_bases,
-                                       SpaceFormParams(0.0, 0.0))
+            gauss_curvature_from_shape(smp.A[:4, :4], smp.tangent_bases)
 
     def test_rejects_j_commuting_shape_not_self_adjoint(self):
         # in an adapted orthonormal basis, diag(K, K) commutes with J_rep, and
@@ -140,7 +138,7 @@ class TestGaussCurvature:
         K[0, 1], K[1, 0] = 0.1, -0.1
         A = smp.A + np.kron(np.eye(2), K)
         with pytest.raises(NotHSymmetric, match="not g-self-adjoint"):
-            gauss_curvature_from_shape(A, smp.tangent_bases, SpaceFormParams(0.0, 0.0))
+            gauss_curvature_from_shape(A, smp.tangent_bases)
 
     def test_plane_rebasing_invariance(self):
         # sectional curvature depends on the plane, not the spanning pair
@@ -148,7 +146,7 @@ class TestGaussCurvature:
         p = sample(sph, 1, 11)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases
         )
         pl = sample_totally_real_planes(list(smp.tangent_bases), 1, seed=4)[0]
         K1, Kt1 = sectional_curvatures(R, pl)
@@ -201,7 +199,7 @@ class TestPlaneSampler:
 
 class TestConstancyReport:
     def test_space_form_report(self):
-        R = space_form_curvature(SpaceFormParams(nu=2.0, nut=-1.0))
+        R = space_form_curvature(complex(2.0, -1.0))
         planes = sample_totally_real_planes(standard_adapted(4), 40, seed=12)
         K, Kt = sectional_batch_planes(R, planes)
         assert len(K) == len(Kt) == 40
@@ -217,7 +215,7 @@ class TestConstancyReport:
         smp = surface_sample(sph, p)
         A = np.kron(np.eye(2), np.diag([1.0, 2.0, 3.0]))  # commutes with J_rep
         R = gauss_curvature_from_shape(
-            A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+            A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 30, seed=14)
         K, _ = sectional_batch_planes(R, planes)
@@ -226,7 +224,7 @@ class TestConstancyReport:
 
 class TestRicci:
     def test_flat_space_form_ricci_zero(self):
-        R = space_form_curvature(SpaceFormParams(0.0, 0.0))
+        R = space_form_curvature(0j)
         basis = list(standard_adapted(3))
         assert np.allclose(ricci(R, basis), 0.0, atol=1e-12)
 
@@ -236,7 +234,7 @@ class TestRicci:
         p = sample(sph, 1, 15)[0]
         smp = surface_sample(sph, p)
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases
         )
         basis = list(smp.tangent_bases)
         rho = ricci(R, basis)
@@ -246,7 +244,7 @@ class TestRicci:
 
     def test_degenerate_basis_raises(self):
         # e1 + f1 is g-null, so the g-Gram matrix of the basis is singular
-        R = space_form_curvature(SpaceFormParams(1.0, 0.0))
+        R = space_form_curvature(complex(1.0, 0.0))
         null = basis_vec(8, 0) + basis_vec(8, 4)
         with pytest.raises(DegenerateBasis):
             ricci(R, [null])

@@ -10,7 +10,6 @@ import pytest
 from nordenhs.classify import shape_invariants
 from nordenhs.core import apply_J, is_adapted_basis, metric_g, metric_gt, tangent_reps
 from nordenhs.curvature import (
-    SpaceFormParams,
     gauss_curvature_from_shape,
     sample_totally_real_planes,
     sectional_curvatures,
@@ -126,8 +125,8 @@ class TestConstructors:
         assert c.a == sph.a and c.b == -sph.b
         p = theoretical_curvatures(sph)
         pc = theoretical_curvatures(c)
-        assert pc.nu == pytest.approx(p.nu, abs=1e-14)
-        assert pc.nut == pytest.approx(-p.nut, abs=1e-14)
+        assert pc.real == pytest.approx(p.real, abs=1e-14)
+        assert pc.imag == pytest.approx(-p.imag, abs=1e-14)
 
 
 class TestLambdaMu:
@@ -423,10 +422,10 @@ class TestMeanCurvature:
             _, _, nu, nut = shape_invariants(smp)[0]
             H = mean_curvature_vector(smp)
             params = theoretical_curvatures(sph)
-            assert nu == pytest.approx(params.nu, abs=1e-12)
-            assert nut == pytest.approx(params.nut, abs=1e-12)
-            assert metric_g(H, H) == pytest.approx(params.nu, abs=1e-10)
-            assert metric_gt(H, H) == pytest.approx(params.nut, abs=1e-10)
+            assert nu == pytest.approx(params.real, abs=1e-12)
+            assert nut == pytest.approx(params.imag, abs=1e-12)
+            assert metric_g(H, H) == pytest.approx(params.real, abs=1e-10)
+            assert metric_gt(H, H) == pytest.approx(params.imag, abs=1e-10)
 
     def test_traces(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
@@ -550,7 +549,7 @@ class TestHyperplane:
         hp = make_hyperplane(basis_vec(8, 0), 1.0, 0.0)
         smp = hyperplane_samples(hp, 1, seed=29)[0]
         R = gauss_curvature_from_shape(
-            smp.A, smp.tangent_bases, SpaceFormParams(0.0, 0.0)
+            smp.A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 10, seed=30)
         for pl in planes:

@@ -32,7 +32,7 @@ def _planted(term):
     """gauss_curvature_from_shape with `term` added to every tensor it builds."""
     honest = verify.gauss_curvature_from_shape
 
-    def build(A, tangent_basis, ambient):
+    def build(A, tangent_basis, ambient=0):
         R = honest(A, tangent_basis, ambient)
         return lambda x, y, z, u: R(x, y, z, u) + term(x, y, z, u)
 

@@ -14,10 +14,10 @@ differs, it also gives the largest move of each residual.  For a JSON
 stdout or file that differs, it gives the largest move of its numbers
 relative to max(1, max |x|) over the old document, and the largest move
 |x_new - x_old| / |x_old| of one number over the old numbers x_old != 0,
-when both documents have the same structure (the text with every number,
-inside strings too, read as #), and says so when they do not.  It prints
-one line per call that differs, then a summary, and exits 0 when every call
-is identical and 1 otherwise.  --quick runs a small subset of the corpus.
+with that number's old and new value, when both documents have the same
+structure (the text with every number, inside strings too, read as #), and
+says so when they do not.  It prints one line per call that differs, then
+a summary, and exits 0 when every call is identical and 1 otherwise.  --quick runs a small subset of the corpus.
 
 The corpus:
 - the round specs of each perfbench workload (perfbench/jobs.py), as the
@@ -429,14 +429,20 @@ def _describe(label, a, b):
             x, y = (v[:12] if isinstance(v, str) else v for v in (x, y))
             na, nb = a.get("_numbers " + key), b.get("_numbers " + key)
             if na and nb and na[0] == nb[0]:
-                old = na[1]
+                old, new = na[1], nb[1]
+                nonzero = np.flatnonzero(old)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    moves = np.abs(nb[1] - old)
-                    each = np.max(moves[old != 0] / np.abs(old[old != 0]), initial=0.0)
+                    moves = np.abs(new - old)
+                    each = moves[nonzero] / np.abs(old[nonzero])
                 scale = max(1.0, float(np.max(np.abs(old), initial=0.0)))
                 parts.append(f"{key} numbers moved by up to "
                              f"{np.max(moves, initial=0.0) / scale:.3e} relative, "
-                             f"by up to {each:.3e} per number")
+                             f"by up to {np.max(each, initial=0.0):.3e} per number")
+                if nonzero.size:
+                    # its values tell a round-off move of a zero from a
+                    # change of a number of size 1
+                    i = nonzero[np.argmax(each)]
+                    parts[-1] += f" ({float(old[i])!r} -> {float(new[i])!r})"
             elif na and nb:
                 parts.append(f"{key} structure differs")
         parts.append(f"{key}: {x!r} -> {y!r}")
