@@ -21,6 +21,11 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
+def _require_count(count):
+    if count < 1:
+        raise NordenError(f"count must be at least 1, got {count}")
+
+
 def _halves(u, v):
     """(u, v, m) as float arrays whose last axes have the same even length 2m."""
     u = np.asarray(u, dtype=float)

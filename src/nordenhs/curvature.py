@@ -1,6 +1,7 @@
-"""Curvature machinery: pi-tensors, the Gauss-equation curvature tensor (a
-space form is the case A = 0), sectional curvatures on totally real planes,
-Ricci.
+"""Curvature machinery: pi-tensors, the Gauss-equation curvature tensor (the
+space form nu + i nut is GaussShapeCurvature(nu + i nut), the case A = 0),
+sectional curvatures on totally real planes, Ricci.  A plane span{x, y} is
+the pair of arrays x, y; stacks of them are stacks of planes.
 
 Everything acts on vectors along the last axis, so stacks of vectors (and
 of shape operators) evaluate in one call; nothing is materialized as a
@@ -12,12 +13,12 @@ A plane is totally real when gt = Im q vanishes on it; the g-Gram matrix of
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    _require_count,
     bilinear,
     from_complex,
     is_adapted_basis,
@@ -36,21 +37,6 @@ from .errors import (
 )
 
 PLANE_DEGENERACY_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class TangentPlane:
-    """A 2-plane spanned by x and y, or a stack of planes when x and y are
-    stacks (..., 2m); a stack indexes and iterates along its first axis."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __len__(self):
-        return len(self.x)
-
-    def __getitem__(self, i):
-        return TangentPlane(self.x[i], self.y[i])
 
 
 def pi_tensors(x, y, z, u):
@@ -101,11 +87,6 @@ class GaussShapeCurvature:
         return self.ambient * _w(x, y, z, u) + shape if self.ambient else shape
 
 
-def space_form_curvature(ambient):
-    """R = nu (pi1 - pi2) + nut pi3, ambient = nu + i nut: the Gauss tensor with A = 0."""
-    return GaussShapeCurvature(ambient)
-
-
 def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
     """Gauss tensor of the shape operator A given on a tangent basis (rows) over
     the ambient nu + i nut (flat by default); it evaluates ambient vectors lying
@@ -133,19 +114,20 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
 def _sectional(R, x, y):
     """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
     K + i Kt = B(x,y,y,x) / pi1(x,y,y,x) for the Gauss bracket B of R.  ok is
-    False, and K, Kt are NaN, where the plane is degenerate (_nondegenerate)."""
+    False, and K, Kt are NaN, where the plane is degenerate (_nondegenerate);
+    pi1(x,y,y,x) = g(y,y) g(x,x) - g(x,y)^2."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    den = pi_tensors(x, y, y, x)[0]
+    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
     ok = _nondegenerate(den, np.sum(x * x, axis=-1), np.sum(y * y, axis=-1))
     safe = np.where(ok, den, np.nan)
     num = R._bracket(x, y, y, x)
     return num.real / safe, num.imag / safe, den, ok
 
 
-def sectional_curvatures(R, plane):
-    """(K, Kt) of one non-degenerate 2-plane; sectional_batch_planes takes
-    a stack."""
-    K, Kt, den, ok = _sectional(R, plane.x, plane.y)
+def sectional_curvatures(R, x, y):
+    """(K, Kt) of one non-degenerate 2-plane span{x, y}; sectional_batch_planes
+    takes a stack."""
+    K, Kt, den, ok = _sectional(R, x, y)
     if np.ndim(ok):
         raise DimensionMismatch(f"one plane expected, got a stack of shape {np.shape(ok)}: "
                                 "use sectional_batch_planes")
@@ -154,23 +136,22 @@ def sectional_curvatures(R, plane):
     return float(K), float(Kt)
 
 
-def sectional_batch_planes(R, planes):
-    """(K, Kt) over a TangentPlane of stacks, as flat arrays with the
-    degenerate planes dropped."""
-    K, Kt, _, ok = _sectional(R, planes.x, planes.y)
+def sectional_batch_planes(R, x, y):
+    """(K, Kt) over the planes span{x, y} of stacks x, y (..., 2m), as flat
+    arrays with the degenerate planes dropped."""
+    K, Kt, _, ok = _sectional(R, x, y)
     return K[ok], Kt[ok]
 
 
-def is_totally_real(plane, tol=DEFAULT_TOL):
-    """gt vanishes on the plane, the plane is g-non-degenerate, and it is
-    transversal to its J-image.  For a TangentPlane of stacks the answer is
-    a boolean array.  All three tests read g and gt = Im q of (x,x), (x,y),
+def is_totally_real(x, y, tol=DEFAULT_TOL):
+    """gt vanishes on the plane span{x, y}, the plane is g-non-degenerate,
+    and it is transversal to its J-image.  For stacks x, y the answer is a
+    boolean array.  All three tests read g and gt = Im q of (x,x), (x,y),
     (y,y): the g-Gram matrix G of (x, y, Jx, Jy) is [[A, B], [B, -A]] for the
     g- and gt-Grams A, B of (x, y), so det G = |det Q|^2, Q = A + iB.  A power
     of two scales max(|x|, |y|) into [1/2, 1) first: that is exact and every
     test is homogeneous, so the answer is the same for (t x, t y)."""
-    x = np.asarray(plane.x, dtype=float)
-    y = np.asarray(plane.y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     e = np.frexp(np.maximum(np.abs(x).max(-1, initial=0.0), np.abs(y).max(-1, initial=0.0)))[1]
     x, y = (np.ldexp(v, -np.expand_dims(e, -1)) for v in (x, y))
     xx, yy = np.sum(x * x, -1), np.sum(y * y, -1)
@@ -201,9 +182,9 @@ def _rotation_catalog(n):
 
 
 def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
-    """`count` totally real planes inside span(adapted_basis) (2n, 2m), as a
-    TangentPlane of stacks (count, 2m); for a stack of bases (..., 2n, 2m),
-    one seed per basis, (..., count, 2m).
+    """`count` totally real planes inside span(adapted_basis) (2n, 2m), as the
+    pair (X, Y) of stacks (count, 2m) spanning them; for a stack of bases
+    (..., 2n, 2m), one seed per basis, each is (..., count, 2m).
 
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
@@ -219,6 +200,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     keeps its first `count` accepted candidates, at most 50 count + 100
     attempts in.  Deterministic per seed.
     """
+    _require_count(count)
     V = np.asarray(adapted_basis, dtype=float)
     seeds = np.asarray(seed)
     if seeds.shape != V.shape[:-2]:
@@ -231,7 +213,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     rotated = np.swapaxes(to_complex(V[:, None, :n, :]), -1, -2) @ _rotation_catalog(n)
     ri, ru = zip(*([np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(2)]
                    for s in seeds.reshape(-1)))
-    left = np.full(len(V), 50 * max(count, 1) + 100)  # attempts each basis may still make
+    left = np.full(len(V), 50 * count + 100)  # attempts each basis may still make
     have = np.zeros(len(V), dtype=np.intp)
     out = np.empty((len(V), 2, count, V.shape[-1]))
     while (need := np.flatnonzero(have < count)).size:
@@ -248,7 +230,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         xy = np.moveaxis(from_complex(Z), 1, 0)
         c1, c2 = C[:, 0], C[:, 1]
         ok = np.vecdot(c1, c1) * np.vecdot(c2, c2) - np.vecdot(c1, c2) ** 2 >= 1e-6  # det C C^T
-        ok &= is_totally_real(TangentPlane(*xy), tol=tol)
+        ok &= is_totally_real(*xy, tol=tol)
         # rank of each accepted candidate among its basis' accepted ones
         accepted = np.concatenate([[0], np.cumsum(ok)])
         rank = accepted[1:] - np.repeat(accepted[np.cumsum(block) - block], block)
@@ -257,7 +239,8 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
         out[owner[keep], :, slot[keep]] = np.swapaxes(xy[:, keep], 0, 1)
         have += np.bincount(owner[keep], minlength=len(V))
     out = out.reshape(seeds.shape + out.shape[1:])
-    return TangentPlane(*np.moveaxis(out, -3, 0))
+    X, Y = np.moveaxis(out, -3, 0)
+    return X, Y
 
 
 def ricci(R, basis):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _require_count,
     apply_J,
     bilinear,
     complex_scale,
@@ -168,8 +169,9 @@ def project_to_sphere(s, p):
 def sample(s, count, seed):
     """Draw `count` points on the sphere, as a (count, 2m) array, by Gaussian
     directions rescaled onto the quadric.  Deterministic per seed."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
-    bound = 100 * max(count, 1) + 100
+    bound = 100 * count + 100
     dim = len(s.center)
     kept = [np.empty((0, dim))]
     have = drawn = 0
@@ -438,6 +440,7 @@ def hyperplane_tangent_basis(hp):
 
 def hyperplane_samples(hp, count, seed):
     """Totally geodesic samples (A = 0) of a holomorphic hyperplane."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
     T = hyperplane_tangent_basis(hp)
     coeffs = rng.uniform(-2.0, 2.0, size=(count, len(T)))

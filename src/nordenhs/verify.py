@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _require_count,
     apply_J,
     complex_scale,
     metric_g,
@@ -17,11 +18,11 @@ from .core import (
 )
 from .classify import shape_invariants
 from .curvature import (
+    GaussShapeCurvature,
     gauss_curvature_from_shape,
     ricci,
     sample_totally_real_planes,
     sectional_batch_planes,
-    space_form_curvature,
 )
 from .errors import NordenError
 from .hypersurface import (
@@ -49,11 +50,6 @@ class Check:
     @property
     def passed(self):
         return bool(self.residual <= self.tol)
-
-
-def _require_count(count):
-    if count < 1:
-        raise NordenError(f"count must be at least 1, got {count}")
 
 
 def suite_metrics(m=4, seed=0, count=1000):
@@ -90,7 +86,6 @@ def suite_metrics(m=4, seed=0, count=1000):
 def suite_frame(m=4, seed=0, count=100):
     """Frame normalization yields the canonical normalization
     g(xi,xi) = 1, g(Jxi,Jxi) = -1, g(xi,Jxi) = 0; sphere frames satisfy it."""
-    _require_count(count)
     rng = np.random.default_rng(seed)
     sph = make_h_sphere(np.zeros(2 * m), 1.0, 0.0)
     xi, jxi = normal_frame(sph, sample(sph, count, seed + 1))
@@ -126,8 +121,8 @@ def suite_curvature(a=3.0, b=4.0, m=4, points=20, planes=50, seed=0,
     st = make_surface_samples(sph, points, seed, fd=fd, step=step)
     # a (points, 1) stack of tensors meets the (points, planes) planes
     R = gauss_curvature_from_shape(st.A[:, None], st.tangent_bases[:, None])
-    pls = sample_totally_real_planes(st.tangent_bases, planes, seed + 1000 + np.arange(points))
-    K, Kt = sectional_batch_planes(R, pls)
+    X, Y = sample_totally_real_planes(st.tangent_bases, planes, seed + 1000 + np.arange(points))
+    K, Kt = sectional_batch_planes(R, X, Y)
     r_k = float(np.max(np.abs(K - nu.real)))
     r_kt = float(np.max(np.abs(Kt - nu.imag)))
     # K and Kt are of size |nu + i nut| = 1/|c|: tolerances scale with it
@@ -147,7 +142,7 @@ def suite_gauss(a=1.0, b=0.0, m=4, seed=0, quads=1000):
     smp = make_surface_samples(sph, 1, seed)[0]
     B = smp.tangent_bases
     R = gauss_curvature_from_shape(smp.A, B)
-    Rsf = space_form_curvature(complex(lam * lam - mu * mu, -2.0 * lam * mu))
+    Rsf = GaussShapeCurvature(complex(lam * lam - mu * mu, -2.0 * lam * mu))
     rng = np.random.default_rng(seed)
     W = np.moveaxis(rng.uniform(-1, 1, (quads, 4, len(B))) @ B, 1, 0)
     x, y, z, u = W

@@ -25,7 +25,8 @@ from nordenhs.core import (
     to_complex,
 )
 from nordenhs.curvature import (
-    TangentPlane,
+    PLANE_DEGENERACY_THRESHOLD,
+    GaussShapeCurvature,
     gauss_curvature_from_shape,
     is_totally_real,
     pi_tensors,
@@ -33,10 +34,10 @@ from nordenhs.curvature import (
     sample_totally_real_planes,
     sectional_batch_planes,
     sectional_curvatures,
-    space_form_curvature,
 )
 from nordenhs.errors import (
     BadInputNormalization,
+    DegeneratePlane,
     DimensionMismatch,
     FormatError,
     NordenError,
@@ -363,7 +364,7 @@ def test_tensors_match_reference(a, b):
         assert close([p[i, k] for p in got], ref_pi(x[i, k], y[i, k], z[i, k], u[i, k]))
     flat = 0j
     stacked = gauss_curvature_from_shape(st.A, st.tangent_bases, flat)
-    sf = space_form_curvature(complex(0.12, -0.16))
+    sf = GaussShapeCurvature(complex(0.12, -0.16))
     ref_sf = ref_tensor(0.12, -0.16)
     v_stack = stacked(*(w.transpose(1, 0, 2) for w in (x, y, z, u)))  # (40, 6)
     v_sf = sf(x, y, z, u)
@@ -391,7 +392,7 @@ def test_gauss_tensor_is_space_form_plus_shape_term(nu, nut):
     x, y, z, u = np.random.default_rng(39).uniform(-1, 1, (4, 5, 30, 6)) @ st.tangent_bases
     A, T = st.A[:, None], st.tangent_bases[:, None]
     got = gauss_curvature_from_shape(A, T, complex(nu, nut))(x, y, z, u)
-    want = (space_form_curvature(complex(nu, nut))(x, y, z, u)
+    want = (GaussShapeCurvature(complex(nu, nut))(x, y, z, u)
             + gauss_curvature_from_shape(A, T)(x, y, z, u))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -401,23 +402,23 @@ def test_sectional_and_ricci_match_reference(a, b):
     st = sphere_stack(a, b, 4, seed=23)
     flat = 0j
     pls = [sample_totally_real_planes(T, 30, seed=24 + i) for i, T in enumerate(st.tangent_bases)]
-    XY = np.array([[(p.x, p.y) for p in ps] for ps in pls]).transpose(2, 1, 0, 3)
-    K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A, st.tangent_bases, flat),
-                                   TangentPlane(*XY))
+    XY = np.array(pls).transpose(1, 2, 0, 3)
+    K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A, st.tangent_bases, flat), *XY)
     Rs = [gauss_curvature_from_shape(smp.A, smp.tangent_bases, flat) for smp in st]
     refs = [ref_tensor(0.0, 0.0, ref_ambient_shape(smp)) for smp in st]
     want = []
     for j in range(30):
         for i in range(4):
-            kk = ref_sectional(refs[i], pls[i][j].x, pls[i][j].y)
-            assert close(sectional_curvatures(Rs[i], pls[i][j]), kk)
+            x, y = pls[i][0][j], pls[i][1][j]
+            kk = ref_sectional(refs[i], x, y)
+            assert close(sectional_curvatures(Rs[i], x, y), kk)
             want.append(kk)
     assert close(np.stack([K, Kt], axis=1), want)
     for smp in st:
         B = smp.tangent_bases
         R = gauss_curvature_from_shape(smp.A, B, flat)
         assert close(ricci(R, B), ref_ricci(ref_tensor(0.0, 0.0, ref_ambient_shape(smp)), B))
-        sf = space_form_curvature(complex(-0.3, 0.7))
+        sf = GaussShapeCurvature(complex(-0.3, 0.7))
         assert close(ricci(sf, B), ref_ricci(ref_tensor(-0.3, 0.7), B))
 
 
@@ -427,24 +428,74 @@ def test_sectional_over_space_form_matches_reference(a, b, nu, nut):
     # the Gauss tensor over a non-flat ambient adds (nu + i nut) W(x,y,y,x)
     st = sphere_stack(a, b, 4, seed=40)
     amb = complex(nu, nut)
-    pls = sample_totally_real_planes(st.tangent_bases, 30, seed=41 + np.arange(4))
+    X, Y = sample_totally_real_planes(st.tangent_bases, 30, seed=41 + np.arange(4))
     K, Kt = sectional_batch_planes(gauss_curvature_from_shape(st.A[:, None],
-                                                              st.tangent_bases[:, None], amb), pls)
+                                                              st.tangent_bases[:, None], amb), X, Y)
     want = []
     for i, smp in enumerate(st):
         R = gauss_curvature_from_shape(smp.A, smp.tangent_bases, amb)
         ref = ref_tensor(nu, nut, ref_ambient_shape(smp))
-        for pl in pls[i]:
-            kk = ref_sectional(ref, pl.x, pl.y)
-            assert close(sectional_curvatures(R, pl), kk)
+        for x, y in zip(X[i], Y[i]):
+            kk = ref_sectional(ref, x, y)
+            assert close(sectional_curvatures(R, x, y), kk)
             want.append(kk)
     assert close(np.stack([K, Kt], axis=1), want)
+
+
+def _threshold_planes(T, targets, rng):
+    """Planes (x, y) in the span of the adapted basis T with
+    |pi1(x,y,y,x)| / (|x|^2 |y|^2) near each target, and that design value:
+    x = u, y = cos th u + sin th v for u, v in the coordinates of T with
+    g(u, u) = 1, g(u, v) = 0 and g(v, v) = +1 (odd k) or -1 (even k), so that
+    pi1 = +- sin^2 th exactly; th is aimed with the norms at th = 0."""
+    n = len(T) // 2
+    out = []
+    for k, target in enumerate(targets):
+        a, b = rng.standard_normal((2, n))
+        a /= np.linalg.norm(a)
+        if k % 2:
+            b -= (b @ a) * a
+        b /= np.linalg.norm(b)
+        u = np.r_[a, np.zeros(n)] @ T
+        v = (np.r_[b, np.zeros(n)] if k % 2 else np.r_[np.zeros(n), b]) @ T
+        th = np.arcsin(np.sqrt(target * (u @ u) ** 2))
+        x, y = u, np.cos(th) * u + np.sin(th) * v
+        out.append((x, y, np.sin(th) ** 2 / ((x @ x) * (y @ y))))
+    return out
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_batch_drops_exactly_the_degenerate_planes(t):
+    # |pi1| / (|x|^2 |y|^2) from 1e-3 to 1e3 times the threshold, with pi1 of
+    # both signs; round-off moves it by far less than the 1 % margin of the
+    # planes designed at 0.99 and 1.01 times the threshold
+    st = sphere_stack(-1.137, 1.885, 1, seed=45)
+    amb = complex(0.7, -0.3)
+    R = gauss_curvature_from_shape(st.A[0], st.tangent_bases[0], amb)
+    ref = ref_tensor(amb.real, amb.imag, ref_ambient_shape(st[0]))
+    targets = np.repeat([1e-3, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 1e3], 2) * PLANE_DEGENERACY_THRESHOLD
+    X, Y, rho = (np.array(c) for c in zip(*_threshold_planes(st.tangent_bases[0], targets,
+                                                            np.random.default_rng(46))))
+    keep = rho > PLANE_DEGENERACY_THRESHOLD
+    assert np.all(np.abs(rho / PLANE_DEGENERACY_THRESHOLD - 1) > 5e-3) and keep.sum() == 8
+    K, Kt = sectional_batch_planes(R, t * X, t * Y)
+    assert len(K) == len(Kt) == keep.sum()
+    assert close(np.stack([K, Kt], axis=1),
+                 [sectional_curvatures(R, t * x, t * y) for x, y in zip(X[keep], Y[keep])])
+    for x, y, r in zip(t * X[keep], t * Y[keep], rho[keep]):
+        # the cancellation in pi1 makes (K, Kt) as ill-conditioned as 1 / r
+        want = np.array(ref_sectional(ref, x, y))
+        assert np.max(np.abs(np.array(sectional_curvatures(R, x, y)) - want)) \
+            <= 1e-13 / r * np.max(np.abs(want))
+    for x, y in zip(t * X[~keep], t * Y[~keep]):
+        with pytest.raises(DegeneratePlane):
+            sectional_curvatures(R, x, y)
 
 
 def test_totally_real_matches_reference():
     rng = np.random.default_rng(25)
     st = sphere_stack(3.0, 4.0, 1, seed=26)
-    good = [(p.x, p.y) for p in sample_totally_real_planes(st.tangent_bases[0], 40, seed=27)]
+    good = list(zip(*sample_totally_real_planes(st.tangent_bases[0], 40, seed=27)))
     e = np.eye(8)
     special = [(e[0], apply_J(e[0])), (e[0] + e[4], e[1]), (e[0], 2.0 * e[0]),
                (e[0], e[1]), (e[0] + 1e-12 * e[4], e[1]),
@@ -454,10 +505,10 @@ def test_totally_real_matches_reference():
     pairs = good + special + noisy + list(rng.uniform(-1, 1, (20, 2, 8)))
     X, Y = np.array(pairs).transpose(1, 0, 2)
     for tol in (1e-9, 1e-5):
-        got = is_totally_real(TangentPlane(X, Y), tol=tol)
+        got = is_totally_real(X, Y, tol=tol)
         want = [ref_totally_real(x, y, tol) for x, y in pairs]
         assert got.tolist() == want
-        assert [is_totally_real(TangentPlane(x, y), tol=tol) for x, y in pairs] == want
+        assert [is_totally_real(x, y, tol=tol) for x, y in pairs] == want
     assert 0 < sum(want) < len(want)
 
 
@@ -466,7 +517,7 @@ def test_totally_real_is_scale_free(t):
     # total reality is a property of the span: (t x, t y) answers as (x, y)
     # does, with no overflow of the quartic gates
     st = sphere_stack(3.0, 4.0, 1, seed=26)
-    good = [(p.x, p.y) for p in sample_totally_real_planes(st.tangent_bases[0], 10, seed=27)]
+    good = list(zip(*sample_totally_real_planes(st.tangent_bases[0], 10, seed=27)))
     e = np.eye(8)
     special = [(e[0], apply_J(e[0])), (e[0] + e[4], e[1]), (e[0], 2.0 * e[0]),
                (e[0], e[1]), (e[0] + 1e-12 * e[4], e[1]),
@@ -474,8 +525,8 @@ def test_totally_real_is_scale_free(t):
     X, Y = np.array(good + special).transpose(1, 0, 2)
     for tol in (1e-9, 1e-5):
         want = [ref_totally_real(x, y, tol) for x, y in zip(X, Y)]
-        assert is_totally_real(TangentPlane(t * X, t * Y), tol=tol).tolist() == want
-        assert [is_totally_real(TangentPlane(t * x, t * y), tol=tol)
+        assert is_totally_real(t * X, t * Y, tol=tol).tolist() == want
+        assert [is_totally_real(t * x, t * y, tol=tol)
                 for x, y in zip(X, Y)] == want
     assert 0 < sum(want) < len(want)
 
@@ -513,7 +564,7 @@ def test_determinant_gate_sweep_matches_reference():
         X, Y, t = (np.array(c) for c in zip(*planes))
         outside = np.abs(t / 1e-10 - 1) > 1e-6
         for tol in (1e-9, 1e-5):
-            got = is_totally_real(TangentPlane(X, Y), tol=tol)
+            got = is_totally_real(X, Y, tol=tol)
             want = np.array([ref_totally_real(x, y, tol) for x, y in zip(X, Y)])
             assert np.array_equal(got[outside], want[outside])
             assert np.array_equal(got[outside], t[outside] > 1e-10)
@@ -554,9 +605,9 @@ def test_sampler_bit_identical_to_per_attempt_sampler(basis, count, seed):
         B = sphere_stack(-1.137, 1.885, 1, seed=28, m=m).tangent_bases[0]
     got = sample_totally_real_planes(B, count, seed, tol=tol)
     want = ref_sampler(B, count, seed, tol=tol)
-    assert len(got) == count
-    for p, (x, y) in zip(got, want):
-        assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
+    assert len(got[0]) == len(got[1]) == count
+    for gx, gy, (x, y) in zip(*got, want):
+        assert np.array_equal(gx, x) and np.array_equal(gy, y)
 
 
 @pytest.mark.parametrize("m,shape,count", [(4, (5,), 30), (3, (2, 3), 12), (5, (1,), 1),
@@ -567,13 +618,12 @@ def test_stacked_sampler_equals_single_calls(m, shape, count):
     bases = sphere_stack(-1.137, 1.885, size, seed=33, m=m).tangent_bases
     bases = bases.reshape(shape + bases.shape[1:])
     seeds = 500 + np.arange(size).reshape(shape)
-    got = sample_totally_real_planes(bases, count, seeds)
-    assert got.x.shape == got.y.shape == shape + (count, 2 * m)
+    X, Y = sample_totally_real_planes(bases, count, seeds)
+    assert X.shape == Y.shape == shape + (count, 2 * m)
     for i in np.ndindex(shape):
-        one = sample_totally_real_planes(bases[i], count, seeds[i])
+        x1, y1 = sample_totally_real_planes(bases[i], count, seeds[i])
         want = np.array(ref_sampler(bases[i], count, seeds[i]))
-        for v, w in ((got.x[i], one.x), (got.y[i], one.y),
-                     (got.x[i], want[:, 0]), (got.y[i], want[:, 1])):
+        for v, w in ((X[i], x1), (Y[i], y1), (X[i], want[:, 0]), (Y[i], want[:, 1])):
             assert np.array_equal(v, w)
 
 
@@ -585,8 +635,8 @@ def test_exhausted_basis_in_stack_raises(failing):
     standard = np.vstack([e[:3], apply_J(e[:3])])
     bases = np.stack([standard] * 3)
     bases[failing] = make_surface_samples(make_h_sphere(np.zeros(8), 3.0, 4.0), 1, 2).tangent_bases[0]
-    ok = sample_totally_real_planes(standard, 30, 5, tol=0.0)
-    assert len(ok) == 30
+    X, Y = sample_totally_real_planes(standard, 30, 5, tol=0.0)
+    assert len(X) == len(Y) == 30
     with pytest.raises(SamplingExhausted):
         sample_totally_real_planes(bases, 30, np.array([5, 6, 7]), tol=0.0)
 
@@ -621,7 +671,7 @@ def loop_suite_curvature(a, b, m, points, planes, seed, fd=False):
     pls = np.array([ref_sampler(T, planes, seed + 1000 + i)
                     for i, T in enumerate(st.tangent_bases)])
     X, Y = pls.transpose(2, 1, 0, 3)
-    K, Kt = sectional_batch_planes(R, TangentPlane(X, Y))
+    K, Kt = sectional_batch_planes(R, X, Y)
     return float(np.max(np.abs(K - params.real))), float(np.max(np.abs(Kt - params.imag)))
 
 
@@ -776,6 +826,17 @@ def test_suite_frame_matches_loop(m, seed, count):
 def test_suite_sigma_matches_loop(a, b, m, seed, count):
     [check] = suite_sigma(a=a, b=b, m=m, seed=seed, count=count)
     assert abs(check.residual - loop_suite_sigma(a, b, m, seed, count)) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("draw", [
+    lambda n: sample(make_h_sphere(np.zeros(8), 3.0, 4.0), n, 1),
+    lambda n: sample_totally_real_planes(np.vstack([np.eye(8)[:3], apply_J(np.eye(8)[:3])]), n, 1),
+    lambda n: hyperplane_samples(make_hyperplane(np.eye(8)[0], 1.0, 0.0), n, 1),
+], ids=["sample", "sample_totally_real_planes", "hyperplane_samples"])
+def test_samplers_reject_count_below_one(draw, count):
+    with pytest.raises(NordenError, match=f"count must be at least 1, got {count}"):
+        draw(count)
 
 
 @pytest.mark.parametrize("suite", [suite_frame, suite_sigma])

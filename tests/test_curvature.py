@@ -5,7 +5,7 @@ import pytest
 
 from nordenhs.core import apply_J
 from nordenhs.curvature import (
-    TangentPlane,
+    GaussShapeCurvature,
     gauss_curvature_from_shape,
     is_totally_real,
     pi_tensors,
@@ -13,7 +13,6 @@ from nordenhs.curvature import (
     sample_totally_real_planes,
     sectional_batch_planes,
     sectional_curvatures,
-    space_form_curvature,
 )
 from nordenhs.errors import (
     DegeneratePlane,
@@ -64,36 +63,36 @@ class TestPiTensors:
 class TestSpaceForm:
     def test_sectional_constancy(self):
         params = complex(0.12, -0.16)
-        R = space_form_curvature(params)
+        R = GaussShapeCurvature(params)
         basis = standard_adapted(4)
         planes = sample_totally_real_planes(basis, 30, seed=1)
-        for pl in planes:
-            K, Kt = sectional_curvatures(R, pl)
+        for x, y in zip(*planes):
+            K, Kt = sectional_curvatures(R, x, y)
             assert K == pytest.approx(0.12, abs=1e-10)
             assert Kt == pytest.approx(-0.16, abs=1e-10)
 
     def test_batch_matches_scalar(self):
-        R = space_form_curvature(complex(1.0, 0.5))
+        R = GaussShapeCurvature(complex(1.0, 0.5))
         basis = standard_adapted(4)
         planes = sample_totally_real_planes(basis, 20, seed=2)
-        Ks, Kts = sectional_batch_planes(R, planes)
-        for pl, K, Kt in zip(planes, Ks, Kts):
-            k, kt = sectional_curvatures(R, pl)
+        Ks, Kts = sectional_batch_planes(R, *planes)
+        for x, y, K, Kt in zip(*planes, Ks, Kts):
+            k, kt = sectional_curvatures(R, x, y)
             assert K == pytest.approx(k, abs=1e-11)
             assert Kt == pytest.approx(kt, abs=1e-11)
 
     def test_degenerate_plane_raises(self):
-        R = space_form_curvature(complex(1.0, 0.0))
+        R = GaussShapeCurvature(complex(1.0, 0.0))
         e1 = basis_vec(8, 0)
         with pytest.raises(DegeneratePlane):
-            sectional_curvatures(R, TangentPlane(x=e1, y=2.0 * e1))
+            sectional_curvatures(R, e1, 2.0 * e1)
 
     def test_stack_of_planes_rejected(self):
         # a stack has one (K, Kt) per plane: sectional_batch_planes takes it
-        R = space_form_curvature(complex(1.0, 0.0))
+        R = GaussShapeCurvature(complex(1.0, 0.0))
         planes = sample_totally_real_planes(standard_adapted(4), 3, seed=2)
         with pytest.raises(DimensionMismatch, match="sectional_batch_planes"):
-            sectional_curvatures(R, planes)
+            sectional_curvatures(R, *planes)
 
 
 class TestGaussCurvature:
@@ -107,8 +106,8 @@ class TestGaussCurvature:
             smp.A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 25, seed=3)
-        for pl in planes:
-            K, Kt = sectional_curvatures(R, pl)
+        for x, y in zip(*planes):
+            K, Kt = sectional_curvatures(R, x, y)
             assert K == pytest.approx(0.12, abs=1e-10)
             assert Kt == pytest.approx(-0.16, abs=1e-10)
 
@@ -148,28 +147,23 @@ class TestGaussCurvature:
         R = gauss_curvature_from_shape(
             smp.A, smp.tangent_bases
         )
-        pl = sample_totally_real_planes(list(smp.tangent_bases), 1, seed=4)[0]
-        K1, Kt1 = sectional_curvatures(R, pl)
-        pl2 = TangentPlane(x=2.0 * pl.x + 0.3 * pl.y, y=-pl.y + 0.1 * pl.x)
-        K2, Kt2 = sectional_curvatures(R, pl2)
+        (x,), (y,) = sample_totally_real_planes(list(smp.tangent_bases), 1, seed=4)
+        K1, Kt1 = sectional_curvatures(R, x, y)
+        K2, Kt2 = sectional_curvatures(R, 2.0 * x + 0.3 * y, -y + 0.1 * x)
         assert K2 == pytest.approx(K1, abs=1e-9)
         assert Kt2 == pytest.approx(Kt1, abs=1e-9)
 
 
 class TestTotallyReal:
     def test_coordinate_plane(self):
-        assert is_totally_real(
-            TangentPlane(x=basis_vec(8, 0), y=basis_vec(8, 1))
-        )
+        assert is_totally_real(basis_vec(8, 0), basis_vec(8, 1))
 
     def test_holomorphic_plane_rejected(self):
         e1 = basis_vec(8, 0)
-        assert not is_totally_real(TangentPlane(x=e1, y=apply_J(e1)))
+        assert not is_totally_real(e1, apply_J(e1))
 
     def test_gt_nonvanishing_rejected(self):
-        assert not is_totally_real(
-            TangentPlane(x=basis_vec(8, 0) + basis_vec(8, 4), y=basis_vec(8, 1))
-        )
+        assert not is_totally_real(basis_vec(8, 0) + basis_vec(8, 4), basis_vec(8, 1))
 
 
 class TestPlaneSampler:
@@ -177,14 +171,14 @@ class TestPlaneSampler:
         basis = standard_adapted(4)
         a = sample_totally_real_planes(basis, 10, seed=42)
         b = sample_totally_real_planes(basis, 10, seed=42)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.x, pb.x)
-            assert np.array_equal(pa.y, pb.y)
+        for xa, ya, xb, yb in zip(*a, *b):
+            assert np.array_equal(xa, xb)
+            assert np.array_equal(ya, yb)
 
     def test_all_planes_totally_real(self):
         basis = standard_adapted(3)
-        for pl in sample_totally_real_planes(basis, 25, seed=8):
-            assert is_totally_real(pl, tol=1e-8)
+        for x, y in zip(*sample_totally_real_planes(basis, 25, seed=8)):
+            assert is_totally_real(x, y, tol=1e-8)
 
     def test_requires_adapted_basis(self):
         with pytest.raises(DegenerateBasis):
@@ -199,9 +193,9 @@ class TestPlaneSampler:
 
 class TestConstancyReport:
     def test_space_form_report(self):
-        R = space_form_curvature(complex(2.0, -1.0))
+        R = GaussShapeCurvature(complex(2.0, -1.0))
         planes = sample_totally_real_planes(standard_adapted(4), 40, seed=12)
-        K, Kt = sectional_batch_planes(R, planes)
+        K, Kt = sectional_batch_planes(R, *planes)
         assert len(K) == len(Kt) == 40
         assert K.mean() == pytest.approx(2.0, abs=1e-10)
         assert Kt.mean() == pytest.approx(-1.0, abs=1e-10)
@@ -218,13 +212,13 @@ class TestConstancyReport:
             A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 30, seed=14)
-        K, _ = sectional_batch_planes(R, planes)
+        K, _ = sectional_batch_planes(R, *planes)
         assert np.max(np.abs(K - K.mean())) > 1e-3
 
 
 class TestRicci:
     def test_flat_space_form_ricci_zero(self):
-        R = space_form_curvature(0j)
+        R = GaussShapeCurvature(0j)
         basis = list(standard_adapted(3))
         assert np.allclose(ricci(R, basis), 0.0, atol=1e-12)
 
@@ -244,7 +238,7 @@ class TestRicci:
 
     def test_degenerate_basis_raises(self):
         # e1 + f1 is g-null, so the g-Gram matrix of the basis is singular
-        R = space_form_curvature(complex(1.0, 0.0))
+        R = GaussShapeCurvature(complex(1.0, 0.0))
         null = basis_vec(8, 0) + basis_vec(8, 4)
         with pytest.raises(DegenerateBasis):
             ricci(R, [null])

@@ -552,8 +552,8 @@ class TestHyperplane:
             smp.A, smp.tangent_bases
         )
         planes = sample_totally_real_planes(list(smp.tangent_bases), 10, seed=30)
-        for pl in planes:
-            K, Kt = sectional_curvatures(R, pl)
+        for x, y in zip(*planes):
+            K, Kt = sectional_curvatures(R, x, y)
             assert K == pytest.approx(0.0, abs=1e-12)
             assert Kt == pytest.approx(0.0, abs=1e-12)
 
