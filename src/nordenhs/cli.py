@@ -245,6 +245,7 @@ RANGES = (
     ("step", lambda x: math.isfinite(x) and x > 0, "must be finite and > 0"),
     ("count", lambda x: x >= 1, "must be at least 1"),
     ("m", lambda x: x >= 1, "must be at least 1"),
+    ("seed", lambda x: x >= 0, "must be at least 0"),
 )
 
 # exit code of a library error that is neither a FormatError nor

@@ -49,11 +49,6 @@ def pi_tensors(x, y, z, u):
     return p1, p2, p3
 
 
-def _nondegenerate(pi1, xx, yy):
-    """|pi1(x,y,y,x)| > PLANE_DEGENERACY_THRESHOLD |x|^2 |y|^2, xx = |x|^2, yy = |y|^2."""
-    return np.abs(pi1) > PLANE_DEGENERACY_THRESHOLD * np.maximum(xx * yy, 1e-300)
-
-
 def _w(x, y, z, u):
     """W(x,y,z,u) = pi1 - pi2 - i pi3."""
     p1, p2, p3 = pi_tensors(x, y, z, u)
@@ -111,28 +106,42 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
     return GaussShapeCurvature(ambient, np.swapaxes(rows, -1, -2) @ A @ coords)
 
 
-def _sectional(R, x, y):
-    """(K, Kt, pi1, ok) of the planes span{x, y} along the last axis:
-    K + i Kt = B(x,y,y,x) / pi1(x,y,y,x) for the Gauss bracket B of R.  ok is
-    False, and K, Kt are NaN, where the plane is degenerate (_nondegenerate);
-    pi1(x,y,y,x) = g(y,y) g(x,x) - g(x,y)^2."""
+def _plane(x, y):
+    """(x, y, g, pi1, rho, ok) of the planes span{x, y} along the last axis,
+    the kernel of _sectional and is_totally_real.  x, y come back scaled by
+    the power of two that puts max(|x|, |y|) into [1/2, 1): that is exact,
+    and what the callers read is homogeneous, so (t x, t y) gets the answer
+    of (x, y) for any t.  g = (g(x,x), g(x,y), g(y,y)) of the scaled pair,
+    pi1 = pi1(x,y,y,x) = g(y,y) g(x,x) - g(x,y)^2, and the plane is
+    non-degenerate (ok) where rho = |pi1| / (|x|^2 |y|^2) > PLANE_DEGENERACY_THRESHOLD."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    den = metric_g(y, y) * metric_g(x, x) - metric_g(x, y) ** 2
-    ok = _nondegenerate(den, np.sum(x * x, axis=-1), np.sum(y * y, axis=-1))
-    safe = np.where(ok, den, np.nan)
+    e = np.frexp(np.maximum(np.abs(x).max(-1, initial=0.0), np.abs(y).max(-1, initial=0.0)))[1]
+    x, y = (np.ldexp(v, -np.expand_dims(e, -1)) for v in (x, y))
+    g = metric_g(x, x), metric_g(x, y), metric_g(y, y)
+    pi1 = g[2] * g[0] - g[1] ** 2
+    rho = np.abs(pi1) / np.maximum(np.sum(x * x, -1) * np.sum(y * y, -1), 1e-300)
+    return x, y, g, pi1, rho, rho > PLANE_DEGENERACY_THRESHOLD
+
+
+def _sectional(R, x, y):
+    """(K, Kt, rho, ok) of the planes span{x, y} along the last axis:
+    K + i Kt = B(x,y,y,x) / pi1(x,y,y,x) for the Gauss bracket B of R, on
+    the pair _plane scales; K, Kt are NaN where the plane is degenerate."""
+    x, y, _, pi1, rho, ok = _plane(x, y)
+    den = np.where(ok, pi1, np.nan)
     num = R._bracket(x, y, y, x)
-    return num.real / safe, num.imag / safe, den, ok
+    return num.real / den, num.imag / den, rho, ok
 
 
 def sectional_curvatures(R, x, y):
     """(K, Kt) of one non-degenerate 2-plane span{x, y}; sectional_batch_planes
     takes a stack."""
-    K, Kt, den, ok = _sectional(R, x, y)
+    K, Kt, rho, ok = _sectional(R, x, y)
     if np.ndim(ok):
         raise DimensionMismatch(f"one plane expected, got a stack of shape {np.shape(ok)}: "
                                 "use sectional_batch_planes")
     if not ok:
-        raise DegeneratePlane(f"pi1 denominator {den:.3e} below threshold")
+        raise DegeneratePlane(f"|pi1| / (|x|^2 |y|^2) = {rho:.3e} not above threshold")
     return float(K), float(Kt)
 
 
@@ -147,22 +156,15 @@ def is_totally_real(x, y, tol=DEFAULT_TOL):
     """gt vanishes on the plane span{x, y}, the plane is g-non-degenerate,
     and it is transversal to its J-image.  For stacks x, y the answer is a
     boolean array.  All three tests read g and gt = Im q of (x,x), (x,y),
-    (y,y): the g-Gram matrix G of (x, y, Jx, Jy) is [[A, B], [B, -A]] for the
-    g- and gt-Grams A, B of (x, y), so det G = |det Q|^2, Q = A + iB.  A power
-    of two scales max(|x|, |y|) into [1/2, 1) first: that is exact and every
-    test is homogeneous, so the answer is the same for (t x, t y)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    e = np.frexp(np.maximum(np.abs(x).max(-1, initial=0.0), np.abs(y).max(-1, initial=0.0)))[1]
-    x, y = (np.ldexp(v, -np.expand_dims(e, -1)) for v in (x, y))
-    xx, yy = np.sum(x * x, -1), np.sum(y * y, -1)
-    scale = np.maximum(np.maximum(xx, yy), 1e-300)
-    (gxx, gxy, gyy), gt = ([f(x, x), f(x, y), f(y, y)] for f in (metric_g, metric_gt))
+    (y,y) of the pair _plane scales: the g-Gram matrix G of (x, y, Jx, Jy)
+    is [[A, B], [B, -A]] for the g- and gt-Grams A, B of (x, y), so
+    det G = |det Q|^2, Q = A + iB."""
+    x, y, (gxx, gxy, gyy), _, _, ok = _plane(x, y)
+    scale = np.maximum(np.sum(x * x, -1), np.sum(y * y, -1))
+    gt = metric_gt(x, x), metric_gt(x, y), metric_gt(y, y)
     det_q = (gxx + 1j * gt[0]) * (gyy + 1j * gt[2]) - (gxy + 1j * gt[1]) ** 2
-    ok = (
-        (np.max(np.abs(gt), axis=0) <= tol * scale)
-        & (np.abs(det_q) ** 2 >= 1e-10 * scale ** 4)
-        & _nondegenerate(gyy * gxx - gxy * gxy, xx, yy)  # pi1(x,y,y,x)
-    )
+    ok &= np.max(np.abs(gt), axis=0) <= tol * scale
+    ok &= np.abs(det_q) ** 2 >= 1e-10 * scale ** 4
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
@@ -189,16 +191,14 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     Each plane is spanned by two random combinations of the x-half of a
     catalog-rotated copy of the basis; rotation by a structure-group member
     keeps the basis adapted, so the x-half always spans a totally real
-    subspace.  Each basis draws from two child streams of its seed, the
-    streams ri, ru of np.random.default_rng(seed).spawn(2), built here from
-    SeedSequence(seed).spawn(2) without that parent: attempt k takes the k-th
-    ri.integers(12) (the catalog member) and the k-th ru.uniform(-1, 1,
-    (2, n)) block (the two combinations).  A size-k call on a stream returns
-    the values of k size-1 calls, so a block of attempts is drawn in two
-    calls and the draws do not depend on the block sizes.  The candidates of
-    every basis that still needs planes are tested in one block; each basis
-    keeps its first `count` accepted candidates, at most 50 count + 100
-    attempts in.  Deterministic per seed.
+    subspace.  Attempt k of a basis takes the k-th row u of
+    np.random.default_rng(seed).random((., 2n + 1)): the catalog member
+    floor(12 u[0]) and the two combinations 2 u[1:] - 1 as a (2, n) block.
+    A row does not depend on how many rows are drawn at once, so every
+    basis still short of planes draws the same block of count + 8 attempts
+    and the planes of a smaller count are a prefix of a larger count's.
+    Each basis keeps its first `count` accepted attempts, at most
+    50 count + 100 attempts in.
     """
     _require_count(count)
     V = np.asarray(adapted_basis, dtype=float)
@@ -211,36 +211,30 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     V = V.reshape((-1,) + V.shape[-2:])
     # (bases, 12, m, n): the m-dim complex reps of every basis, rotated
     rotated = np.swapaxes(to_complex(V[:, None, :n, :]), -1, -2) @ _rotation_catalog(n)
-    ri, ru = zip(*([np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(2)]
-                   for s in seeds.reshape(-1)))
-    left = np.full(len(V), 50 * count + 100)  # attempts each basis may still make
+    rngs = [np.random.default_rng(s) for s in seeds.reshape(-1)]
+    left = 50 * count + 100  # attempts each basis may still make
     have = np.zeros(len(V), dtype=np.intp)
-    out = np.empty((len(V), 2, count, V.shape[-1]))
+    out = np.empty((2, len(V), count, V.shape[-1]))
     while (need := np.flatnonzero(have < count)).size:
-        # a few spare candidates, so that one block usually suffices
-        block = np.minimum(left[need], count - have[need] + 8)
-        if (block <= 0).any():
+        if not left:
             raise SamplingExhausted("plane sampling rejection bound exceeded")
-        left[need] -= block
-        idx = np.concatenate([ri[i].integers(_CATALOG_SIZE, size=k) for i, k in zip(need, block)])
-        C = np.concatenate([ru[i].uniform(-1.0, 1.0, (k, 2, n)) for i, k in zip(need, block)])
-        owner = np.repeat(need, block)
+        block = min(left, count + 8)
+        left -= block
+        u = np.array([rngs[i].random((block, 2 * n + 1)) for i in need])
+        idx = (_CATALOG_SIZE * u[..., 0]).astype(np.intp)
+        # (2, bases, attempts, n): the two combinations of each attempt
+        C = np.moveaxis(2.0 * u[..., 1:].reshape(len(need), block, 2, n) - 1.0, 2, 0)
         # one mat-vec per candidate vector, as the per-attempt Xrot @ c
-        Z = (rotated[owner, idx][:, None] @ C[..., None])[..., 0]
-        xy = np.moveaxis(from_complex(Z), 1, 0)
-        c1, c2 = C[:, 0], C[:, 1]
+        xy = from_complex((rotated[need[:, None], idx] @ C[..., None])[..., 0])
+        c1, c2 = C
         ok = np.vecdot(c1, c1) * np.vecdot(c2, c2) - np.vecdot(c1, c2) ** 2 >= 1e-6  # det C C^T
         ok &= is_totally_real(*xy, tol=tol)
-        # rank of each accepted candidate among its basis' accepted ones
-        accepted = np.concatenate([[0], np.cumsum(ok)])
-        rank = accepted[1:] - np.repeat(accepted[np.cumsum(block) - block], block)
-        keep = ok & (rank <= np.repeat(count - have[need], block))
-        slot = np.repeat(have[need], block) + rank - 1
-        out[owner[keep], :, slot[keep]] = np.swapaxes(xy[:, keep], 0, 1)
-        have += np.bincount(owner[keep], minlength=len(V))
-    out = out.reshape(seeds.shape + out.shape[1:])
-    X, Y = np.moveaxis(out, -3, 0)
-    return X, Y
+        # 1 + the slot of each accepted attempt
+        rank = have[need, None] + np.cumsum(ok, axis=1)
+        b, k = np.nonzero(ok & (rank <= count))
+        out[:, need[b], rank[b, k] - 1] = xy[:, b, k]
+        have[need] = np.minimum(rank[:, -1], count)
+    return tuple(out.reshape((2,) + seeds.shape + out.shape[2:]))
 
 
 def ricci(R, basis):

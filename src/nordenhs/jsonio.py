@@ -7,7 +7,7 @@ block one printf of a cached template, with the bytes of the list of record
 objects written one by one.  An A equal in every record bit for bit is
 formatted once, into the template, and a basis whose second half is J of its
 first half bit for bit reuses that half's text, -x by its sign.  The reader
-parses an A text repeated in the records once, and gives the same arrays.
+parses and converts a repeated A text once, and gives the same arrays.
 Numeric arrays read from a file must hold JSON numbers, not strings or booleans.
 """
 
@@ -240,7 +240,11 @@ def _numbers_only(quotes, doc, records=()):
 def _floats(rows, shape, msg, numbers_only):
     """rows as a finite float array of shape (len(rows), *shape).  Unless
     numbers_only, every entry is checked to be a JSON number, since the float
-    conversion takes numeric strings and booleans."""
+    conversion takes numeric strings and booleans.  Rows that are all one
+    object, as a shared A is after _shared_a_doc, are converted once."""
+    if len(rows) > 1 and all(r is rows[0] for r in rows):
+        with contextlib.suppress(FormatError):  # the full conversion words the error
+            return np.repeat(_floats(rows[:1], shape, msg, numbers_only), len(rows), axis=0)
     try:
         arr = np.array(rows, dtype=float)
         if not rows:

@@ -330,11 +330,12 @@ def ref_sampler(adapted_basis, count, seed, tol=1e-9):
     catalog = [np.eye(n, dtype=complex)] + [
         random_complex_orthogonal(n, crng, im_scale=0.3) for _ in range(11)
     ]
-    ri, ru = np.random.default_rng(seed).spawn(2)
+    rng = np.random.default_rng(seed)
     planes = []
     while len(planes) < count:
-        Xrot = Zs @ catalog[ri.integers(len(catalog))]
-        c1, c2 = ru.uniform(-1.0, 1.0, (2, n))
+        u = rng.random(2 * n + 1)
+        Xrot = Zs @ catalog[int(len(catalog) * u[0])]
+        c1, c2 = 2.0 * u[1:].reshape(2, n) - 1.0
         if np.linalg.det(np.array([[c1 @ c1, c1 @ c2], [c1 @ c2, c2 @ c2]])) < 1e-6:
             continue
         x = from_complex(Xrot @ c1)
@@ -529,6 +530,30 @@ def test_totally_real_is_scale_free(t):
         assert [is_totally_real(t * x, t * y, tol=tol)
                 for x, y in zip(X, Y)] == want
     assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("t", [1e-100, 1e-80, 1e-60, 1.0, 1e60, 1e80, 1e150,
+                               2.0 ** -330, 2.0 ** -1, 2.0 ** 490])
+def test_sectional_is_scale_free(t):
+    # K + i Kt is of degree 0 in (x, y) and _plane scales each plane exactly
+    # by a power of two, so (t x, t y) gets the t = 1 value, bit for bit when
+    # t is a power of two; the quartic pi1 would under- or overflow at 1e-80
+    # and 1e80 (a RuntimeWarning fails the test by the pytest settings)
+    e = np.eye(8)
+    st = sphere_stack(3.0, 4.0, 1, seed=26)
+    T = st.tangent_bases[0]
+    X, Y = sample_totally_real_planes(T, 5, seed=27)
+    for R, x, y in ((GaussShapeCurvature(0.12 - 0.16j), e[:1], e[1:2]),
+                    (gauss_curvature_from_shape(st.A[0], T), np.r_[T[:1], X], np.r_[T[1:2], Y])):
+        want = np.array(sectional_batch_planes(R, x, y))
+        assert want.shape == (2, len(x)) and np.allclose(want.T, [0.12, -0.16], atol=1e-13)
+        got = [np.array(sectional_batch_planes(R, t * x, t * y)),
+               np.array([sectional_curvatures(R, t * u, t * v) for u, v in zip(x, y)]).T]
+        for g in got:
+            if np.frexp(t)[0] == 0.5:
+                assert np.array_equal(g, want)
+            else:
+                assert close(g, want)
 
 
 def _near_threshold_planes(m, targets, rng):

@@ -562,6 +562,21 @@ def test_m_below_one_exit_2(capsys, cmd, m):
     assert f"--m must be at least 1, got {m}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--a", "1", "--b", "0", "--seed", "-1"),
+    ("verify", "all", "--seed", "-1"),
+    ("verify", "frame", "--seed", "-1"),
+    ("verify", "curvature", "--seed", "-2000"),
+], ids=" ".join)
+def test_negative_seed_exit_2(capsys, argv):
+    # numpy takes no negative seed, so the range check rejects one before any draw
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"--seed must be at least 0, got {argv[-1]}" in err
+
+
 def test_python_dash_m_negative_m_exit_2(tmp_path):
     proc = run_python(tmp_path, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4",
                       "--m", "-1")

@@ -21,7 +21,13 @@ from nordenhs.errors import (
     NotHSymmetric,
     SamplingExhausted,
 )
-from nordenhs.hypersurface import adapted_j_rep, make_h_sphere, sample, surface_sample
+from nordenhs.hypersurface import (
+    adapted_j_rep,
+    make_h_sphere,
+    make_surface_samples,
+    sample,
+    surface_sample,
+)
 
 
 def basis_vec(dim, i):
@@ -179,6 +185,17 @@ class TestPlaneSampler:
         basis = standard_adapted(3)
         for x, y in zip(*sample_totally_real_planes(basis, 25, seed=8)):
             assert is_totally_real(x, y, tol=1e-8)
+
+    def test_smaller_count_is_a_prefix(self):
+        # attempt k of a basis is row k of its seed's stream, however many
+        # rows a block draws, so the first planes do not depend on count
+        sph = make_h_sphere(np.zeros(8), -1.137, 1.885)
+        bases = make_surface_samples(sph, 3, 16).tangent_bases
+        for basis, seed in ((bases[0], 5), (bases, np.array([5, 6, 7]))):
+            small = sample_totally_real_planes(basis, 10, seed)
+            large = sample_totally_real_planes(basis, 50, seed)
+            for s, v in zip(small, large):
+                assert np.array_equal(s, v[..., :10, :])
 
     def test_requires_adapted_basis(self):
         with pytest.raises(DegenerateBasis):

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from nordenhs.classify import shape_invariants
-from nordenhs.core import apply_J, is_adapted_basis, metric_g, metric_gt, tangent_reps
+from nordenhs.core import (
+    apply_J,
+    h_proper_decomposition,
+    is_adapted_basis,
+    metric_g,
+    metric_gt,
+    tangent_reps,
+)
 from nordenhs.curvature import (
     gauss_curvature_from_shape,
     sample_totally_real_planes,
@@ -195,6 +202,27 @@ class TestLambdaMu:
                                             fd=fd) for b in (0.0, -0.0))
         for field in ("points", "xi", "tangent_bases", "A"):
             assert getattr(plus, field).tobytes() == getattr(minus, field).tobytes(), field
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+@pytest.mark.parametrize("a, b", [(3.0, 4.0), (1.0, 0.0), (0.0, 1.0), (-1.137, 1.885),
+                                  (0.5, -2.25)])
+def test_h_proper_pairs_of_a_sample_shape_operator(m, a, b):
+    # the pinned sign convention: a sample's A is in the coordinates of its
+    # basis (t, Jt), where J is adapted_j_rep(n) = [[0, -I], [I, 0]];
+    # h_proper_decomposition reads a matrix in the (x; y) coordinates of C^m,
+    # where J is [[0, I], [-I, 0]] = -J_rep.  So A = lam I + mu J_rep gives
+    # the pairs (lam, -mu), and A^T = D A D, D = diag(I, -I) (the basis
+    # (t, -Jt); A is G_t-self-adjoint and G_t = D), gives lambda_mu's (lam, mu)
+    sph = make_h_sphere(np.zeros(2 * m), a, b)
+    A = make_surface_samples(sph, 1, seed=m).A[0]
+    D = np.diag(np.repeat([1.0, -1.0], m - 1))
+    assert np.array_equal(A.T, D @ A @ D)
+    lam, mu = lambda_mu(sph)
+    for S, want in ((A, (lam, -mu)), (A.T, (lam, mu))):
+        pairs = np.array(h_proper_decomposition(S).pairs)
+        assert pairs.shape == (m - 1, 2)
+        assert np.abs(pairs - want).max() <= 1e-14
 
 
 class TestSampling:

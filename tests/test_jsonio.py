@@ -114,6 +114,21 @@ def test_model_surface_files(monkeypatch, tmp_path, m):
     assert _a_parsed_once(plane)
 
 
+def test_shared_a_array_owns_its_memory(monkeypatch, tmp_path):
+    # the shared A is converted once and repeated into a fresh array, not a
+    # broadcast view of one record: writing to one record leaves the others
+    path = _write(tmp_path, _sphere_text(count=40))
+    assert _a_parsed_once(path)
+    A = jsonio.load_pointcloud(path)[2].A
+    with monkeypatch.context() as mp:
+        mp.setattr(jsonio, "_read", _read_in_full)
+        want = jsonio.load_pointcloud(path)[2].A
+    assert A.shape == want.shape == (40, 6, 6) and A.tobytes() == want.tobytes()
+    assert A.base is None and A.flags.writeable and A.flags.c_contiguous
+    A[0] += 1.0
+    assert np.array_equal(A[1:], want[1:])
+
+
 def test_fd_file(monkeypatch, tmp_path):
     # the FD shape operator varies from record to record
     path = _write(tmp_path, _sphere_text(count=8, fd=True))

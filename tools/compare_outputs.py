@@ -46,7 +46,8 @@ The corpus:
   and of a complex-symmetric operator R D R^T with a threefold eigenvalue,
   R a product of complex Givens rotations, so that the eigenvectors of the
   repeated eigenvalue go through the bilinear Gram-Schmidt of a group;
-- inputs that exit 2, 3, 4 and 5.
+- inputs that exit 2, 3, 4 and 5, among them a negative --seed to `sample`,
+  `verify all`, `verify frame` and `verify curvature`.
 """
 
 import argparse
@@ -338,6 +339,10 @@ def _failures():
         _cli("sphere", "info", "--b", 1),
         _cli("sample", "--a", 3, "--b", 4, "--count", 0),
         _cli("sample", "--a", 3, "--b", 4, "--m", 0),
+        _cli("sample", "--a", 1, "--b", 0, "--seed", -1),
+        _cli("verify", "all", "--seed", -1),
+        _cli("verify", "frame", "--seed", -1),
+        _cli("verify", "curvature", "--seed", -2000),
         _cli("verify", "curvature", "--m", 2),
         _cli("verify", "nope"),
         _cli("verify", "all", "--a", "inf"),
