@@ -10,11 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bilinear, complex_scale, to_complex
-from .errors import (
-    EmptySamples,
-    NearZeroLambdaMu,
-    NonConstantNormal,
-)
+from .errors import NordenError
 from .hypersurface import (
     HSphere,
     make_hyperplane,
@@ -65,7 +61,7 @@ def pair_crosscheck(pairs, ambient, observed):
     with ambient = nu' + i nut' and observed = nu + i nut complex numbers."""
     lam, mu = np.array(list(pairs), dtype=float).reshape(-1, 2).T
     if len(lam) < 2:
-        raise EmptySamples("need at least two (lambda, mu) pairs")
+        raise NordenError("need at least two (lambda, mu) pairs")
     r1 = (ambient.real - observed.real) - (np.outer(mu, mu) - np.outer(lam, lam))
     r2 = (ambient.imag - observed.imag) - (np.outer(lam, mu) + np.outer(mu, lam))
     off = ~np.eye(len(lam), dtype=bool)
@@ -76,7 +72,7 @@ def reconstruct_sphere(lam, mu, witness):
     """Center and parameters from the conserved field xi + kappa Z = kappa z0,
     kappa = lambda - i mu: z0 = (xi + kappa Z) / kappa, a + ib = 1/kappa^2."""
     if lam * lam + mu * mu <= LAMBDA_MU_THRESHOLD:
-        raise NearZeroLambdaMu("lambda^2 + mu^2 below threshold")
+        raise NordenError("lambda^2 + mu^2 below threshold")
     k = complex(lam, -mu)
     z0 = complex_scale(1.0 / k, witness.xi + complex_scale(k, witness.points))
     c = 1.0 / (k * k)
@@ -102,20 +98,20 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     stack.  The normals may vary by tol * max(1, max|xi|), as they are
     stored unnormalized."""
     if len(stack) == 0:
-        raise EmptySamples("no samples")
+        raise NordenError("no samples")
     # huge normals may overflow: an infinite dot keeps its sign, a NaN spread fails
     with np.errstate(over="ignore", invalid="ignore"):
         xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
         xi_mean = xis.mean(axis=0)
         spread = float(np.max(np.abs(xis - xi_mean)))
     if not spread <= tol * max(1.0, float(np.max(np.abs(stack.xi)))):
-        raise NonConstantNormal(f"normal spread {spread:.3e} exceeds tol")
-    # g-unit, or DegenerateBasis for a normal with g(xi, xi) <= 0
+        raise NordenError(f"normal spread {spread:.3e} exceeds tol")
+    # g-unit, or NordenError for a normal with g(xi, xi) <= 0
     xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi
     ds, dts = _offsets(xi_mean, stack.points)
     d_spread = max(float(np.ptp(ds)), float(np.ptp(dts)))
     if not d_spread <= tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))):
-        raise NonConstantNormal(f"offset spread {d_spread:.3e} exceeds tol")
+        raise NordenError(f"offset spread {d_spread:.3e} exceeds tol")
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
 
 
@@ -123,8 +119,9 @@ def classify(stack, tol=1e-6):
     """Full pipeline on a SampleStack: dimension gate, invariant estimation,
     constancy and umbilicity tests, sphere or hyperplane reconstruction,
     then the containment of every sample in the recovered surface.  tol is
-    the tolerance of every gate: constancy, umbilicity, the totally
-    geodesic test, normal spread and containment."""
+    the tolerance of every gate: constancy (relative to max(1, |mean nu|,
+    |mean nut|)), umbilicity, the totally geodesic test, normal spread and
+    containment."""
     dim = stack.points.shape[-1]
     if dim < 8:
         return ClassificationResult(
@@ -132,11 +129,12 @@ def classify(stack, tol=1e-6):
             notes=(f"ambient dimension {dim} < 8",),
         )
     if len(stack) == 0:
-        raise EmptySamples("no samples")
+        raise NordenError("no samples")
 
     per, devs = shape_invariants(stack)
-    spread = float(np.max(np.abs(per[:, 2:] - per[:, 2:].mean(axis=0))))
-    if not spread <= tol:
+    mean = per[:, 2:].mean(axis=0)
+    spread = float(np.max(np.abs(per[:, 2:] - mean)))
+    if not spread <= tol * max(1.0, float(np.max(np.abs(mean)))):
         return ClassificationResult(
             verdict=VERDICT_NON_CONSTANT,
             constancy_spread=spread,

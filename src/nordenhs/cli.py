@@ -71,6 +71,8 @@ def cmd_sphere_info(args):
 
 
 def cmd_sample(args):
+    if args.fd and not args.with_frames:
+        raise NordenError("--fd needs --with-frames: points carry no shape operator")
     center = np.zeros(2 * args.m)
     if args.center_file:
         m, kind, pts = jsonio.load_pointcloud(args.center_file)

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    DimensionMismatch,
-    NordenError,
-    NotHDiagonalizable,
-    NotHSymmetric,
-)
+from .errors import NordenError, NotHDiagonalizable
 
 DEFAULT_TOL = 1e-9
 
@@ -31,7 +25,7 @@ def _halves(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim < 1 or v.ndim < 1 or u.shape[-1] != v.shape[-1] or u.shape[-1] % 2:
-        raise DimensionMismatch(
+        raise NordenError(
             f"expected equal even-length vectors, got {u.shape} and {v.shape}"
         )
     return u, v, u.shape[-1] // 2
@@ -141,7 +135,7 @@ def is_adapted_basis(vectors, tol=DEFAULT_TOL):
     """
     V = np.asarray(vectors, dtype=float)
     if V.ndim < 2 or V.shape[-2] % 2 != 0 or V.shape[-1] % 2 != 0:
-        raise DimensionMismatch("expected 2k vectors of even length")
+        raise NordenError("expected 2k vectors of even length")
     k = V.shape[-2] // 2
     s = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
     Z = to_complex(V[..., :k, :])
@@ -165,7 +159,7 @@ def tangent_reps(T):
     # det of G_t / 2^(e-1), max |G_t| in [2^(e-1), 2^e): the gate does not see the scale
     e = np.frexp(np.abs(Gt).max(axis=(-2, -1)))[1]
     if (np.abs(np.linalg.det(np.ldexp(Gt, 1 - e[..., None, None]))) < 1e-12).any():
-        raise DegenerateBasis("tangent basis g-degenerate")
+        raise NordenError("tangent basis g-degenerate")
     coords = np.linalg.solve(Gt, TG)
     return coords, coords @ np.swapaxes(apply_J(T), -1, -2), Gt
 
@@ -290,7 +284,8 @@ def h_proper_decomposition(S):
     s = max(1.0, float(np.max(np.abs(S))))
     r_comm, r_sym = h_symmetry_residual(S)
     if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:
-        raise NotHSymmetric(f"residuals: commutator {r_comm:.3e}, self-adjointness {r_sym:.3e}")
+        raise NordenError(f"not h-symmetric: residuals: commutator {r_comm:.3e}, "
+                          f"self-adjointness {r_sym:.3e}")
     C = real_op_to_complex(S)
     m = C.shape[0]
     evals, evecs = np.linalg.eig(C)

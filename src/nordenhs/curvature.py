@@ -28,13 +28,7 @@ from .core import (
     tangent_reps,
     to_complex,
 )
-from .errors import (
-    DegeneratePlane,
-    DegenerateBasis,
-    DimensionMismatch,
-    NotHSymmetric,
-    SamplingExhausted,
-)
+from .errors import NordenError
 
 PLANE_DEGENERACY_THRESHOLD = 1e-8
 
@@ -90,7 +84,7 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
     A = np.asarray(A, dtype=float)
     rows = np.asarray(tangent_basis, dtype=float)
     if rows.shape[-2] != A.shape[-1]:
-        raise DimensionMismatch("tangent basis size does not match A")
+        raise NordenError("tangent basis size does not match A")
     # coords: ambient tangent vectors -> basis coordinates
     coords, J_rep, Gt = tangent_reps(rows)
     s = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
@@ -99,9 +93,9 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
         return (np.abs(M).max(axis=(-2, -1)) > 1e-6 * s).any()
 
     if off(A @ J_rep - J_rep @ A):
-        raise NotHSymmetric("A does not commute with J on the tangent space")
+        raise NordenError("A does not commute with J on the tangent space")
     if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt):
-        raise NotHSymmetric("A is not g-self-adjoint on the tangent space")
+        raise NordenError("A is not g-self-adjoint on the tangent space")
     # ambient-acting form of A (valid on tangent vectors)
     return GaussShapeCurvature(ambient, np.swapaxes(rows, -1, -2) @ A @ coords)
 
@@ -138,10 +132,11 @@ def sectional_curvatures(R, x, y):
     takes a stack."""
     K, Kt, rho, ok = _sectional(R, x, y)
     if np.ndim(ok):
-        raise DimensionMismatch(f"one plane expected, got a stack of shape {np.shape(ok)}: "
-                                "use sectional_batch_planes")
+        raise NordenError(f"one plane expected, got a stack of shape {np.shape(ok)}: "
+                          "use sectional_batch_planes")
     if not ok:
-        raise DegeneratePlane(f"|pi1| / (|x|^2 |y|^2) = {rho:.3e} not above threshold")
+        raise NordenError(f"degenerate plane: |pi1| / (|x|^2 |y|^2) = {rho:.3e} "
+                          "not above threshold")
     return float(K), float(Kt)
 
 
@@ -204,9 +199,9 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     V = np.asarray(adapted_basis, dtype=float)
     seeds = np.asarray(seed)
     if seeds.shape != V.shape[:-2]:
-        raise DimensionMismatch(f"need one seed per basis, got {seeds.shape} for {V.shape[:-2]}")
+        raise NordenError(f"need one seed per basis, got {seeds.shape} for {V.shape[:-2]}")
     if not np.all(is_adapted_basis(V, tol=max(tol, 1e-8))):
-        raise DegenerateBasis("input is not an adapted basis")
+        raise NordenError("input is not an adapted basis")
     n = V.shape[-2] // 2
     V = V.reshape((-1,) + V.shape[-2:])
     # (bases, 12, m, n): the m-dim complex reps of every basis, rotated
@@ -217,7 +212,7 @@ def sample_totally_real_planes(adapted_basis, count, seed, tol=DEFAULT_TOL):
     out = np.empty((2, len(V), count, V.shape[-1]))
     while (need := np.flatnonzero(have < count)).size:
         if not left:
-            raise SamplingExhausted("plane sampling rejection bound exceeded")
+            raise NordenError("plane sampling rejection bound exceeded")
         block = min(left, count + 8)
         left -= block
         u = np.array([rngs[i].random((block, 2 * n + 1)) for i in need])

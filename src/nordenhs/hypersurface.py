@@ -28,16 +28,7 @@ from .core import (
     tangent_reps,
     to_complex,
 )
-from .errors import (
-    BadInputNormalization,
-    DegenerateBasis,
-    DimensionMismatch,
-    IsotropicParameters,
-    NordenError,
-    PointNotOnSurface,
-    SamplingExhausted,
-    StepSizeError,
-)
+from .errors import NordenError
 
 
 @dataclass(frozen=True)
@@ -81,13 +72,13 @@ class SampleStack:
 def make_h_sphere(center, a, b):
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.shape[0] % 2 != 0 or center.shape[0] < 4:
-        raise DimensionMismatch("center must have even length >= 4")
+        raise NordenError("center must have even length >= 4")
     if not (np.isfinite(center).all() and np.isfinite(a) and np.isfinite(b)):
         raise NordenError(f"a, b and the center must be finite, got a={a}, b={b}")
     # a^2 + b^2 in Python floats, which overflow to inf without a warning
     if not 1e-24 < float(a) * float(a) + float(b) * float(b) < float("inf"):
-        raise IsotropicParameters(f"(a, b) = ({float(a)!r}, {float(b)!r}) is not an h-sphere: "
-                                  "a^2 + b^2 must be finite and above 1e-24")
+        raise NordenError(f"(a, b) = ({float(a)!r}, {float(b)!r}) is not an h-sphere: "
+                          "a^2 + b^2 must be finite and above 1e-24")
     return HSphere(center=center, a=float(a), b=float(b))
 
 
@@ -138,12 +129,12 @@ def contains(s, p):
 
 
 def _on_surface(s, P):
-    """P as a float array; PointNotOnSurface unless every point is on s."""
+    """P as a float array; NordenError unless every point is on s."""
     P = np.asarray(P, dtype=float)
     bad = ~contains(s, P)
     if bad.any():
         rg, rgt = containment_residual(s, P[np.unravel_index(np.argmax(bad), bad.shape)])
-        raise PointNotOnSurface(f"residuals g: {rg:.3e}, gt: {rgt:.3e}")
+        raise NordenError(f"point off the h-sphere: residuals g: {rg:.3e}, gt: {rgt:.3e}")
     return P
 
 
@@ -162,7 +153,7 @@ def project_to_sphere(s, p):
     """Rescale p - z0 (a point or a stack) onto the quadric."""
     W = np.asarray(p, dtype=float) - s.center
     if _isotropic(W).any():
-        raise SamplingExhausted("isotropic direction cannot be projected")
+        raise NordenError("isotropic direction cannot be projected")
     return _rescale(s, W)
 
 
@@ -177,7 +168,7 @@ def sample(s, count, seed):
     have = drawn = 0
     while have < count:
         if drawn >= bound:
-            raise SamplingExhausted("sphere sampling rejection bound exceeded")
+            raise NordenError("sphere sampling rejection bound exceeded")
         W = rng.standard_normal((min(count - have, bound - drawn), dim))
         drawn += len(W)
         W = W[~_isotropic(W)]
@@ -196,17 +187,17 @@ def normal_frame(s, p):
 def normalize_normal_frame(eta, jeta):
     """Rotate a pair (eta, J eta) with g(eta,eta)=1 into a frame satisfying
     g(xi,xi) = -g(Jxi,Jxi) = 1 and g(xi,Jxi) = 0, along the last axis.
-    BadInputNormalization if any pair of a stack fails a check within 1e-8."""
+    NordenError if any pair of a stack fails a check within 1e-8."""
     tol = 1e-8
     eta = np.asarray(eta, dtype=float)
     jeta = np.asarray(jeta, dtype=float)
     off_j = np.max(np.abs(jeta - apply_J(eta)), axis=-1)
     # not all(r <= tol) rather than any(r > tol), so that a NaN residual fails
     if not (off_j <= tol * np.maximum(1.0, np.max(np.abs(eta), axis=-1))).all():
-        raise BadInputNormalization("second vector is not J of the first")
+        raise NordenError("second vector is not J of the first")
     if not ((np.abs(metric_g(eta, eta) - 1.0) <= tol)
             & (np.abs(metric_g(jeta, jeta) + 1.0) <= tol)).all():
-        raise BadInputNormalization("eta is not g-unit")
+        raise NordenError("eta is not g-unit")
     t = np.arcsinh(metric_gt(eta, eta))[..., None]  # g(eta, J eta) = gt(eta, eta)
     xi = (np.cosh(t / 2.0) * eta + np.sinh(t / 2.0) * jeta) / np.cosh(t)
     return xi, apply_J(xi)
@@ -223,7 +214,7 @@ def _complement_bases(zh):
     to 1 for every k when m >= 2.
     """
     if (np.abs(bilinear(zh, zh)) < 1e-12 * np.sum(np.abs(zh) ** 2, axis=-1)).any():
-        raise DegenerateBasis("isotropic normal direction")
+        raise NordenError("isotropic normal direction")
     count, m = zh.shape
     k = np.argmax(np.abs(1.0 - zh), axis=1)
     w = -zh
@@ -265,7 +256,7 @@ def _fd_steps(s, P, step):
     h, scale = np.broadcast_arrays(np.asarray(step, dtype=float), 1.0 + norm)
     for bad, what in ((h <= 1e-12 * scale, "small"), (h > 0.05 * scale, "large")):
         if bad.any():
-            raise StepSizeError(f"step {h[bad][0]:.3e} too {what}")
+            raise NordenError(f"step {h[bad][0]:.3e} too {what}")
     return h
 
 
@@ -348,7 +339,7 @@ def shape_operator_wrt(sample, eta):
     off = np.abs(metric_g(T, eta))
     # not all(r <= bound) rather than any(r > bound), so that a NaN residual fails
     if not (off <= 1e-8 * scale * np.maximum(1.0, np.max(np.abs(T), axis=-1))).all():
-        raise DimensionMismatch("eta is not normal to the tangent space")
+        raise NordenError("eta is not normal to the tangent space")
     _, J_rep, _ = tangent_reps(T)
     c1 = metric_g(sample.xi, eta)
     c2 = metric_g(apply_J(sample.xi), eta)
@@ -414,7 +405,7 @@ def codazzi_residual(s, p, step=1e-4):
 def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
-        raise DimensionMismatch("xi must have even length")
+        raise NordenError("xi must have even length")
     # scaled by a power of two, g(xi, xi) cannot overflow and xi / sqrt(g) keeps every bit
     xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), initial=0.0))[1])
     with np.errstate(invalid="ignore"):
@@ -423,7 +414,7 @@ def make_hyperplane(xi, d, dt):
         raise NordenError(f"xi, d, dt and g(xi, xi) must be finite, got d={d}, dt={dt}, "
                           f"g(xi, xi)={g}")
     if not g > 0:
-        raise DegenerateBasis("normal must have positive g-square")
+        raise NordenError("normal must have positive g-square")
     return HolomorphicHyperplane(xi=xi / np.sqrt(g), d=float(d), dt=float(dt))
 
 

@@ -18,7 +18,7 @@ from nordenhs.core import (
     random_complex_orthogonal,
     real_op_to_complex,
 )
-from nordenhs.errors import DimensionMismatch
+from nordenhs.errors import NordenError
 
 
 def is_structure_group_member(M, tol=DEFAULT_TOL):
@@ -26,7 +26,7 @@ def is_structure_group_member(M, tol=DEFAULT_TOL):
     real form of a complex C with C^T C = I."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
-        raise DimensionMismatch(f"expected square 2m x 2m matrix, got {M.shape}")
+        raise NordenError(f"expected square 2m x 2m matrix, got {M.shape}")
     # M / p and s / p for p = 2^e with s / p in [0.5, 1): exact, and C^T C cannot overflow
     s = max(1.0, float(np.max(np.abs(M))))
     e = np.frexp(s)[1]

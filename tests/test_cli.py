@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nordenhs
-from nordenhs import jsonio
+from nordenhs import errors, jsonio
 from nordenhs.cli import main
 from nordenhs.core import apply_J, complex_op_to_real
 from nordenhs.errors import FormatError
@@ -705,7 +705,19 @@ def test_classify_tol_sets_every_gate(capsys, tmp_path, tol, code, verdict):
     assert doc["constancy_spread"] <= 1e-15
 
 
+def _not_h_symmetric(tmp_path):
+    f = tmp_path / "op.json"
+    jsonio.write_json(str(f), {"matrix": (np.eye(8) + 0.5 * np.eye(8, k=1)).tolist()})
+    return str(f)
+
+
 FAILURES = {
+    "sample --fd without --with-frames": (
+        lambda tmp: ["sample", "--a", "3", "--b", "4", "--count", "2", "--fd",
+                     "--out", str(tmp / "x.json")],
+        2, "--fd needs --with-frames"),
+    "decompose not h-symmetric": (
+        lambda tmp: ["decompose", "--in", _not_h_symmetric(tmp)], 2, "not h-symmetric"),
     "sample --out into a missing directory": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
         3, "x.json"),
@@ -734,6 +746,13 @@ def test_failure_exit_codes(capsys, tmp_path, case):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("nordenhs: ") and msg in err
     assert err[len("nordenhs: "):][0] not in "'\""
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_one_error_type_per_exit_code():
+    # NordenError exits 2 (4 under classify), FormatError 3, NotHDiagonalizable 4
+    assert {name for name, x in vars(errors).items() if isinstance(x, type)} == {
+        "NordenError", "FormatError", "NotHDiagonalizable"}
 
 
 def _non_number_argv(tmp_path, where, value):

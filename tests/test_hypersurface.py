@@ -21,15 +21,7 @@ from nordenhs.curvature import (
     sample_totally_real_planes,
     sectional_curvatures,
 )
-from nordenhs.errors import (
-    BadInputNormalization,
-    DegenerateBasis,
-    DimensionMismatch,
-    IsotropicParameters,
-    NordenError,
-    PointNotOnSurface,
-    StepSizeError,
-)
+from nordenhs.errors import NordenError
 from nordenhs.hypersurface import (
     adapted_j_rep,
     ambient_shape_operator,
@@ -75,23 +67,23 @@ def mean_curvature_vector(smp):
 
 class TestConstructors:
     def test_isotropic_parameters_rejected(self):
-        with pytest.raises(IsotropicParameters):
+        with pytest.raises(NordenError, match="is not an h-sphere"):
             make_h_sphere(np.zeros(8), 0.0, 0.0)
 
     def test_odd_center_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NordenError, match="center must have even length"):
             make_h_sphere(np.zeros(7), 1.0, 0.0)
 
     def test_odd_hyperplane_normal_rejected(self):
-        with pytest.raises(DimensionMismatch, match="xi must have even length"):
+        with pytest.raises(NordenError, match="xi must have even length"):
             make_hyperplane(np.r_[1.0, np.zeros(6)], 1.0, 0.0)
 
     @pytest.mark.parametrize("x", [1e200, 1e-13, 1e-200])
     def test_parameters_out_of_range_rejected(self, x):
         # x^2 overflows, or falls below 1e-24
-        with pytest.raises(IsotropicParameters, match=r"a\^2 \+ b\^2 must be finite"):
+        with pytest.raises(NordenError, match=r"a\^2 \+ b\^2 must be finite"):
             make_h_sphere(np.zeros(8), x, 0.0)
-        with pytest.raises(IsotropicParameters, match=re.escape(f"(0.0, {x!r})")):
+        with pytest.raises(NordenError, match=re.escape(f"(0.0, {x!r})")):
             make_h_sphere(np.zeros(8), 0.0, np.float64(x))
 
     @pytest.mark.parametrize("xi0,d,dt", [
@@ -108,7 +100,7 @@ class TestConstructors:
         # g(xi, xi) of the raw xi is inf - inf; taken of xi scaled by a power
         # of two it is 0, so the null normal is rejected as null (a
         # RuntimeWarning fails the test)
-        with pytest.raises(DegenerateBasis, match="positive g-square"):
+        with pytest.raises(NordenError, match="positive g-square"):
             make_hyperplane(np.array(xi), 1.0, 0.0)
 
     def test_huge_hyperplane_normal_accepted(self):
@@ -270,7 +262,8 @@ class TestNormalFrame:
 
     def test_off_surface_point_rejected(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
-        with pytest.raises(PointNotOnSurface):
+        msg = "point off the h-sphere: residuals g: 8.000e+00, gt: 0.000e+00"
+        with pytest.raises(NordenError, match=f"^{re.escape(msg)}$"):
             normal_frame(sph, 3.0 * basis_vec(8, 0))
 
     def test_normalize_normal_frame(self):
@@ -293,9 +286,9 @@ class TestNormalFrame:
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         p = sample(sph, 1, seed=8)[0]
         xi, jxi = normal_frame(sph, p)
-        with pytest.raises(BadInputNormalization):
+        with pytest.raises(NordenError, match="eta is not g-unit"):
             normalize_normal_frame(2.0 * xi, 2.0 * jxi)
-        with pytest.raises(BadInputNormalization):
+        with pytest.raises(NordenError, match="second vector is not J of the first"):
             normalize_normal_frame(xi, xi)
 
 
@@ -317,7 +310,7 @@ def test_shared_on_surface_threshold(check, residual, on_surface):
     if on_surface:
         ON_SURFACE_CHECKS[check](sph, p)
     else:
-        with pytest.raises(PointNotOnSurface):
+        with pytest.raises(NordenError, match="point off the h-sphere"):
             ON_SURFACE_CHECKS[check](sph, p)
 
 
@@ -373,9 +366,9 @@ class TestShapeOperator:
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         p = sample(sph, 1, seed=14)[0]
         basis = tangent_adapted_basis(sph, p)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(NordenError, match="step 1.000e-14 too small"):
             shape_operator_fd(sph, p, basis, step=1e-14)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(NordenError, match="step 1.000e[+]01 too large"):
             shape_operator_fd(sph, p, basis, step=10.0)
 
     def test_wrt_normal_combinations(self):
@@ -399,13 +392,13 @@ class TestShapeOperator:
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         p = sample(sph, 1, seed=16)[0]
         smp = surface_sample(sph, p)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NordenError, match="eta is not normal to the tangent space"):
             shape_operator_wrt(smp, np.asarray(smp.tangent_bases[0]))
 
     def test_wrt_rejects_nan_normal(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         smp = surface_sample(sph, sample(sph, 1, seed=16)[0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NordenError, match="eta is not normal to the tangent space"):
             shape_operator_wrt(smp, np.full(8, np.nan))
 
 
@@ -508,9 +501,9 @@ class TestCodazzi:
     def test_step_ladder_out_of_range_raises_as_scalar(self, bad):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
         p = sample(sph, 1, seed=28)[0]
-        with pytest.raises(StepSizeError) as scalar:
+        with pytest.raises(NordenError, match="too (small|large)") as scalar:
             codazzi_residual(sph, p, step=bad)
-        with pytest.raises(StepSizeError, match=f"^{re.escape(str(scalar.value))}$"):
+        with pytest.raises(NordenError, match=f"^{re.escape(str(scalar.value))}$"):
             codazzi_residual(sph, p, step=(1e-4, 4e-3, bad, 1e-3))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -556,7 +549,7 @@ class TestHyperplane:
         assert metric_g(hp.xi, hp.xi) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_nonpositive_normal(self):
-        with pytest.raises(DegenerateBasis):
+        with pytest.raises(NordenError, match="positive g-square"):
             make_hyperplane(basis_vec(8, 4), 1.0, 0.0)
 
     def test_base_point_on_plane(self):

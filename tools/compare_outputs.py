@@ -28,6 +28,9 @@ The corpus:
 - (a, b) edge cases at extreme scales, among them `sphere info`, `sample
   --with-frames` with `classify`, and `verify curvature` at (1e30, -1e29),
   where mu is of the sign of b although lambda is about 1e-15;
+- `sample --with-frames` with `classify` at (1e-10, 0), (1e-11, 0.5e-11) and
+  (2e-12, -1e-12), where nu + i nut is of size 1e10 and above and the
+  constancy gate is relative to it;
 - sample files at (-1, 0) and (-1, -0.0), on the branch cut of sqrt(a + ib);
 - `verify codazzi` at m = 4, |c| = 64, theta = 7 pi/4, seed 2, a case that
   fixed steps put near the order check's bound;
@@ -39,6 +42,9 @@ The corpus:
 - hyperplane sample files, with unit and scaled normals;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
 - a (3, 4) sphere file with every tangent basis scaled by 0.1 (A unchanged);
+- a file merging two (3, 4) spheres with centres 0 and 5 e1, which no single
+  sphere holds (SamplesOffSurface), and a hyperplane file whose records
+  have two offsets;
 - (3, 4) sphere files whose text is edited around the A that every record
   shares: another A in the first or the last record, a duplicate "A" key in
   either order, null outside the arrays, and a boolean inside the shared A;
@@ -47,7 +53,8 @@ The corpus:
   R a product of complex Givens rotations, so that the eigenvectors of the
   repeated eigenvalue go through the bilinear Gram-Schmidt of a group;
 - inputs that exit 2, 3, 4 and 5, among them a negative --seed to `sample`,
-  `verify all`, `verify frame` and `verify curvature`.
+  `verify all`, `verify frame` and `verify curvature`, `sample --fd` without
+  --with-frames, and `sample --center-file` of a file with two points.
 """
 
 import argparse
@@ -141,12 +148,12 @@ def _samples(name, m, stack_of):
     return (f"write {name}", write, [name])
 
 
-def _hyperplane(m, scale, count=30, seed=4):
+def _hyperplane(m, scale, count=30, seed=4, d=1.5):
     def stack_of(lib):
         xi = np.zeros(2 * m)
         xi[:2] = NORMAL
         st = lib.hypersurface.hyperplane_samples(
-            lib.hypersurface.make_hyperplane(xi, 1.5, 0.5), count, seed)
+            lib.hypersurface.make_hyperplane(xi, d, 0.5), count, seed)
         return dataclasses.replace(st, xi=scale * st.xi)
     return stack_of
 
@@ -167,6 +174,11 @@ def _umbilicity_defect(st):
 def _scaled_bases(st):
     # A in basis coordinates is unchanged when every basis vector is scaled alike
     return dataclasses.replace(st, tangent_bases=0.1 * st.tangent_bases)
+
+
+def _shifted(st):
+    # the samples of the same sphere with its centre moved to 5 e1
+    return dataclasses.replace(st, points=st.points + 5.0 * np.eye(st.points.shape[-1])[0])
 
 
 def _a_text(text):
@@ -204,10 +216,12 @@ def _edited(name, edit):
     return (f"write {name}", write, [name])
 
 
-def _mixed(lib):
-    one, two = (_sphere(a, b, 4, 0)(lib) for a, b in ((1.0, 0.0), (3.0, 4.0)))
-    return type(one)(*(np.concatenate([x, y]) for x, y in zip(vars(one).values(),
-                                                              vars(two).values())))
+def _merged(*stacks_of):
+    """stack_of concatenating the stacks of stacks_of, in order."""
+    def stack_of(lib):
+        stacks = [s(lib) for s in stacks_of]
+        return type(stacks[0])(*map(np.concatenate, zip(*(vars(s).values() for s in stacks))))
+    return stack_of
 
 
 def _cli(*argv, out=None):
@@ -279,6 +293,9 @@ def _edge_cases():
         _cli("verify", "codazzi", "--points", 3, "--step", 1e-3),
         *_sample_and_classify("e1.json", "--a", 1e-11, "--b", 0.5e-11, "--count", 50,
                               "--seed", 3),
+        *_sample_and_classify("e4.json", "--a", 1e-10, "--b", 0, "--count", 50, "--seed", 3),
+        *_sample_and_classify("e5.json", "--a", 2e-12, "--b=-1e-12", "--count", 50,
+                              "--seed", 3),
         *_sample_and_classify("e2.json", "--a", 1e150, "--b", 0, "--count", 50, "--seed", 3),
         _cli("sphere", "info", "--a", 1e30, "--b=-1e29"),
         *_sample_and_classify("e3.json", "--a", 1e30, "--b=-1e29", "--count", 50, "--seed", 3),
@@ -306,11 +323,17 @@ def _files():
         _samples("defect.json", 4, _sphere(3.0, 4.0, 30, 2, edit=_umbilicity_defect)),
         _cli("classify", "--in", "defect.json"),
         _cli("classify", "--in", "defect.json", "--tol", 1e-4),
-        _samples("mixed.json", 4, _mixed),
+        _samples("mixed.json", 4, _merged(_sphere(1.0, 0.0, 4, 0), _sphere(3.0, 4.0, 4, 0))),
         _cli("classify", "--in", "mixed.json"),
         _cli("classify", "--in", "mixed.json", "--tol", 0),
         _samples("scaled_bases.json", 4, _sphere(3.0, 4.0, 50, 3, edit=_scaled_bases)),
         _cli("classify", "--in", "scaled_bases.json"),
+        _samples("two_centres.json", 4,
+                 _merged(_sphere(3.0, 4.0, 4, 0), _sphere(3.0, 4.0, 4, 0, edit=_shifted))),
+        _cli("classify", "--in", "two_centres.json"),
+        _samples("two_offsets.json", 4,
+                 _merged(_hyperplane(4, 1.0, count=5), _hyperplane(4, 1.0, count=5, d=2.5))),
+        _cli("classify", "--in", "two_offsets.json"),
     ]
     for name, edit in EDITS.items():
         steps += [_edited(f"{name}.json", edit), _cli("classify", "--in", f"{name}.json")]
@@ -332,6 +355,8 @@ def _files():
 
 def _failures():
     points = json.dumps({"version": 1, "m": 4, "kind": "points", "points": [[0.0] * 8]})
+    two_points = json.dumps({"version": 1, "m": 4, "kind": "points",
+                             "points": [[0.0] * 8, [1.0] + [0.0] * 7]})
     return [
         _cli("sphere", "info", "--a", 0, "--b", 0),
         _cli("sphere", "info", "--a", 1e200, "--b", 0),
@@ -340,6 +365,8 @@ def _failures():
         _cli("sample", "--a", 3, "--b", 4, "--count", 0),
         _cli("sample", "--a", 3, "--b", 4, "--m", 0),
         _cli("sample", "--a", 1, "--b", 0, "--seed", -1),
+        _cli("sample", "--a", 3, "--b", 4, "--count", 2, "--fd", "--out", "no_frames.json",
+             out="no_frames.json"),
         _cli("verify", "all", "--seed", -1),
         _cli("verify", "frame", "--seed", -1),
         _cli("verify", "curvature", "--seed", -2000),
@@ -355,6 +382,8 @@ def _failures():
         _cli("classify", "--in", "points.json"),
         _cli("decompose", "--in", "missing.json"),
         _cli("sample", "--a", 3, "--b", 4, "--center-file", "bad.json"),
+        _text("two_points.json", two_points),
+        _cli("sample", "--a", 3, "--b", 4, "--center-file", "two_points.json"),
         _cli("sample", "--a", 3, "--b", 4, "--out", "missing/x.json"),
     ]
 
