@@ -12,6 +12,7 @@ negative classification (4).
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -107,6 +108,8 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
+    if args.suite == "curvature" and args.step is not None and not args.fd:
+        raise NordenError("--step needs --fd: verify curvature runs no FD step without it")
     checks, applied = verify.run_suite(args.suite, **vars(args))
     results = [{"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
                for c in checks]
@@ -186,7 +189,10 @@ def cmd_decompose(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process: parse_args leaves
+    it unchanged and gives each call a new Namespace."""
     ap = argparse.ArgumentParser(
         prog="nordenhs",
         description="h-spheres and holomorphic hyperplanes of flat "

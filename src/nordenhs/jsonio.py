@@ -9,10 +9,14 @@ formatted once, into the template, and a basis whose second half is J of its
 first half bit for bit reuses that half's text, -x by its sign.  The reader
 parses and converts a repeated A text once, and gives the same arrays.
 Numeric arrays read from a file must hold JSON numbers, not strings or booleans.
+A reader runs with the cyclic garbage collector paused, from the parse until
+the parsed document is freed: that document holds no reference cycles, and
+reference counting frees it.
 """
 
 import contextlib
 import functools
+import gc
 import json
 import math
 import operator
@@ -186,6 +190,23 @@ def samples_to_doc(m, stack):
     return {"version": VERSION, "m": int(m), "kind": "samples", "samples": stack}
 
 
+def _no_cyclic_gc(reader):
+    """reader with the cyclic collector paused until it returns, by which time
+    the lists and dicts its parse made are freed, so that their allocation
+    triggers no collection before or after.  A collector that was disabled
+    stays disabled."""
+    @functools.wraps(reader)
+    def read(path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return reader(path)
+        finally:
+            if enabled:
+                gc.enable()
+    return read
+
+
 def _require(cond, msg):
     if not cond:
         raise FormatError(msg)
@@ -263,6 +284,7 @@ def _floats(rows, shape, msg, numbers_only):
     return arr
 
 
+@_no_cyclic_gc
 def load_pointcloud(path):
     """Read and validate a PointCloudFile; returns (m, kind, payload).
 
@@ -300,6 +322,7 @@ def load_pointcloud(path):
     raise FormatError(f"unknown kind {kind!r}")
 
 
+@_no_cyclic_gc
 def load_matrix(path):
     """Read a square matrix from JSON ({"matrix": [[...]]} or a bare array)."""
     doc, quotes = _read(path)

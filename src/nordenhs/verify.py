@@ -172,7 +172,9 @@ def suite_sigma(a=3.0, b=4.0, m=4, seed=0, count=200):
     scale = np.maximum(1.0, np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
     dev = np.stack([sigma(x, apply_J(y)), sigma(apply_J(x), y)]) - apply_J(sigma(x, y))
     res = float(np.max(np.max(np.abs(dev), axis=-1) / scale))
-    return [Check("sigma(x,Jy)=sigma(Jx,y)=J sigma(x,y)", res, 1e-10)]
+    # sigma is of size |A| = 1/sqrt|c|: its tolerance scales with it
+    return [Check("sigma(x,Jy)=sigma(Jx,y)=J sigma(x,y)", res,
+                  1e-10 / np.sqrt(abs(complex(a, b))))]
 
 
 def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
@@ -189,7 +191,9 @@ def suite_ricci(a=1.0, b=0.0, m=4, seed=0):
     g = np.repeat([1.0, -1.0], m)  # G = diag(g): AB @ G is AB * g
     rhs = (tr_a * AB * g @ B.T - tr_aj * AB * g @ apply_J(B).T
            - 2.0 * (AB @ A_amb.T) * g @ B.T)
-    return [Check("Ricci identity (flat ambient)", float(np.max(np.abs(rho - rhs))), 1e-8)]
+    # rho is of size 1/|c|, as R is in suite_gauss
+    return [Check("Ricci identity (flat ambient)", float(np.max(np.abs(rho - rhs))),
+                  1e-8 / abs(complex(a, b)))]
 
 
 def suite_codazzi(a=1.0, b=0.0, m=4, step=1e-4, seed=0):

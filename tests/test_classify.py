@@ -10,6 +10,7 @@ from nordenhs.classify import (
     VERDICT_HYPERPLANE,
     VERDICT_NOT_UMBILICAL,
     VERDICT_NON_CONSTANT,
+    VERDICT_OFF_SURFACE,
     VERDICT_SPHERE,
     classify,
     pair_crosscheck,
@@ -186,6 +187,55 @@ class TestReconstruct:
         _, ss = sphere_set(1.0, 0.0)
         with pytest.raises(NordenError, match="normal spread"):
             reconstruct_hyperplane(ss)
+
+
+class TestGateBoundaries:
+    """Each gate of classify rejects an input just outside it, 10 tol, and
+    passes the unperturbed stack; default tol = 1e-6."""
+
+    tol = 1e-6
+
+    def test_containment_gate(self):
+        # one sample Z scaled by t about the centre 0: A, xi and the bases are
+        # unchanged, so only the containment residual moves, to
+        # (t^2 - 1) |b| / (|a| + |b| + t^2 |Z|^2) = 10 tol to first order
+        _, ss = sphere_set(3.0, 4.0)
+        assert classify(ss).containment_residual <= self.tol
+        _, devs = shape_invariants(ss)
+        i = (int(np.argmin(devs)) + 1) % len(ss)  # not the reconstruction witness
+        P = ss.points.copy()
+        P[i] *= np.sqrt(1 + 10 * self.tol * (7.0 + P[i] @ P[i]) / 4.0)
+        result = classify(dataclasses.replace(ss, points=P))
+        assert result.verdict == VERDICT_OFF_SURFACE
+        assert 9 * self.tol < result.containment_residual < 11 * self.tol
+
+    def _hyperplane(self):
+        hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 1.5, 0.5)
+        st = hyperplane_samples(hp, 12, seed=4)
+        assert classify(st).verdict == VERDICT_HYPERPLANE
+        return hp, st
+
+    def test_normal_spread_gate(self):
+        # one of N normals moved by delta: its distance from the mean is
+        # delta (N - 1) / N = 10 tol max(1, max|xi|)
+        _, st = self._hyperplane()
+        xi, n = st.xi.copy(), len(st)
+        xi[3, 2] += 10 * self.tol * max(1.0, float(np.max(np.abs(xi)))) * n / (n - 1)
+        planted = dataclasses.replace(st, xi=xi)
+        for route in (reconstruct_hyperplane, classify):
+            with pytest.raises(NordenError, match=r"normal spread 1\.000e-05 exceeds tol"):
+                route(planted)
+
+    def test_offset_spread_gate(self):
+        # one point moved by delta xi, xi g-unit with gt(xi, xi) = 0, moves its
+        # d by delta = 10 tol max(1, |d|, |dt|) and its dt not at all
+        hp, st = self._hyperplane()
+        P = st.points.copy()
+        P[3] += 10 * self.tol * 1.5 * hp.xi
+        planted = dataclasses.replace(st, points=P)
+        for route in (reconstruct_hyperplane, classify):
+            with pytest.raises(NordenError, match=r"offset spread 1\.500e-05 exceeds tol"):
+                route(planted)
 
 
 class TestScaledTangentBases:

@@ -10,7 +10,7 @@ import pytest
 
 import nordenhs
 from nordenhs import errors, jsonio
-from nordenhs.cli import main
+from nordenhs.cli import build_parser, main
 from nordenhs.core import apply_J, complex_op_to_real
 from nordenhs.errors import FormatError
 from nordenhs.hypersurface import (
@@ -229,6 +229,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "all", "--a", "3", "--planes", "4")
         assert code == 0
         assert json.loads(out)["params"] == {"a": 3.0, "planes": 4, "seed": 0, "fd": False}
+
+    def test_all_passes_the_step_to_codazzi(self, capsys):
+        # without --fd the curvature suite ignores the step; codazzi takes it
+        code, out, _ = run_cli(capsys, "verify", "all", "--step", "1e-3",
+                               "--points", "2", "--planes", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"] == {"points": 2, "planes": 3, "seed": 0, "step": 1e-3, "fd": False}
+        assert "Codazzi residual at h=0.001" in [r["name"] for r in doc["results"]]
 
     def test_failing_tolerance_reported(self, capsys):
         # impossible tolerance forces a failure report on stderr
@@ -734,6 +743,9 @@ FAILURES = {
         lambda tmp: ["classify", "--in", _samples_file(tmp, _huge_normal)],
         4, "offset spread"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
+    "verify curvature --step without --fd": (
+        lambda tmp: ["verify", "curvature", "--step", "5", "--points", "2", "--planes", "3"],
+        2, "--step needs --fd"),
 }
 
 
@@ -783,3 +795,38 @@ def test_non_number_in_array_exit_3(capsys, tmp_path, where, value):
     assert code == 3
     assert not out
     assert err == f"nordenhs: non-numeric entry {json.dumps(value)} in input\n"
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+REPEATED = [
+    ["verify", "curvature", "--fd", "--points", "2"],
+    ["verify", "curvature", "--points", "2", "--tol=-1"],
+    ["verify", "curvature", "--points", "2"],
+    ["sample", "--b", "1"],
+    ["verify", "curvature", "--points", "2", "--planes", "3"],
+]
+
+
+def test_one_parser_per_process(capsys):
+    # main parses with one parser, and a call leaves nothing in it for the
+    # next: the same calls with a parser built afresh for each give the same
+    # exit codes and the same text, usage errors included
+    assert build_parser() is build_parser()
+    reused = [_outcome(argv, capsys) for argv in REPEATED]
+    fresh = []
+    for argv in REPEATED:
+        build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+    assert json.loads(reused[2][1])["params"] == {"points": 2, "seed": 0, "fd": False}
+    assert "the following arguments are required: --a" in reused[3][2]

@@ -6,6 +6,7 @@ text through json.loads, then load_pointcloud's own checks and _floats.  Each
 case compares the two bit for bit, or by the text of the FormatError.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -273,3 +274,48 @@ def test_load_matrix_with_an_a_key(tmp_path):
     f = tmp_path / "op.json"
     f.write_text('{"A": [1, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]], "B": {"A": [1, 2]}}')
     assert jsonio.load_matrix(str(f)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.fixture
+def gc_state():
+    """Leaves the cyclic collector enabled or disabled as it found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("cut", [None, -3], ids=["whole", "truncated"])
+def test_reader_restores_the_collector(gc_state, tmp_path, enabled, cut):
+    # paused while the file is read; then as before, after a FormatError too
+    path = _write(tmp_path, _sphere_text()[:cut])
+    (gc.enable if enabled else gc.disable)()
+    if cut is None:
+        jsonio.load_pointcloud(path)
+    else:
+        with pytest.raises(FormatError, match="cannot read"):
+            jsonio.load_pointcloud(path)
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_while_reading(gc_state, tmp_path):
+    # 300 records are some 5000 lists and dicts, about 7 times the allocations
+    # that trigger a young-generation collection; all are freed by the return
+    path = _write(tmp_path, _sphere_text(count=300))
+    matrix = tmp_path / "op.json"
+    matrix.write_text(json.dumps({"matrix": np.eye(800).tolist()}))
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        jsonio.load_pointcloud(path)
+        jsonio.load_matrix(str(matrix))
+        jsonio.load_pointcloud(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert not any(starts)

@@ -125,3 +125,43 @@ def test_codazzi_passes_at_every_scale(m, r, theta):
 def test_large_spheres_pass(capsys, argv):
     assert main(["verify", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+# rho is of size 1/|c| and sigma of size |A| = 1/sqrt|c|: the Ricci tolerance
+# is 1e-8 / |c| and the sigma tolerance 1e-10 / sqrt|c|, the absolute ones at |c| = 1
+@pytest.mark.parametrize("argv", [["ricci", "--a", "1e-8", "--b", "0", "--m", "5"],
+                                  ["sigma", "--a=-2e-12", "--b=0"]])
+def test_tiny_spheres_pass_ricci_and_sigma(capsys, argv):
+    assert main(["verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (3.0, 4.0),
+                                  (1e-8, 0.0), (-2e-12, 0.0), (1e4, 0.0)])
+def test_ricci_and_sigma_tolerances_scale(a, b):
+    c = abs(complex(a, b))
+    ricci_tol, = (ch.tol for ch in verify.suite_ricci(a=a, b=b))
+    sigma_tol, = (ch.tol for ch in verify.suite_sigma(a=a, b=b))
+    if c == 1.0:
+        assert (ricci_tol, sigma_tol) == (1e-8, 1e-10)
+    assert ricci_tol == pytest.approx(1e-8 / c, rel=1e-15)
+    assert sigma_tol == pytest.approx(1e-10 / np.sqrt(c), rel=1e-15)
+
+
+@pytest.mark.parametrize("name, eps", [("ricci", 1e-7), ("sigma", 2e-9)])
+@pytest.mark.parametrize("c", [1e-11, 1.0, 1e4])
+def test_planted_non_j_commuting_fault_fails(monkeypatch, name, eps, c):
+    # A's first column scaled by 1 + eps: A no longer commutes with J, which
+    # both identities take for granted, and the residual is about 10 tol
+    assert verify.SUITES[name](a=c, b=0.0)[0].passed
+    honest = verify.make_surface_samples
+
+    def faulty(*args, **kwargs):
+        st = honest(*args, **kwargs)
+        A = st.A.copy()
+        A[..., 0] *= 1 + eps
+        return dataclasses.replace(st, A=A)
+
+    monkeypatch.setattr(verify, "make_surface_samples", faulty)
+    check, = verify.SUITES[name](a=c, b=0.0)
+    assert 9 * check.tol < check.residual < 11 * check.tol

@@ -37,6 +37,10 @@ The corpus:
 - `sample --with-frames --fd` with `classify` at (1, 0) and (0, -1), where
   the default FD step is 1e-5 (1 + |p - z0|), and at (1e-6, 0), where it
   is relative to the sphere, and `verify curvature --fd` at (1e-6, 0);
+- `verify ricci` at (1e-8, 0), m = 5, and `verify sigma` at (-2e-12, 0),
+  whose tolerances scale with 1/|c| and 1/sqrt|c|;
+- `verify curvature --step 5` with and without --fd, which takes the step
+  only with --fd;
 - `verify` calls whose flags are taken by some suites only, so the `params`
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
@@ -310,6 +314,10 @@ def _edge_cases():
         *_sample_and_classify("fd2.json", "--a", 0, "--b=-1", "--count", 20, "--fd"),
         *_sample_and_classify("fd3.json", "--a", 1e-6, "--b", 0, "--count", 20, "--fd"),
         _cli("verify", "curvature", "--fd", "--a", 1e-6, "--b", 0),
+        _cli("verify", "ricci", "--a", 1e-8, "--b", 0, "--m", 5),
+        _cli("verify", "sigma", "--a=-2e-12", "--b=0"),
+        _cli("verify", "curvature", "--step", 5, "--points", 2, "--planes", 3),
+        _cli("verify", "curvature", "--step", 5, "--points", 2, "--planes", 3, "--fd"),
     ]
 
 
