@@ -1,8 +1,9 @@
 """Classification pipeline for sampled holomorphic hypersurface data.
 
-Estimates pointwise invariants from a SampleStack of second-order samples,
-tests constancy and h-umbilicity, and reconstructs the h-sphere
-center/parameters or the hyperplane normal data.
+`classify` decides through ordered Check gates on a SampleStack; the first
+that fails sets the verdict: constancy (NonConstantInvariants), h-umbilicity
+(NotHUmbilical), the hyperplane route's spreads and the containment in the
+recovered h-sphere or hyperplane (SamplesOffSurface).
 """
 
 from dataclasses import dataclass
@@ -29,14 +30,28 @@ LAMBDA_MU_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
+class Check:
+    """A gate or an invariant check; a NaN residual fails."""
+    name: str
+    residual: float
+    tol: float
+
+    @property
+    def passed(self):
+        return bool(self.residual <= self.tol)
+
+
+@dataclass(frozen=True)
 class ClassificationResult:
     verdict: str
     recovered: object = None
-    containment_residual: float = float("nan")
-    umbilicity_residual: float = float("nan")
-    constancy_spread: float = float("nan")
+    checks: tuple = ()  # the Checks of the gates that ran, in order
     totally_geodesic: bool = False
     notes: tuple = ()
+
+    def residual(self, name):
+        """The residual of gate `name`, or NaN if it did not run."""
+        return next((c.residual for c in self.checks if c.name == name), float("nan"))
 
 
 def shape_invariants(stack):
@@ -94,9 +109,10 @@ def _plane_residual(plane, P):
 
 
 def reconstruct_hyperplane(stack, tol=1e-6):
-    """Average the (constant) normal field and the plane offsets of a
-    stack.  The normals may vary by tol * max(1, max|xi|), as they are
-    stored unnormalized."""
+    """Average the (constant) normal field and the plane offsets of a stack:
+    (plane, checks) with the gates that ran, the normal spread (relative to
+    max(1, max|xi|), the normals being stored unnormalized) and the offset
+    spread (relative to max(1, max|d|, max|dt|)); plane is None if one fails."""
     if len(stack) == 0:
         raise NordenError("no samples")
     # huge normals may overflow: an infinite dot keeps its sign, a NaN spread fails
@@ -104,79 +120,62 @@ def reconstruct_hyperplane(stack, tol=1e-6):
         xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
         xi_mean = xis.mean(axis=0)
         spread = float(np.max(np.abs(xis - xi_mean)))
-    if not spread <= tol * max(1.0, float(np.max(np.abs(stack.xi)))):
-        raise NordenError(f"normal spread {spread:.3e} exceeds tol")
-    # g-unit, or NordenError for a normal with g(xi, xi) <= 0
-    xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi
+    normal = Check("normal spread", spread, tol * max(1.0, float(np.max(np.abs(stack.xi)))))
+    if not normal.passed:
+        return None, (normal,)
+    xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi  # g-unit, or NordenError if g <= 0
     ds, dts = _offsets(xi_mean, stack.points)
-    d_spread = max(float(np.ptp(ds)), float(np.ptp(dts)))
-    if not d_spread <= tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))):
-        raise NordenError(f"offset spread {d_spread:.3e} exceeds tol")
-    return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))
+    offset = Check("offset spread", max(float(np.ptp(ds)), float(np.ptp(dts))),
+                   tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))))
+    if not offset.passed:
+        return None, (normal, offset)
+    return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts))), (normal, offset)
 
 
 def classify(stack, tol=1e-6):
-    """Full pipeline on a SampleStack: dimension gate, invariant estimation,
-    constancy and umbilicity tests, sphere or hyperplane reconstruction,
-    then the containment of every sample in the recovered surface.  tol is
-    the tolerance of every gate: constancy (relative to max(1, |mean nu|,
-    |mean nut|)), umbilicity, the totally geodesic test, normal spread and
-    containment."""
-    dim = stack.points.shape[-1]
-    if dim < 8:
-        return ClassificationResult(
-            verdict=VERDICT_DIM_TOO_SMALL,
-            notes=(f"ambient dimension {dim} < 8",),
-        )
+    """Full pipeline on a SampleStack; below ambient dimension 8 the verdict
+    is DimensionTooSmall and no gate runs.  The constancy gate is relative to
+    max(1, |mean nu|, |mean nut|); the hyperplane route (lambda^2 + mu^2 <=
+    LAMBDA_MU_THRESHOLD) adds reconstruct_hyperplane's spread gates.  tol is
+    the tolerance of every gate and of the totally geodesic test max|A| <= tol."""
+    if (dim := stack.points.shape[-1]) < 8:
+        return ClassificationResult(VERDICT_DIM_TOO_SMALL, notes=(f"ambient dimension {dim} < 8",))
     if len(stack) == 0:
         raise NordenError("no samples")
 
     per, devs = shape_invariants(stack)
     mean = per[:, 2:].mean(axis=0)
-    spread = float(np.max(np.abs(per[:, 2:] - mean)))
-    if not spread <= tol * max(1.0, float(np.max(np.abs(mean)))):
-        return ClassificationResult(
-            verdict=VERDICT_NON_CONSTANT,
-            constancy_spread=spread,
-        )
-
-    worst = int(np.argmax(devs))
-    umb_res = float(devs[worst])
-    if not umb_res <= tol:
-        return ClassificationResult(
-            verdict=VERDICT_NOT_UMBILICAL,
-            umbilicity_residual=umb_res,
-            constancy_spread=spread,
-            notes=(f"worst sample index {worst}",),
-        )
-
-    lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
-    geodesic = float(np.max(np.abs(stack.A))) <= tol
-    notes = []
-    if geodesic:
-        notes.append("totally geodesic (A = 0): curvatures equal ambient (0, 0)")
-
-    if lam * lam + mu * mu > LAMBDA_MU_THRESHOLD:
-        verdict = VERDICT_SPHERE
-        recovered = reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
-        cres = float(np.max(scaled_containment_residual(recovered, stack.points)))
-        if nu or nut:
-            c = 1.0 / complex(nu, nut)  # a + ib = 1/(nu + i nut)
-            notes.append(f"curvature-route parameters: a={c.real:.12g}, b={c.imag:.12g}")
+    checks = [Check("constancy spread", float(np.max(np.abs(per[:, 2:] - mean))),
+                    tol * max(1.0, float(np.max(np.abs(mean)))))]
+    if checks[-1].passed:
+        checks.append(Check("umbilicity residual", float(np.max(devs)), tol))
+    recovered, geodesic, notes = None, False, []
+    if checks[-1].passed:
+        lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
+        geodesic = float(np.max(np.abs(stack.A))) <= tol
+        notes = ["totally geodesic (A = 0): curvatures equal ambient (0, 0)"] if geodesic else []
+        if lam * lam + mu * mu > LAMBDA_MU_THRESHOLD:
+            route, residual = VERDICT_SPHERE, scaled_containment_residual
+            recovered = reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
+            if nu or nut:
+                c = 1.0 / complex(nu, nut)  # a + ib = 1/(nu + i nut)
+                notes.append(f"curvature-route parameters: a={c.real:.12g}, b={c.imag:.12g}")
+        else:
+            route, residual = VERDICT_HYPERPLANE, _plane_residual
+            recovered, spreads = reconstruct_hyperplane(stack, tol=tol)
+            checks.extend(spreads)
+        if recovered is not None:
+            checks.append(Check("containment residual",
+                                float(np.max(residual(recovered, stack.points))), tol))
+    failed = next((c for c in checks if not c.passed), None)
+    if failed is None:
+        verdict = route
+    elif failed is checks[0]:
+        verdict = VERDICT_NON_CONSTANT
+    elif failed is checks[1]:
+        verdict, notes = VERDICT_NOT_UMBILICAL, [f"worst sample index {np.argmax(devs)}"]
     else:
-        verdict = VERDICT_HYPERPLANE
-        recovered = reconstruct_hyperplane(stack, tol=tol)
-        cres = float(np.max(_plane_residual(recovered, stack.points)))
-    if not cres <= tol:
-        notes = [f"no single {verdict} holds the samples: containment "
-                 f"residual {cres:.3e} > tol {tol:.3e}"]
         verdict, recovered = VERDICT_OFF_SURFACE, None
-    return ClassificationResult(
-        verdict=verdict,
-        recovered=recovered,
-        containment_residual=cres,
-        umbilicity_residual=umb_res,
-        constancy_spread=spread,
-        totally_geodesic=geodesic,
-        notes=tuple(notes),
-    )
+        notes = [f"no single {route} holds the samples: "
+                 f"{failed.name} {failed.residual:.3e} > tol {failed.tol:.3e}"]
+    return ClassificationResult(verdict, recovered, tuple(checks), geodesic, tuple(notes))

@@ -110,6 +110,12 @@ def cmd_sample(args):
 def cmd_verify(args):
     if args.suite == "curvature" and args.step is not None and not args.fd:
         raise NordenError("--step needs --fd: verify curvature runs no FD step without it")
+    # the parameters of the run's suites: none for an unknown suite, which run_suite rejects
+    taken = set().union(*(p for k, p in verify.SUITE_PARAMS.items() if args.suite in (k, "all")))
+    unused = [f"--{k}" for k, v in vars(args).items() if v is not None and v is not False
+              and k not in taken and any(k in p for p in verify.SUITE_PARAMS.values())]
+    if taken and unused:
+        raise NordenError(f"no suite of verify {args.suite} takes {', '.join(unused)}")
     checks, applied = verify.run_suite(args.suite, **vars(args))
     results = [{"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
                for c in checks]
@@ -138,8 +144,9 @@ def cmd_classify(args):
         raise FormatError('classification requires kind="samples"')
     result = classify(samples, args.tol)
 
-    def _opt(x):
-        # residual fields are NaN until the corresponding stage runs
+    def _opt(name):
+        # a gate's residual is NaN until the gate runs
+        x = result.residual(name)
         return float(x) if np.isfinite(x) else None
 
     doc = {
@@ -147,9 +154,9 @@ def cmd_classify(args):
         **VERSIONS,
         "input": args.input,
         "verdict": result.verdict,
-        "constancy_spread": _opt(result.constancy_spread),
-        "umbilicity_residual": _opt(result.umbilicity_residual),
-        "containment_residual": _opt(result.containment_residual),
+        "constancy_spread": _opt("constancy spread"),
+        "umbilicity_residual": _opt("umbilicity residual"),
+        "containment_residual": _opt("containment residual"),
         "totally_geodesic": result.totally_geodesic,
         "notes": list(result.notes),
     }

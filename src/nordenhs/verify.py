@@ -4,8 +4,6 @@ Each suite returns a list of Check records; a suite passes when every
 check's residual is within its tolerance.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -16,7 +14,7 @@ from .core import (
     metric_gt,
     q_value,
 )
-from .classify import shape_invariants
+from .classify import Check, shape_invariants
 from .curvature import (
     GaussShapeCurvature,
     gauss_curvature_from_shape,
@@ -39,17 +37,6 @@ from .hypersurface import (
     shape_operator_wrt,
     theoretical_curvatures,
 )
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self):
-        return bool(self.residual <= self.tol)
 
 
 def suite_metrics(m=4, seed=0, count=1000):

@@ -85,7 +85,7 @@ def test_criterion_3_classification_round_trip():
             samples = make_surface_samples(sph, 40, seed=100 + i, fd=fd)
             result = classify(samples, 1e-4 if fd else 1e-6)
             assert result.verdict == VERDICT_SPHERE
-            assert result.containment_residual <= 1e-6
+            assert result.residual("containment residual") <= 1e-6
             rec = result.recovered
             rel = max(
                 abs(rec.a - a), abs(rec.b - b), float(np.max(np.abs(rec.center - center)))

@@ -230,11 +230,11 @@ def test_two_centres_rejected():
     both, s1 = two_spheres()
     result = classify(both)
     assert result.verdict == VERDICT_OFF_SURFACE
-    assert result.containment_residual > 1e-6
+    assert result.residual("containment residual") > 1e-6
     assert "tol 1.000e-06" in result.notes[0]
     one = classify(s1)
     assert one.verdict == VERDICT_SPHERE
-    assert one.containment_residual <= 1e-12
+    assert one.residual("containment residual") <= 1e-12
 
 
 def test_two_centres_cli_exit_4(capsys, tmp_path):

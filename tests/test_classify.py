@@ -66,7 +66,7 @@ class TestUmbilicityCheck:
         assert np.max(shape_invariants(ss)[1]) <= 1e-10
         result = classify(ss)
         assert result.verdict == VERDICT_SPHERE
-        assert result.umbilicity_residual <= 1e-10
+        assert result.residual("umbilicity residual") <= 1e-10
 
     def test_planted_defect_detected(self):
         # the defect keeps the traces, so the umbilicity gate decides
@@ -128,7 +128,9 @@ class TestReconstruct:
     def test_hyperplane_round_trip(self):
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 10, seed=4)
-        rec = reconstruct_hyperplane(samples)
+        rec, checks = reconstruct_hyperplane(samples)
+        assert [(c.name, c.passed) for c in checks] == [("normal spread", True),
+                                                        ("offset spread", True)]
         assert np.allclose(rec.xi, hp.xi, atol=1e-10)
         assert rec.d == pytest.approx(hp.d, abs=1e-10)
         assert rec.dt == pytest.approx(hp.dt, abs=1e-10)
@@ -147,13 +149,16 @@ class TestReconstruct:
         (-1e308, 30, "normal spread inf"),
     ])
     def test_overflowing_normal_rejected(self, big, count, msg):
-        # no RuntimeWarning on the way, and the sign test survives the overflow
+        # no RuntimeWarning on the way, and the sign test survives the overflow:
+        # the normal spread gate fails, and no plane is made of the mean
         hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
         samples = dataclasses.replace(hyperplane_samples(hp, count, seed=4),
                                       xi=np.tile(big * np.eye(8)[0], (count, 1)))
-        for route in (reconstruct_hyperplane, classify):
-            with pytest.raises(NordenError, match=msg):
-                route(samples)
+        plane, (normal,) = reconstruct_hyperplane(samples)
+        assert plane is None and not normal.passed
+        result = classify(samples)
+        assert result.verdict == VERDICT_OFF_SURFACE
+        assert msg in result.notes[0]
 
     @pytest.mark.parametrize("count", [2, 30])
     def test_huge_constant_normal_recovered(self, count):
@@ -162,7 +167,7 @@ class TestReconstruct:
         hp = make_hyperplane(np.eye(8)[0], 1.0, 0.0)
         samples = dataclasses.replace(hyperplane_samples(hp, count, seed=4),
                                       xi=np.tile(1e200 * np.eye(8)[0], (count, 1)))
-        for rec in (reconstruct_hyperplane(samples), classify(samples).recovered):
+        for rec in (reconstruct_hyperplane(samples)[0], classify(samples).recovered):
             assert np.array_equal(rec.xi, np.eye(8)[0])
             assert rec.d == pytest.approx(1.0, abs=1e-15)
             assert rec.dt == pytest.approx(0.0, abs=1e-15)
@@ -174,7 +179,7 @@ class TestReconstruct:
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 30, seed=4)
         scaled = dataclasses.replace(samples, xi=c * samples.xi)
-        for rec in (reconstruct_hyperplane(scaled), classify(scaled).recovered):
+        for rec in (reconstruct_hyperplane(scaled)[0], classify(scaled).recovered):
             assert np.max(np.abs(rec.xi - hp.xi)) <= 1e-15
             assert rec.d == pytest.approx(hp.d, abs=1e-15)
             assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
@@ -185,8 +190,9 @@ class TestReconstruct:
 
     def test_sphere_samples_rejected_as_hyperplane(self):
         _, ss = sphere_set(1.0, 0.0)
-        with pytest.raises(NordenError, match="normal spread"):
-            reconstruct_hyperplane(ss)
+        plane, (normal,) = reconstruct_hyperplane(ss)
+        assert plane is None
+        assert normal.name == "normal spread" and not normal.passed
 
 
 class TestGateBoundaries:
@@ -200,14 +206,14 @@ class TestGateBoundaries:
         # unchanged, so only the containment residual moves, to
         # (t^2 - 1) |b| / (|a| + |b| + t^2 |Z|^2) = 10 tol to first order
         _, ss = sphere_set(3.0, 4.0)
-        assert classify(ss).containment_residual <= self.tol
+        assert classify(ss).residual("containment residual") <= self.tol
         _, devs = shape_invariants(ss)
         i = (int(np.argmin(devs)) + 1) % len(ss)  # not the reconstruction witness
         P = ss.points.copy()
         P[i] *= np.sqrt(1 + 10 * self.tol * (7.0 + P[i] @ P[i]) / 4.0)
         result = classify(dataclasses.replace(ss, points=P))
         assert result.verdict == VERDICT_OFF_SURFACE
-        assert 9 * self.tol < result.containment_residual < 11 * self.tol
+        assert 9 * self.tol < result.residual("containment residual") < 11 * self.tol
 
     def _hyperplane(self):
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 1.5, 0.5)
@@ -215,16 +221,24 @@ class TestGateBoundaries:
         assert classify(st).verdict == VERDICT_HYPERPLANE
         return hp, st
 
+    def _spread_fails(self, planted, name, note):
+        plane, checks = reconstruct_hyperplane(planted)
+        assert plane is None
+        assert checks[-1].name == name and not checks[-1].passed
+        assert all(c.passed for c in checks[:-1])
+        result = classify(planted)
+        assert result.verdict == VERDICT_OFF_SURFACE and result.recovered is None
+        assert result.checks[2:] == checks
+        assert result.notes == ("no single HolomorphicHyperplane holds the samples: " + note,)
+
     def test_normal_spread_gate(self):
         # one of N normals moved by delta: its distance from the mean is
-        # delta (N - 1) / N = 10 tol max(1, max|xi|)
+        # delta (N - 1) / N = 10 tol max(1, max|xi|), and max|xi| < 1
         _, st = self._hyperplane()
         xi, n = st.xi.copy(), len(st)
         xi[3, 2] += 10 * self.tol * max(1.0, float(np.max(np.abs(xi)))) * n / (n - 1)
-        planted = dataclasses.replace(st, xi=xi)
-        for route in (reconstruct_hyperplane, classify):
-            with pytest.raises(NordenError, match=r"normal spread 1\.000e-05 exceeds tol"):
-                route(planted)
+        self._spread_fails(dataclasses.replace(st, xi=xi), "normal spread",
+                           "normal spread 1.000e-05 > tol 1.000e-06")
 
     def test_offset_spread_gate(self):
         # one point moved by delta xi, xi g-unit with gt(xi, xi) = 0, moves its
@@ -232,10 +246,84 @@ class TestGateBoundaries:
         hp, st = self._hyperplane()
         P = st.points.copy()
         P[3] += 10 * self.tol * 1.5 * hp.xi
-        planted = dataclasses.replace(st, points=P)
-        for route in (reconstruct_hyperplane, classify):
-            with pytest.raises(NordenError, match=r"offset spread 1\.500e-05 exceeds tol"):
-                route(planted)
+        self._spread_fails(dataclasses.replace(st, points=P), "offset spread",
+                           "offset spread 1.500e-05 > tol 1.500e-06")
+
+
+def _concat(*stacks):
+    return SampleStack(*(np.concatenate(fields) for fields in
+                         zip(*(vars(st).values() for st in stacks))))
+
+
+def _plane_stack(move=None):
+    """Samples of one hyperplane; move(hp, st) edits them."""
+    hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 1.5, 0.5)
+    st = hyperplane_samples(hp, 12, seed=4)
+    return st if move is None else move(hp, st)
+
+
+def _moved_normal(hp, st):
+    xi = st.xi.copy()
+    xi[3, 2] += 1e-3
+    return dataclasses.replace(st, xi=xi)
+
+
+def _moved_point(hp, st):
+    P = st.points.copy()
+    P[3] += 1e-3 * hp.xi
+    return dataclasses.replace(st, points=P)
+
+
+def _two_centres():
+    _, ss = sphere_set(3.0, 4.0, count=4)
+    return _concat(ss, dataclasses.replace(ss, points=ss.points + 5.0 * np.eye(8)[0]))
+
+
+def _planted_defect():
+    _, ss = sphere_set(1.0, 0.0, count=6)
+    return dataclasses.replace(ss, A=ss.A + np.kron(np.eye(2), np.diag([0.0, 0.1, -0.1])))
+
+
+SPHERE_GATES = ["constancy spread", "umbilicity residual", "containment residual"]
+PLANE_GATES = ["constancy spread", "umbilicity residual", "normal spread", "offset spread",
+               "containment residual"]
+# the verdict a failed gate gives
+FAILED_VERDICT = {"constancy spread": VERDICT_NON_CONSTANT,
+                  "umbilicity residual": VERDICT_NOT_UMBILICAL,
+                  "normal spread": VERDICT_OFF_SURFACE,
+                  "offset spread": VERDICT_OFF_SURFACE,
+                  "containment residual": VERDICT_OFF_SURFACE}
+# (stack, verdict, the gates that run, in order)
+GATE_RUNS = {
+    "sphere": (lambda: sphere_set(3.0, 4.0)[1], VERDICT_SPHERE, SPHERE_GATES),
+    "hyperplane": (_plane_stack, VERDICT_HYPERPLANE, PLANE_GATES),
+    "non-constant": (lambda: _concat(sphere_set(1.0, 0.0, count=4)[1],
+                                     sphere_set(3.0, 4.0, count=4)[1]),
+                     VERDICT_NON_CONSTANT, PLANE_GATES[:1]),
+    "not umbilical": (_planted_defect, VERDICT_NOT_UMBILICAL, PLANE_GATES[:2]),
+    "sphere containment": (_two_centres, VERDICT_OFF_SURFACE, SPHERE_GATES),
+    "normal spread": (lambda: _plane_stack(_moved_normal), VERDICT_OFF_SURFACE, PLANE_GATES[:3]),
+    "offset spread": (lambda: _plane_stack(_moved_point), VERDICT_OFF_SURFACE, PLANE_GATES[:4]),
+    "dimension": (lambda: sphere_set(1.0, 0.0, count=5, m=3)[1], VERDICT_DIM_TOO_SMALL, []),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_RUNS))
+def test_gate_list(case):
+    # the gates run in order up to the first that fails, which sets the verdict
+    make, verdict, names = GATE_RUNS[case]
+    result = classify(make())
+    assert [c.name for c in result.checks] == names
+    failed = [c for c in result.checks if not c.passed]
+    assert all(c.passed for c in result.checks[:-1])
+    if failed:
+        assert FAILED_VERDICT[failed[0].name] == verdict
+    assert result.verdict == verdict
+    assert (result.recovered is not None) == (verdict in (VERDICT_SPHERE, VERDICT_HYPERPLANE))
+    for name, check in zip(names, result.checks):
+        assert result.residual(name) == check.residual
+    for name in set(FAILED_VERDICT) - set(names):
+        assert np.isnan(result.residual(name))
 
 
 class TestScaledTangentBases:
@@ -273,7 +361,7 @@ class TestClassifyEndToEnd:
         sph, ss = sphere_set(3.0, 4.0, count=8, seed=6, fd=True)
         result = classify(ss, tol=1e-4)
         assert result.verdict == VERDICT_SPHERE
-        assert result.containment_residual <= 1e-6
+        assert result.residual("containment residual") <= 1e-6
         assert abs(result.recovered.a - 3.0) <= 1e-3 * 3.0
         assert abs(result.recovered.b - 4.0) <= 1e-3 * 4.0
 
@@ -283,7 +371,7 @@ class TestClassifyEndToEnd:
         result = classify(samples)
         assert result.verdict == VERDICT_HYPERPLANE
         assert result.totally_geodesic
-        assert result.containment_residual <= 1e-9
+        assert result.residual("containment residual") <= 1e-9
 
     def test_dimension_gate(self):
         sph = make_h_sphere(np.zeros(6), 1.0, 0.0)
@@ -296,7 +384,7 @@ class TestClassifyEndToEnd:
         A = ss.A + np.kron(np.eye(2), np.diag([0.0, 0.01, -0.01]))
         result = classify(dataclasses.replace(ss, A=A))
         assert result.verdict == VERDICT_NOT_UMBILICAL
-        assert result.constancy_spread <= 1e-15
+        assert result.residual("constancy spread") <= 1e-15
 
     def test_curvature_route_note(self):
         # (nu, nut) = (0.12, -0.16) of the (a, b) = (3, 4) sphere maps back to (3, 4)
@@ -313,9 +401,7 @@ class TestClassifyEndToEnd:
     def test_non_constant_verdict(self):
         sph1, ss1 = sphere_set(1.0, 0.0, count=4)
         sph2, ss2 = sphere_set(3.0, 4.0, count=4)
-        mixed = SampleStack(*(np.concatenate([x, y]) for x, y in
-                              zip(vars(ss1).values(), vars(ss2).values())))
-        result = classify(mixed)
+        result = classify(_concat(ss1, ss2))
         assert result.verdict == VERDICT_NON_CONSTANT
 
     @pytest.mark.parametrize("a,b", [(1e-10, 0.0), (1e-11, 0.5e-11), (2e-12, -1e-12)])
@@ -325,7 +411,7 @@ class TestClassifyEndToEnd:
         _, ss = sphere_set(a, b, count=50, seed=3)
         result = classify(ss)
         assert result.verdict == VERDICT_SPHERE
-        assert result.constancy_spread > 1e-6
+        assert result.residual("constancy spread") > 1e-6
         c = complex(a, b)
         assert abs(complex(result.recovered.a, result.recovered.b) - c) <= 4e-15 * abs(c)
 
@@ -337,7 +423,7 @@ class TestClassifyEndToEnd:
         A[3] += 6e-7 * np.eye(6)
         result = classify(dataclasses.replace(ss, A=A))
         assert result.verdict == VERDICT_NON_CONSTANT
-        assert result.constancy_spread == pytest.approx(1.14e-6, rel=1e-3)
+        assert result.residual("constancy spread") == pytest.approx(1.14e-6, rel=1e-3)
 
     def test_noise_degrades_monotonically(self):
         # perturb A by increasing noise; recovered parameter error grows

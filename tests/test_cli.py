@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -223,7 +224,11 @@ class TestVerify:
         assert err.count("\n") == 1 and "at least 1" in err
 
     def test_params_echo_only_applied(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "metrics", "--a", "3", "--m", "3")
+        # --a reaches no suite of the run: exit 2 before any suite runs
+        code, out, err = run_cli(capsys, "verify", "metrics", "--a", "3", "--m", "3")
+        assert (code, out) == (2, "")
+        assert err == "nordenhs: no suite of verify metrics takes --a\n"
+        code, out, _ = run_cli(capsys, "verify", "metrics", "--m", "3")
         assert code == 0
         assert json.loads(out)["params"] == {"m": 3, "seed": 0}
         code, out, _ = run_cli(capsys, "verify", "all", "--a", "3", "--planes", "4")
@@ -733,16 +738,20 @@ FAILURES = {
     "classify g-degenerate tangent bases": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _zero_bases)],
         4, "tangent basis g-degenerate"),
-    "classify spread normal": (
-        lambda tmp: ["classify", "--in", _samples_file(tmp, _flat_spread_normal)],
-        4, "normal spread"),
     "classify timelike normal": (
         lambda tmp: ["classify", "--in", _samples_file(tmp, _timelike_normal)],
         4, "positive g-square"),
-    "classify overflowing normal": (
-        lambda tmp: ["classify", "--in", _samples_file(tmp, _huge_normal)],
-        4, "offset spread"),
     "verify unknown suite": (lambda tmp: ["verify", "nope"], 2, "unknown suite 'nope'"),
+    "verify unknown suite with a flag": (
+        lambda tmp: ["verify", "nope", "--a", "3"], 2, "unknown suite 'nope'"),
+    "verify flags no suite takes": (
+        lambda tmp: ["verify", "metrics", "--a", "3", "--planes", "4", "--step", "0.5"],
+        2, "no suite of verify metrics takes --a, --planes, --step"),
+    "verify codazzi --points": (
+        lambda tmp: ["verify", "codazzi", "--points", "3", "--step", "1e-3"],
+        2, "no suite of verify codazzi takes --points"),
+    "verify frame --fd": (
+        lambda tmp: ["verify", "frame", "--fd"], 2, "no suite of verify frame takes --fd"),
     "verify curvature --step without --fd": (
         lambda tmp: ["verify", "curvature", "--step", "5", "--points", "2", "--planes", "3"],
         2, "--step needs --fd"),
@@ -759,6 +768,27 @@ def test_failure_exit_codes(capsys, tmp_path, case):
     assert err.startswith("nordenhs: ") and msg in err
     assert err[len("nordenhs: "):][0] not in "'\""
     assert not (tmp_path / "x.json").exists()
+
+
+SPREAD_FAILURES = {
+    "classify spread normal": (_flat_spread_normal, "normal spread"),
+    "classify overflowing normal": (_huge_normal, "offset spread"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPREAD_FAILURES))
+def test_spread_failure_reports(capsys, tmp_path, case):
+    # a failed spread gate of the hyperplane route is a SamplesOffSurface
+    # report, with the residual and the tolerance that applied, not an error
+    edit, gate = SPREAD_FAILURES[case]
+    code, out, err = run_cli(capsys, "classify", "--in", _samples_file(tmp_path, edit))
+    assert (code, err) == (4, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "SamplesOffSurface" and "recovered" not in doc
+    assert doc["totally_geodesic"] is True and doc["containment_residual"] is None
+    note, = doc["notes"]
+    assert re.fullmatch(f"no single HolomorphicHyperplane holds the samples: {gate} "
+                        r"\d\.\d{3}e[+-]\d+ > tol \d\.\d{3}e[+-]\d+", note)
 
 
 def test_one_error_type_per_exit_code():

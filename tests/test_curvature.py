@@ -90,6 +90,21 @@ class TestSpaceForm:
         with pytest.raises(NordenError, match=f"^{re.escape(msg)}$"):
             sectional_curvatures(R, e1, 2.0 * e1)
 
+    @pytest.mark.parametrize("rho,degenerate", [(1e-9, True), (1e-7, False)])
+    def test_degeneracy_threshold_boundary(self, rho, degenerate):
+        # x = e1, y = e1 + eps e2 in the positive block of g: pi1 = eps^2 and
+        # |pi1| / (|x|^2 |y|^2) = eps^2 / (1 + eps^2), 0.1 or 10 times the
+        # threshold 1e-8; on a real plane the (1, 0) space form has K = 1
+        R = GaussShapeCurvature(complex(1.0, 0.0))
+        eps = np.sqrt(rho / (1.0 - rho))
+        x, y = basis_vec(8, 0), basis_vec(8, 0) + eps * basis_vec(8, 1)
+        if degenerate:
+            with pytest.raises(NordenError, match=r"degenerate plane: .* = 1\.000e-09 not"):
+                sectional_curvatures(R, x, y)
+        else:
+            K, Kt = sectional_curvatures(R, x, y)
+            assert K == pytest.approx(1.0, rel=1e-6) and Kt == 0.0
+
     def test_stack_of_planes_rejected(self):
         # a stack has one (K, Kt) per plane: sectional_batch_planes takes it
         R = GaussShapeCurvature(complex(1.0, 0.0))
@@ -141,6 +156,30 @@ class TestGaussCurvature:
         A = smp.A + np.kron(np.eye(2), K)
         with pytest.raises(NordenError, match="not g-self-adjoint"):
             gauss_curvature_from_shape(A, smp.tangent_bases)
+
+    @pytest.mark.parametrize("factor,fails", [(10.0, True), (0.1, False)])
+    @pytest.mark.parametrize("gate,msg", [("commutator", "does not commute with J"),
+                                          ("self-adjoint", "not g-self-adjoint")])
+    def test_h_symmetry_gate_boundaries(self, gate, msg, factor, fails):
+        # the gates read 1e-6 s, s = max(1, max|A|) = 1 on the (3, 4) sphere;
+        # in the adapted g-orthonormal basis, G_t = diag(I, -I) and J_rep =
+        # [[0, -I], [I, 0]].  diag(P, -P) with P = d e11 is G_t-self-adjoint,
+        # its commutator with J_rep is off by 2d; diag(K, K) with K = d (e12 -
+        # e21) commutes with J_rep, and G_t A - A^T G_t is off by 2d
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        assert np.max(np.abs(smp.A)) < 1.0
+        d = factor * 1e-6 / 2
+        E = np.zeros((6, 6))
+        if gate == "commutator":
+            E[0, 0], E[3, 3] = d, -d
+        else:
+            E[0, 1], E[1, 0], E[3, 4], E[4, 3] = d, -d, d, -d
+        if fails:
+            with pytest.raises(NordenError, match=msg):
+                gauss_curvature_from_shape(smp.A + E, smp.tangent_bases)
+        else:
+            gauss_curvature_from_shape(smp.A + E, smp.tangent_bases)
 
     def test_plane_rebasing_invariance(self):
         # sectional curvature depends on the plane, not the spanning pair

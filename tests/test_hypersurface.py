@@ -282,6 +282,29 @@ class TestNormalFrame:
                 np.max(np.abs(xi2 - xi)), np.max(np.abs(xi2 + xi))
             ) <= 1e-10
 
+    @pytest.mark.parametrize("factor,fails", [(10.0, True), (0.1, False)])
+    @pytest.mark.parametrize("gate", ["g-unit", "J"])
+    def test_normalize_tolerance_boundary(self, gate, factor, fails):
+        # each check is off by factor times its tolerance 1e-8: eta = sqrt(1 +
+        # delta) xi has g(eta, eta) = -g(J eta, J eta) = 1 + delta, and the
+        # second vector J eta + delta max(1, max|eta|) e1 is off J eta by that
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        xi, _ = normal_frame(sph, sample(sph, 1, seed=8)[0])
+        delta = factor * 1e-8
+        if gate == "g-unit":
+            eta = np.sqrt(1.0 + delta) * xi
+            jeta, msg = apply_J(eta), "eta is not g-unit"
+        else:
+            eta = xi
+            jeta = apply_J(xi) + delta * max(1.0, np.max(np.abs(xi))) * basis_vec(8, 0)
+            msg = "second vector is not J of the first"
+        if fails:
+            with pytest.raises(NordenError, match=msg):
+                normalize_normal_frame(eta, jeta)
+        else:
+            xi2, jxi2 = normalize_normal_frame(eta, jeta)
+            assert metric_g(xi2, xi2) == pytest.approx(1.0, abs=1e-8)
+
     def test_normalize_rejects_bad_input(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         p = sample(sph, 1, seed=8)[0]

@@ -31,6 +31,10 @@ The corpus:
 - `sample --with-frames` with `classify` at (1e-10, 0), (1e-11, 0.5e-11) and
   (2e-12, -1e-12), where nu + i nut is of size 1e10 and above and the
   constancy gate is relative to it;
+- `sample --with-frames` with `classify` at (1e12, 0), the smallest |c| of
+  the corpus where lambda^2 + mu^2 falls under the hyperplane route's
+  threshold and the normal spread gate fails, and at (1e10, 0), where the
+  sphere route still holds;
 - sample files at (-1, 0) and (-1, -0.0), on the branch cut of sqrt(a + ib);
 - `verify codazzi` at m = 4, |c| = 64, theta = 7 pi/4, seed 2, a case that
   fixed steps put near the order check's bound;
@@ -301,6 +305,8 @@ def _edge_cases():
         *_sample_and_classify("e5.json", "--a", 2e-12, "--b=-1e-12", "--count", 50,
                               "--seed", 3),
         *_sample_and_classify("e2.json", "--a", 1e150, "--b", 0, "--count", 50, "--seed", 3),
+        *_sample_and_classify("e6.json", "--a", 1e12, "--b", 0, "--count", 50, "--seed", 3),
+        *_sample_and_classify("e7.json", "--a", 1e10, "--b", 0, "--count", 50, "--seed", 3),
         _cli("sphere", "info", "--a", 1e30, "--b=-1e29"),
         *_sample_and_classify("e3.json", "--a", 1e30, "--b=-1e29", "--count", 50, "--seed", 3),
         _cli("verify", "curvature", "--a", 1e30, "--b=-1e29"),
