@@ -4,13 +4,18 @@ not, must load exactly as the full parse loads it.
 The reference below is the reader without that path, kept here: the whole
 text through json.loads, then load_pointcloud's own checks and _floats.  Each
 case compares the two bit for bit, or by the text of the FormatError.
+
+The writer's %.17g kernel must give the bytes of format(x, ".17g") for every
+finite double; its reference is that call, row by row.
 """
 
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nordenhs import jsonio
 from nordenhs.errors import FormatError
@@ -319,3 +324,81 @@ def test_no_collection_while_reading(gc_state, tmp_path):
     finally:
         gc.callbacks.remove(count)
     assert not any(starts)
+
+
+# ---------------------------------------------------------------------------
+# the writer's %.17g kernel
+# ---------------------------------------------------------------------------
+
+def _assert_rows_formatted(x):
+    """Each row of the 2-d array x is written as format(v, ".17g") joined by ", "."""
+    lines = jsonio._lines(x, jsonio._row_seps(x.shape))
+    want = [", ".join(format(v, ".17g") for v in row) for row in x.tolist()]
+    assert len(lines) == len(want)
+    bad = [(got, ref) for got, ref in zip(lines, want) if got != ref]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+def test_kernel_matches_format_on_any_finite_double(values):
+    _assert_rows_formatted(np.array(values).reshape(1, -1))
+
+
+def test_kernel_matches_format_on_a_sweep():
+    rng = np.random.default_rng(20281)
+    n = 335_000
+    bits = rng.integers(0, 2**63, n).view(np.float64)  # NaN and inf are dropped below
+    magnitudes = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), n))
+    ties = np.ldexp([1.0, 3.0, 5.0, 7.0], np.arange(-1074, 1021)[:, None]).ravel()
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    x = np.concatenate([bits, magnitudes, ties, scaled])
+    x = x[np.isfinite(x)]
+    x *= rng.choice([-1.0, 1.0], len(x))
+    assert len(x) >= 10**6
+    _assert_rows_formatted(x[: len(x) // 8 * 8].reshape(-1, 8))
+
+
+def test_kernel_matches_format_at_the_edges():
+    tens = np.array([float(f"1e{k}") for k in range(-307, 308)])
+    edges = np.array([9.999999999999999e16, 1e16, 1e17, 1e-4, 1e-5, 1e308, 5e-324,
+                      2.2250738585072014e-308, 2.2250738585072009e-308,
+                      1.7976931348623157e308, 0.0, 1.0, 0.5, 1e22, 1e23])
+    x = np.concatenate([tens, edges])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.finfo(float).max)])
+    x = np.concatenate([x, -x])
+    _assert_rows_formatted(x.reshape(-1, 6))
+
+
+def test_kernel_tables_are_exact():
+    # at index d - _DMIN + 1, for each d the kernel serves: H + L is 10^(16-d)
+    # within 2^-106·H, the bound its tie test rests on, H's halves add up to
+    # H, and C is the least double >= 10^d
+    ceil, pow10 = jsonio._tables()[:2]
+
+    def ratio(k):
+        return (10**k, 1) if k >= 0 else (1, 10**-k)
+
+    for i, d in enumerate(range(jsonio._DMIN - 1, jsonio._DMAX + 2)):
+        num, den = ratio(d)
+        (cn, cd), (bn, bd) = (float(c).as_integer_ratio() for c in (ceil[i], np.nextafter(ceil[i], 0)))
+        assert cn * den >= num * cd and bn * den < num * bd
+        hi, h1, h2, lo = pow10[i].tolist()
+        assert h1 + h2 == hi
+        if jsonio._DMIN <= d <= jsonio._DMAX:
+            num, den = ratio(16 - d)
+            (hn, hd), (ln, ld) = hi.as_integer_ratio(), lo.as_integer_ratio()
+            err = abs(num * hd * ld - hn * den * ld - ln * den * hd)  # |10^k - H - L|·den·hd·ld
+            assert err * 2**106 <= hn * den * ld
+
+
+def test_model_sample_files_need_no_fallback(monkeypatch):
+    # every number of a model surface's sample file, closed form and FD, comes
+    # from the kernel: format() is only its fallback
+    calls = []
+    monkeypatch.setattr(jsonio, "format", lambda *a: calls.append(a) or format(*a), raising=False)
+    for fd in (False, True):
+        _sphere_text(count=40, fd=fd)
+    assert not calls
+    jsonio._lines(np.array([5e-324]), np.array([jsonio._NEWLINE]))
+    assert calls == [(5e-324, ".17g")]

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from nordenhs import verify
+from nordenhs import hypersurface, verify
 from nordenhs.cli import main
 from nordenhs.core import metric_g
 from nordenhs.curvature import pi_tensors
@@ -164,4 +164,31 @@ def test_planted_non_j_commuting_fault_fails(monkeypatch, name, eps, c):
 
     monkeypatch.setattr(verify, "make_surface_samples", faulty)
     check, = verify.SUITES[name](a=c, b=0.0)
+    assert 9 * check.tol < check.residual < 11 * check.tol
+
+
+# A scaled by 1 + eps: R is quadratic in A, so K and the Gauss tensor move by
+# 2 eps.  A constant factor keeps A a Codazzi tensor, so the Codazzi plant is
+# 1 + eps x_0 / sqrt|c|, a factor that varies over the sphere on its own
+# scale.  Each eps puts the first check's residual at about 10 tol on every scale.
+PLANTED_SCALE = {"curvature": 5e-9, "gauss": 1.25e-8, "codazzi": 1.2e-3}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_SCALE))
+@pytest.mark.parametrize("c", [1e-11, 1.0, 1e4])
+def test_planted_scaled_shape_operator_fails(monkeypatch, name, c):
+    assert all(check.passed for check in verify.SUITES[name](a=c, b=0.0))
+    eps = PLANTED_SCALE[name]
+    # the Codazzi suite samples its FD neighbourhoods through surface_samples
+    target, attr = ((hypersurface, "surface_samples") if name == "codazzi"
+                    else (verify, "make_surface_samples"))
+    honest = getattr(target, attr)
+
+    def faulty(*args, **kwargs):
+        st = honest(*args, **kwargs)
+        x0 = st.points[:, :1, None] / np.sqrt(c) if name == "codazzi" else 1.0
+        return dataclasses.replace(st, A=st.A * (1 + eps * x0))
+
+    monkeypatch.setattr(target, attr, faulty)
+    check = verify.SUITES[name](a=c, b=0.0)[0]
     assert 9 * check.tol < check.residual < 11 * check.tol

@@ -45,6 +45,12 @@ The corpus:
   whose tolerances scale with 1/|c| and 1/sqrt|c|;
 - `verify curvature --step 5` with and without --fd, which takes the step
   only with --fd;
+- `sample --with-frames --fd` at (1e150, 0) and (1e-11, 0.5e-11), and
+  points-only `sample` at (1e150, 0) and (1e-11, 0): numbers of size 1e75
+  and 1e-6 and FD A entries far below them, with exponents of three digits,
+  all through the writer's kernel; and `decompose` of an operator with the
+  eigenvalue 1e-300 - 3·2^-24 i, whose arrays hold 1e-300, below the
+  kernel's range, and 3·2^-24, a rounding tie: both go to format();
 - `verify` calls whose flags are taken by some suites only, so the `params`
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
@@ -324,6 +330,16 @@ def _edge_cases():
         _cli("verify", "sigma", "--a=-2e-12", "--b=0"),
         _cli("verify", "curvature", "--step", 5, "--points", 2, "--planes", 3),
         _cli("verify", "curvature", "--step", 5, "--points", 2, "--planes", 3, "--fd"),
+        _cli("sample", "--a", 1e150, "--b", 0, "--count", 20, "--seed", 3, "--with-frames",
+             "--fd", "--out", "w1.json", out="w1.json"),
+        _cli("sample", "--a", 1e-11, "--b", 0.5e-11, "--count", 20, "--seed", 3,
+             "--with-frames", "--fd", "--out", "w2.json", out="w2.json"),
+        _cli("sample", "--a", 1e150, "--b", 0, "--count", 20, "--seed", 3,
+             "--out", "w3.json", out="w3.json"),
+        _cli("sample", "--a", 1e-11, "--b", 0, "--count", 20, "--seed", 3,
+             "--out", "w4.json", out="w4.json"),
+        _matrix("w5.json", _real_form(np.diag([1e-300 - 3 * 2.0**-24 * 1j] * 4))),
+        _cli("decompose", "--in", "w5.json"),
     ]
 
 
