@@ -1,9 +1,10 @@
 """Classification pipeline for sampled holomorphic hypersurface data.
 
-`classify` decides through ordered Check gates on a SampleStack; the first
-that fails sets the verdict: constancy (NonConstantInvariants), h-umbilicity
-(NotHUmbilical), the hyperplane route's spreads and the containment in the
-recovered h-sphere or hyperplane (SamplesOffSurface).
+`classify` decides through ordered Check gates on a SampleStack, measured in
+one inverse length of the samples; the first that fails sets the verdict:
+constancy (NonConstantInvariants), h-umbilicity (NotHUmbilical), then the
+hyperplane route's spreads or the containment in the recovered h-sphere
+(SamplesOffSurface).
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ VERDICT_NOT_UMBILICAL = "NotHUmbilical"
 VERDICT_NON_CONSTANT = "NonConstantInvariants"
 VERDICT_DIM_TOO_SMALL = "DimensionTooSmall"
 VERDICT_OFF_SURFACE = "SamplesOffSurface"
-
-LAMBDA_MU_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,11 @@ def shape_invariants(stack):
     """Per-sample invariants of one record or a stack of them: an (..., 4)
     array of (lambda, mu, nu, nut), which is (lambda, mu, g(H, H), gt(H, H))
     from the traces of A (mean_curvature), and the h-umbilicity deviations
-    relative to max(1, max|A|)."""
+    max|A - lambda I - mu J|."""
     tr_a, tr_aj, umbilicity = mean_curvature(stack)
     two_n = stack.A.shape[-1]
     lam, mu = tr_a / two_n, -tr_aj / two_n
-    per = np.stack([lam, mu, lam * lam - mu * mu, -2.0 * lam * mu], axis=-1)
-    scale = np.maximum(1.0, np.abs(stack.A).max(axis=(-2, -1)))
-    return per, umbilicity / scale
+    return np.stack([lam, mu, lam * lam - mu * mu, -2.0 * lam * mu], axis=-1), umbilicity
 
 
 def pair_crosscheck(pairs, ambient, observed):
@@ -85,27 +82,14 @@ def pair_crosscheck(pairs, ambient, observed):
 
 def reconstruct_sphere(lam, mu, witness):
     """Center and parameters from the conserved field xi + kappa Z = kappa z0,
-    kappa = lambda - i mu: z0 = (xi + kappa Z) / kappa, a + ib = 1/kappa^2."""
-    if lam * lam + mu * mu <= LAMBDA_MU_THRESHOLD:
-        raise NordenError("lambda^2 + mu^2 below threshold")
+    kappa = lambda - i mu: z0 = (xi + kappa Z) / kappa, a + ib = 1/kappa^2.
+    NordenError if kappa^2 is 0: the flat case has no h-sphere."""
     k = complex(lam, -mu)
+    if k * k == 0:
+        raise NordenError("kappa^2 = (lambda - i mu)^2 is 0: no h-sphere")
     z0 = complex_scale(1.0 / k, witness.xi + complex_scale(k, witness.points))
     c = 1.0 / (k * k)
     return HSphere(center=z0, a=c.real, b=c.imag)
-
-
-def _offsets(xi, P):
-    """(g(xi, p), gt(xi, p)) for every row p of P."""
-    off = bilinear(to_complex(P), to_complex(xi))
-    return off.real, off.imag
-
-
-def _plane_residual(plane, P):
-    """Largest offset residual of each point relative to
-    max(1, |d| + |dt| + |p|)."""
-    ds, dts = _offsets(plane.xi, P)
-    scale = np.maximum(abs(plane.d) + abs(plane.dt) + np.linalg.norm(P, axis=-1), 1.0)
-    return np.maximum(np.abs(ds - plane.d), np.abs(dts - plane.dt)) / scale
 
 
 def reconstruct_hyperplane(stack, tol=1e-6):
@@ -124,7 +108,8 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     if not normal.passed:
         return None, (normal,)
     xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi  # g-unit, or NordenError if g <= 0
-    ds, dts = _offsets(xi_mean, stack.points)
+    off = bilinear(to_complex(stack.points), to_complex(xi_mean))  # g + i gt of (xi, p)
+    ds, dts = off.real, off.imag
     offset = Check("offset spread", max(float(np.ptp(ds)), float(np.ptp(dts))),
                    tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))))
     if not offset.passed:
@@ -134,39 +119,45 @@ def reconstruct_hyperplane(stack, tol=1e-6):
 
 def classify(stack, tol=1e-6):
     """Full pipeline on a SampleStack; below ambient dimension 8 the verdict
-    is DimensionTooSmall and no gate runs.  The constancy gate is relative to
-    max(1, |mean nu|, |mean nut|); the hyperplane route (lambda^2 + mu^2 <=
-    LAMBDA_MU_THRESHOLD) adds reconstruct_hyperplane's spread gates.  tol is
-    the tolerance of every gate and of the totally geodesic test max|A| <= tol."""
+    is DimensionTooSmall and no gate runs.  kappa = mean lambda - i mean mu
+    and R, the largest distance of a point from the points' mean, decide the
+    route: |kappa| R <= tol is flat within tol, the hyperplane route and its
+    spread gates, with the inverse length s = 1/R; otherwise the sphere
+    route and its containment gate, with s = |kappa|.  The constancy spread
+    of (nu, nut) is held against tol s^2 and the umbilicity residual against
+    tol s.  p -> w p maps kappa to kappa/w and R to |w| R, so every rule is
+    scale-free.  NordenError if the points all coincide (R = 0)."""
     if (dim := stack.points.shape[-1]) < 8:
         return ClassificationResult(VERDICT_DIM_TOO_SMALL, notes=(f"ambient dimension {dim} < 8",))
     if len(stack) == 0:
         raise NordenError("no samples")
+    P = stack.points
+    if (P == P[0]).all():  # compared exactly: their mean may differ from them by round-off
+        raise NordenError("need two distinct sample points")
+    radius = float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=-1)))
 
     per, devs = shape_invariants(stack)
-    mean = per[:, 2:].mean(axis=0)
-    checks = [Check("constancy spread", float(np.max(np.abs(per[:, 2:] - mean))),
-                    tol * max(1.0, float(np.max(np.abs(mean)))))]
+    lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
+    kappa = abs(complex(lam, mu))
+    flat = kappa <= tol / radius  # holds for kappa = 0 even where R overflows to inf
+    s = 1.0 / radius if flat else kappa
+    checks = [Check("constancy spread", float(np.max(np.abs(per[:, 2:] - (nu, nut)))), tol * s * s)]
     if checks[-1].passed:
-        checks.append(Check("umbilicity residual", float(np.max(devs)), tol))
-    recovered, geodesic, notes = None, False, []
-    if checks[-1].passed:
-        lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))
-        geodesic = float(np.max(np.abs(stack.A))) <= tol
-        notes = ["totally geodesic (A = 0): curvatures equal ambient (0, 0)"] if geodesic else []
-        if lam * lam + mu * mu > LAMBDA_MU_THRESHOLD:
-            route, residual = VERDICT_SPHERE, scaled_containment_residual
-            recovered = reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
-            if nu or nut:
-                c = 1.0 / complex(nu, nut)  # a + ib = 1/(nu + i nut)
-                notes.append(f"curvature-route parameters: a={c.real:.12g}, b={c.imag:.12g}")
-        else:
-            route, residual = VERDICT_HYPERPLANE, _plane_residual
-            recovered, spreads = reconstruct_hyperplane(stack, tol=tol)
-            checks.extend(spreads)
-        if recovered is not None:
-            checks.append(Check("containment residual",
-                                float(np.max(residual(recovered, stack.points))), tol))
+        checks.append(Check("umbilicity residual", float(np.max(devs)), tol * s))
+    recovered, notes = None, []
+    geodesic = flat and checks[-1].passed
+    if geodesic:
+        route = VERDICT_HYPERPLANE
+        notes = [f"flat within tol: |kappa| R <= tol, |kappa| = {kappa:.3e}, R = {radius:.3e}"]
+        recovered, spreads = reconstruct_hyperplane(stack, tol=tol)
+        checks.extend(spreads)
+    elif checks[-1].passed:
+        route, recovered = VERDICT_SPHERE, reconstruct_sphere(lam, mu, stack[int(np.argmin(devs))])
+        checks.append(Check("containment residual",
+                            float(np.max(scaled_containment_residual(recovered, P))), tol))
+        if nu or nut:
+            c = 1.0 / complex(nu, nut)  # a + ib = 1/(nu + i nut)
+            notes = [f"curvature-route parameters: a={c.real:.12g}, b={c.imag:.12g}"]
     failed = next((c for c in checks if not c.passed), None)
     if failed is None:
         verdict = route

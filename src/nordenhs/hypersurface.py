@@ -114,17 +114,22 @@ def containment_residual(s, p):
 
 
 def scaled_containment_residual(s, p):
-    """Largest containment residual relative to max(1, |a| + |b| + |Z|^2)."""
+    """Largest containment residual, less its round-off, relative to
+    |a| + |b| + |Z|^2.  Z = p - z0 carries up to about 2 eps |z0| from the
+    rounding of p and of z0, so q(Z) up to 4 eps |Z| |z0|: that much is not
+    counted.  The allowance and the scale both grow as |w|^2 under p -> w p."""
     w = np.asarray(p, dtype=float) - s.center
     rg, rgt = containment_residual(s, p)
-    scale = np.maximum(abs(s.a) + abs(s.b) + np.sum(w * w, axis=-1), 1.0)
-    return np.maximum(np.abs(rg), np.abs(rgt)) / scale
+    zz = np.sum(w * w, axis=-1)
+    roundoff = 4 * np.finfo(float).eps * np.sqrt(zz) * np.linalg.norm(s.center)
+    excess = np.maximum(np.maximum(np.abs(rg), np.abs(rgt)) - roundoff, 0.0)
+    return excess / (abs(s.a) + abs(s.b) + zz)
 
 
 def contains(s, p):
     """Whether a point, or each point of a stack, is on s: its scaled
-    containment residual is at most 1e-8.  Every on-surface check uses this
-    threshold."""
+    containment residual is at most 1e-8, on spheres of every size.  Every
+    on-surface check uses this threshold."""
     return scaled_containment_residual(s, p) <= 1e-8
 
 

@@ -93,7 +93,7 @@ def loop_invariants(smp):
     lam = np.trace(A) / two_n
     mu = -np.trace(A @ J_rep) / two_n
     model = lam * np.eye(two_n) + mu * J_rep
-    dev = np.max(np.abs(A - model)) / max(1.0, np.max(np.abs(A)))
+    dev = np.max(np.abs(A - model))
     return lam, mu, lam * lam - mu * mu, -2.0 * lam * mu, dev
 
 

@@ -26,6 +26,9 @@ from nordenhs.hypersurface import (
     make_h_sphere,
     make_hyperplane,
     make_surface_samples,
+    project_to_sphere,
+    sample,
+    surface_samples,
     theoretical_curvatures,
 )
 
@@ -122,7 +125,7 @@ class TestReconstruct:
 
     def test_near_zero_rejected(self):
         _, ss = sphere_set(1.0, 0.0)
-        with pytest.raises(NordenError, match="below threshold"):
+        with pytest.raises(NordenError, match="is 0: no h-sphere"):
             reconstruct_sphere(0.0, 0.0, ss[0])
 
     def test_hyperplane_round_trip(self):
@@ -183,6 +186,15 @@ class TestReconstruct:
             assert np.max(np.abs(rec.xi - hp.xi)) <= 1e-15
             assert rec.d == pytest.approx(hp.d, abs=1e-15)
             assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
+
+    def test_huge_points_take_the_hyperplane_route(self):
+        # R overflows to inf at points of size 1e200; kappa = 0 is still flat
+        hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
+        samples = hyperplane_samples(hp, 12, seed=4)
+        with np.errstate(over="ignore"):
+            result = classify(dataclasses.replace(samples, points=1e200 * samples.points))
+        assert result.verdict == VERDICT_HYPERPLANE and result.totally_geodesic
+        assert result.recovered.d == pytest.approx(2e200, rel=1e-14)
 
     def test_empty_hyperplane_stack_rejected(self):
         with pytest.raises(NordenError, match="no samples"):
@@ -250,6 +262,186 @@ class TestGateBoundaries:
                            "offset spread 1.500e-05 > tol 1.500e-06")
 
 
+# J-commuting and trace-free, so only the umbilicity residual of a sample moves
+DEFECT = np.kron(np.eye(2), np.diag([0.0, 1.0, -1.0]))
+
+
+def _radius(st):
+    """R, the largest distance of a sample point from the points' mean."""
+    return float(np.max(np.linalg.norm(st.points - st.points.mean(axis=0), axis=-1)))
+
+
+def _scale(st, tol=1e-6):
+    """classify's inverse length s: 1/R where |kappa| R <= tol (the flat
+    route) and |kappa| otherwise, kappa from the mean traces."""
+    lam, mu = shape_invariants(st)[0][:, :2].mean(axis=0)
+    kappa, radius = abs(complex(lam, mu)), _radius(st)
+    return 1.0 / radius if kappa * radius <= tol else kappa
+
+
+def _patch(sph, kr):
+    """Samples of a patch of sph about one point with |kappa| R = kr."""
+    kappa = abs(complex(*lambda_mu(sph)))
+    p0 = sample(sph, 1, seed=0)[0]
+    U = np.random.default_rng(1).standard_normal((12, 8))
+
+    def patch(h):
+        return surface_samples(sph, project_to_sphere(sph, p0 + h * U))
+
+    return patch(1e-6 * kr / (kappa * _radius(patch(1e-6))))
+
+
+def _radially_off(ss, centre, f):
+    """ss with one sample, not the reconstruction witness, moved to
+    z0 + sqrt(f) (p - z0)."""
+    _, devs = shape_invariants(ss)
+    i = (int(np.argmin(devs)) + 1) % len(ss)
+    P = ss.points.copy()
+    P[i] = centre + np.sqrt(f) * (P[i] - centre)
+    return dataclasses.replace(ss, points=P)
+
+
+class TestScaledGateBoundaries:
+    """Each rescaled gate away from |c| = 1: an input at 10 tol fails and one
+    at 0.1 tol passes (k below); default tol = 1e-6."""
+
+    tol = 1e-6
+
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_constancy_gate_at_1e10(self, k):
+        # lambda + delta on one of N samples spreads nu = lambda^2 by
+        # 2 lambda delta (N - 1) / N to first order, against tol s^2, s = |kappa|
+        sph, ss = sphere_set(1e10, 0.0, count=20)
+        lam, n = lambda_mu(sph)[0], len(ss)
+        A = ss.A.copy()
+        A[3] += k * self.tol * lam * n / (2 * (n - 1)) * np.eye(6)
+        planted = dataclasses.replace(ss, A=A)
+        result = classify(planted)
+        check = result.checks[0]
+        assert check.tol == pytest.approx(self.tol * _scale(planted) ** 2, rel=1e-14)
+        assert 0.9 * k < check.residual / check.tol < 1.1 * k
+        assert result.verdict == (VERDICT_NON_CONSTANT if k > 1 else VERDICT_SPHERE)
+
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_umbilicity_gate_at_1e10(self, k):
+        _, ss = sphere_set(1e10, 0.0, count=20)
+        A = ss.A.copy()
+        A[3] += k * self.tol * _scale(ss) * DEFECT
+        planted = dataclasses.replace(ss, A=A)
+        result = classify(planted)
+        check = result.checks[1]
+        assert check.tol == pytest.approx(self.tol * _scale(planted), rel=1e-14)
+        assert 0.9 * k < check.residual / check.tol < 1.1 * k
+        assert result.verdict == (VERDICT_NOT_UMBILICAL if k > 1 else VERDICT_SPHERE)
+
+    @pytest.mark.parametrize("a,b,centre", [(1e-11, 5e-12, 0.0), (1.0, 0.0, 1e5)],
+                             ids=["small-c", "far-from-the-origin"])
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_containment_gate(self, k, a, b, centre):
+        # one sample Z scaled by sqrt(f) about z0 moves only its containment
+        # residual, to (f - 1) max(|a|, |b|) / (|a| + |b| + f |Z|^2) = k tol
+        # to first order.  No unit floor holds it down at |c| = 1e-11, and at
+        # |z0| = 2.8e5 only the round-off of q(Z), 4 eps |Z| |z0| = 2.5e-10 |Z|,
+        # is taken off
+        _, ss = sphere_set(a, b, center=np.full(8, centre), count=20)
+        i = (int(np.argmin(shape_invariants(ss)[1])) + 1) % len(ss)
+        Z = ss.points[i] - centre
+        f = 1 + k * self.tol * (abs(a) + abs(b) + Z @ Z) / max(abs(a), abs(b))
+        result = classify(_radially_off(ss, centre, f))
+        residual = result.residual("containment residual")
+        assert 0.9 * k * self.tol < residual < 1.1 * k * self.tol
+        assert result.verdict == (VERDICT_OFF_SURFACE if k > 1 else VERDICT_SPHERE)
+
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_flatness_rule_on_a_sphere_patch(self, k):
+        # samples of a patch of the (3, 4) sphere about one point, with
+        # |kappa| R = k tol: a small enough patch is flat within tol
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        kappa = abs(complex(*lambda_mu(sph)))
+        st = _patch(sph, k * self.tol)
+        assert 0.9 * k * self.tol < kappa * _radius(st) < 1.1 * k * self.tol
+        result = classify(st)
+        if k > 1:
+            assert result.verdict == VERDICT_SPHERE and not result.totally_geodesic
+            rec = result.recovered
+            assert abs(complex(rec.a, rec.b) - complex(3.0, 4.0)) <= 1e-12 * 5.0
+        else:
+            assert result.verdict == VERDICT_HYPERPLANE and result.totally_geodesic
+            assert [c.name for c in result.checks] == PLANE_GATES
+            assert result.notes[0].startswith("flat within tol: |kappa| R <= tol")
+
+
+class TestScaleFreeVerdicts:
+    """Inputs whose verdict the units of the samples used to decide."""
+
+    @pytest.mark.parametrize("c", [1e8, 1e10])
+    def test_relative_umbilicity_defect(self, c):
+        # a defect of 0.1 % of |kappa| = c^-1/2 on one sample: below the
+        # absolute 1e-6, far above tol |kappa|
+        _, ss = sphere_set(c, 0.0, count=20)
+        A = ss.A.copy()
+        A[3] += 1e-3 * c ** -0.5 * DEFECT
+        result = classify(dataclasses.replace(ss, A=A))
+        assert result.verdict == VERDICT_NOT_UMBILICAL
+        assert result.notes == ("worst sample index 3",)
+
+    @pytest.mark.parametrize("gate", ["constancy spread", "umbilicity residual"])
+    def test_clustered_patch_keeps_the_sphere_scale(self, gate):
+        # a patch of the (3, 4) sphere with |kappa| R = 1e-4, on the sphere
+        # route: 0.1 % defects are held against tol |kappa|, not tol / R
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        lam, mu = lambda_mu(sph)
+        st = _patch(sph, 1e-4)
+        A = st.A.copy()
+        A[3] += 1e-3 * (lam * np.eye(6) if gate == "constancy spread"
+                        else abs(complex(lam, mu)) * DEFECT)
+        planted = dataclasses.replace(st, A=A)
+        result = classify(planted)
+        assert result.verdict == FAILED_VERDICT[gate]
+        assert result.checks[-1].name == gate
+        assert result.checks[-1].tol == pytest.approx(1e-6 * _scale(planted) ** (
+            2 if gate == "constancy spread" else 1), rel=1e-14)
+
+    def test_one_sample_off_a_small_sphere(self):
+        # one sample 0.1 % radially off the (1e-11, 5e-12) sphere
+        _, ss = sphere_set(1e-11, 5e-12, count=20)
+        _, devs = shape_invariants(ss)
+        P = ss.points.copy()
+        P[(int(np.argmin(devs)) + 1) % len(ss)] *= 1.001
+        result = classify(dataclasses.replace(ss, points=P))
+        assert result.verdict == VERDICT_OFF_SURFACE
+        assert result.notes[0].startswith("no single HSphere holds the samples: "
+                                          "containment residual")
+        assert result.residual("containment residual") > 1e-4
+
+    def test_large_sphere_under_a_loose_tol_is_not_geodesic(self):
+        # max|A| = |kappa| = 1e-4 is below tol = 1e-3, but |kappa| R is about 1
+        _, ss = sphere_set(1e8, 0.0, count=50, seed=3)
+        result = classify(ss, tol=1e-3)
+        assert result.verdict == VERDICT_SPHERE and not result.totally_geodesic
+        assert not any(n.startswith("flat within tol") for n in result.notes)
+        assert abs(result.recovered.a - 1e8) <= 1e-12 * 1e8
+
+    @pytest.mark.parametrize("a,centre", [(1e-12, 1e3), (1e-8, 1e5)])
+    def test_small_sphere_far_from_the_origin(self, a, centre):
+        # Z = p - z0 carries round-off of about eps |z0|, far above eps |Z|:
+        # the containment residual does not count 4 eps |Z| |z0| of q(Z)
+        sph, ss = sphere_set(a, 0.3 * a, center=np.full(8, centre), count=20)
+        result = classify(ss)
+        assert result.verdict == VERDICT_SPHERE
+        assert result.residual("containment residual") <= 1e-14
+        rec = result.recovered
+        assert abs(complex(rec.a, rec.b) - complex(a, 0.3 * a)) <= 1e-12 * a
+        assert np.max(np.abs(rec.center - centre)) <= 1e-12 * centre
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_coinciding_points_rejected(self, copies):
+        # one point, alone or repeated, has no length scale
+        _, ss = sphere_set(3.0, 4.0, count=1)
+        with pytest.raises(NordenError, match="need two distinct sample points"):
+            classify(_concat(*[ss] * copies))
+
+
 def _concat(*stacks):
     return SampleStack(*(np.concatenate(fields) for fields in
                          zip(*(vars(st).values() for st in stacks))))
@@ -285,8 +477,7 @@ def _planted_defect():
 
 
 SPHERE_GATES = ["constancy spread", "umbilicity residual", "containment residual"]
-PLANE_GATES = ["constancy spread", "umbilicity residual", "normal spread", "offset spread",
-               "containment residual"]
+PLANE_GATES = ["constancy spread", "umbilicity residual", "normal spread", "offset spread"]
 # the verdict a failed gate gives
 FAILED_VERDICT = {"constancy spread": VERDICT_NON_CONSTANT,
                   "umbilicity residual": VERDICT_NOT_UMBILICAL,
@@ -371,7 +562,7 @@ class TestClassifyEndToEnd:
         result = classify(samples)
         assert result.verdict == VERDICT_HYPERPLANE
         assert result.totally_geodesic
-        assert result.residual("containment residual") <= 1e-9
+        assert result.residual("offset spread") <= 1e-9
 
     def test_dimension_gate(self):
         sph = make_h_sphere(np.zeros(6), 1.0, 0.0)

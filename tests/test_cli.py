@@ -328,6 +328,16 @@ class TestClassify:
         assert not out
         assert err.count("\n") == 1 and "empty samples array" in err
 
+    def test_one_sample_file_exit_4(self, capsys, tmp_path):
+        # one point has no length scale: no gate can pass it
+        f = str(tmp_path / "one.json")
+        assert run_cli(capsys, "sample", "--a", "3", "--b", "4", "--count", "1",
+                       "--with-frames", "--out", f)[0] == 0
+        code, out, err = run_cli(capsys, "classify", "--in", f)
+        assert code == 4
+        assert not out
+        assert err.count("\n") == 1 and "need two distinct sample points" in err
+
     def test_points_file_rejected(self, capsys, tmp_path):
         f = tmp_path / "pts.json"
         jsonio.write_json(str(f), jsonio.points_to_doc(4, [np.zeros(8)]))

@@ -619,6 +619,20 @@ def test_ambient_shape_operator_annihilates_normal_complement():
         assert np.allclose(A_amb @ t, lam * t + mu * apply_J(t), atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [10.0, 0.1])
+def test_on_surface_threshold_far_from_the_origin(k):
+    # the (1, 0) sphere centred at 1e6 (1, ..., 1): q(Z) may carry round-off
+    # of 4 eps |Z| |z0|, 1.3e-9 of q here, which is not counted; a point
+    # k times the threshold 1e-8 off is rejected for k = 10
+    z0 = np.full(8, 1e6)
+    sph = make_h_sphere(z0, 1.0, 0.0)
+    p = z0 + np.sqrt((1.0 + k * 1e-8) / (1.0 - k * 1e-8)) * basis_vec(8, 0)
+    assert scaled_containment_residual(sph, p) < 1.1 * k * 1e-8
+    if k > 1:
+        assert scaled_containment_residual(sph, p) > 0.9 * k * 1e-8
+    assert bool(contains(sph, p)) == (k < 1)
+
+
 def test_contains_tolerance():
     sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
     p = basis_vec(8, 0)

@@ -31,10 +31,9 @@ The corpus:
 - `sample --with-frames` with `classify` at (1e-10, 0), (1e-11, 0.5e-11) and
   (2e-12, -1e-12), where nu + i nut is of size 1e10 and above and the
   constancy gate is relative to it;
-- `sample --with-frames` with `classify` at (1e12, 0), the smallest |c| of
-  the corpus where lambda^2 + mu^2 falls under the hyperplane route's
-  threshold and the normal spread gate fails, and at (1e10, 0), where the
-  sphere route still holds;
+- `sample --with-frames` with `classify` at (1e10, 0) and (1e12, 0), large
+  spheres with |kappa| of 1e-5 and 1e-6 whose route is set by the
+  scale-free |kappa| R, not by |kappa| against a fixed threshold;
 - sample files at (-1, 0) and (-1, -0.0), on the branch cut of sqrt(a + ib);
 - `verify codazzi` at m = 4, |c| = 64, theta = 7 pi/4, seed 2, a case that
   fixed steps put near the order check's bound;
@@ -55,6 +54,12 @@ The corpus:
   echo lists the parameters each suite takes;
 - hyperplane sample files, with unit and scaled normals;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
+- verdicts that must not depend on the units of the samples: an umbilicity
+  defect of 0.1 % of |kappa| on one sample at (1e8, 0) and (1e10, 0)
+  (NotHUmbilical), one sample 0.1 % radially off the (1e-11, 5e-12) sphere
+  (SamplesOffSurface), `classify --tol 1e-3` of a (1e8, 0) file, whose
+  samples are not totally geodesic, and `classify` of a one-sample file
+  (exit 4);
 - a (3, 4) sphere file with every tangent basis scaled by 0.1 (A unchanged);
 - a file merging two (3, 4) spheres with centres 0 and 5 e1, which no single
   sphere holds (SamplesOffSurface), and a hyperplane file whose records
@@ -183,6 +188,20 @@ def _sphere(a, b, count, seed, m=4, edit=None):
 def _umbilicity_defect(st):
     # keeps tr A and tr(A o J): only the umbilicity residual moves
     return dataclasses.replace(st, A=st.A + np.kron(np.eye(2), np.diag([0.0, 1e-5, -1e-5])))
+
+
+def _relative_defect(st):
+    # 0.1 % of max|A| = |kappa| (b = 0) on sample 3; traces kept, as above
+    A = st.A.copy()
+    A[3] += 1e-3 * np.max(np.abs(A[3])) * np.kron(np.eye(2), np.diag([0.0, 1.0, -1.0]))
+    return dataclasses.replace(st, A=A)
+
+
+def _radially_off(st):
+    # sample 3 moved 0.1 % away from the centre 0
+    P = st.points.copy()
+    P[3] *= 1.001
+    return dataclasses.replace(st, points=P)
 
 
 def _scaled_bases(st):
@@ -353,6 +372,15 @@ def _files():
         _samples("defect.json", 4, _sphere(3.0, 4.0, 30, 2, edit=_umbilicity_defect)),
         _cli("classify", "--in", "defect.json"),
         _cli("classify", "--in", "defect.json", "--tol", 1e-4),
+        _samples("defect_1e8.json", 4, _sphere(1e8, 0.0, 30, 2, edit=_relative_defect)),
+        _cli("classify", "--in", "defect_1e8.json"),
+        _samples("defect_1e10.json", 4, _sphere(1e10, 0.0, 30, 2, edit=_relative_defect)),
+        _cli("classify", "--in", "defect_1e10.json"),
+        _samples("off_small.json", 4, _sphere(1e-11, 5e-12, 30, 2, edit=_radially_off)),
+        _cli("classify", "--in", "off_small.json"),
+        *_sample_and_classify("e8.json", "--a", 1e8, "--b", 0, "--count", 50, "--seed", 3),
+        _cli("classify", "--in", "e8.json", "--tol", 1e-3),
+        *_sample_and_classify("one.json", "--a", 3, "--b", 4, "--count", 1),
         _samples("mixed.json", 4, _merged(_sphere(1.0, 0.0, 4, 0), _sphere(3.0, 4.0, 4, 0))),
         _cli("classify", "--in", "mixed.json"),
         _cli("classify", "--in", "mixed.json", "--tol", 0),

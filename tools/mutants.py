@@ -54,19 +54,23 @@ MUTANTS = [
     # tolerances and thresholds x100 or /100
     (SRC + "hypersurface.py", "return 1e-5 * (np.sqrt(abs(complex(s.a, s.b))) + norm)",
      "return 1e-3 * (np.sqrt(abs(complex(s.a, s.b))) + norm)", "FD default step x100"),
-    (SRC + "classify.py", "tol * max(1.0, float(np.max(np.abs(mean)))))]",
-     "100 * tol * max(1.0, float(np.max(np.abs(mean)))))]", "constancy gate x100"),
-    (SRC + "classify.py", 'Check("umbilicity residual", float(np.max(devs)), tol)',
-     'Check("umbilicity residual", float(np.max(devs)), 100 * tol)', "umbilicity gate x100"),
+    (SRC + "classify.py", "(nu, nut)))), tol * s * s)]", "(nu, nut)))), 100 * tol * s * s)]",
+     "constancy gate x100"),
+    (SRC + "classify.py", 'Check("umbilicity residual", float(np.max(devs)), tol * s)',
+     'Check("umbilicity residual", float(np.max(devs)), 100 * tol * s)', "umbilicity gate x100"),
     (SRC + "classify.py", 'normal = Check("normal spread", spread, tol * max(',
      'normal = Check("normal spread", spread, 100 * tol * max(', "normal spread gate x100"),
     (SRC + "classify.py", "tol * max(1.0, float(np.max(np.abs(ds))),",
      "100 * tol * max(1.0, float(np.max(np.abs(ds))),", "offset spread gate x100"),
-    (SRC + "classify.py", "float(np.max(residual(recovered, stack.points))), tol))",
-     "float(np.max(residual(recovered, stack.points))), 100 * tol))",
+    (SRC + "classify.py", "float(np.max(scaled_containment_residual(recovered, P))), tol))",
+     "float(np.max(scaled_containment_residual(recovered, P))), 100 * tol))",
      "containment gate x100"),
-    (SRC + "classify.py", "LAMBDA_MU_THRESHOLD = 1e-10", "LAMBDA_MU_THRESHOLD = 1e-12",
-     "LAMBDA_MU_THRESHOLD /100"),
+    (SRC + "classify.py", "flat = kappa <= tol / radius",
+     "flat = kappa <= 100 * tol / radius", "flatness rule x100"),
+    (SRC + "hypersurface.py", "roundoff = 4 * np.finfo(float).eps",
+     "roundoff = 400 * np.finfo(float).eps", "containment round-off x100"),
+    (SRC + "hypersurface.py", "roundoff = 4 * np.finfo(float).eps",
+     "roundoff = 0.04 * np.finfo(float).eps", "containment round-off /100"),
     (SRC + "hypersurface.py", "return scaled_containment_residual(s, p) <= 1e-8",
      "return scaled_containment_residual(s, p) <= 1e-6", "contains at 1e-6"),
     (SRC + "curvature.py", "PLANE_DEGENERACY_THRESHOLD = 1e-8",
