@@ -92,11 +92,20 @@ def reconstruct_sphere(lam, mu, witness):
     return HSphere(center=z0, a=c.real, b=c.imag)
 
 
+def _extent(P):
+    """(R, max|p|): the largest distance of a point from the points' mean and from 0,
+    taken of P scaled by the power of two that brings max|p_i| into [1/2, 1): that
+    is exact, and no square overflows."""
+    P = np.ldexp(P, -(e := np.frexp(np.max(np.abs(P)))[1]))
+    lengths = (np.max(np.linalg.norm(v, axis=-1)) for v in (P - P.mean(axis=0), P))
+    return tuple(float(np.ldexp(x, e)) for x in lengths)
+
+
 def reconstruct_hyperplane(stack, tol=1e-6):
     """Average the (constant) normal field and the plane offsets of a stack:
-    (plane, checks) with the gates that ran, the normal spread (relative to
-    max(1, max|xi|), the normals being stored unnormalized) and the offset
-    spread (relative to max(1, max|d|, max|dt|)); plane is None if one fails."""
+    (plane, checks) with the gates that ran; plane is None if one fails.  The
+    normal spread is held against tol max|xi| (the stored normals), the offset
+    spread against tol R after 4 eps |xi| max|p|, its round-off, is taken off."""
     if len(stack) == 0:
         raise NordenError("no samples")
     # huge normals may overflow: an infinite dot keeps its sign, a NaN spread fails
@@ -104,14 +113,16 @@ def reconstruct_hyperplane(stack, tol=1e-6):
         xis = stack.xi * np.where(stack.xi @ stack.xi[0] < 0, -1.0, 1.0)[:, None]
         xi_mean = xis.mean(axis=0)
         spread = float(np.max(np.abs(xis - xi_mean)))
-    normal = Check("normal spread", spread, tol * max(1.0, float(np.max(np.abs(stack.xi)))))
+    normal = Check("normal spread", spread, tol * float(np.max(np.abs(stack.xi))))
     if not normal.passed:
         return None, (normal,)
     xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi  # g-unit, or NordenError if g <= 0
     off = bilinear(to_complex(stack.points), to_complex(xi_mean))  # g + i gt of (xi, p)
     ds, dts = off.real, off.imag
-    offset = Check("offset spread", max(float(np.ptp(ds)), float(np.ptp(dts))),
-                   tol * max(1.0, float(np.max(np.abs(ds))), float(np.max(np.abs(dts)))))
+    radius, reach = _extent(stack.points)
+    roundoff = 4 * np.finfo(float).eps * np.linalg.norm(xi_mean) * reach
+    spread = float(np.maximum(np.ptp(ds), np.ptp(dts)) - roundoff)
+    offset = Check("offset spread", max(spread, 0.0), tol * radius)  # a NaN spread stays
     if not offset.passed:
         return None, (normal, offset)
     return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts))), (normal, offset)
@@ -134,7 +145,7 @@ def classify(stack, tol=1e-6):
     P = stack.points
     if (P == P[0]).all():  # compared exactly: their mean may differ from them by round-off
         raise NordenError("need two distinct sample points")
-    radius = float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=-1)))
+    radius = _extent(P)[0]
 
     per, devs = shape_invariants(stack)
     lam, mu, nu, nut = (float(v) for v in per.mean(axis=0))

@@ -185,14 +185,8 @@ def cmd_classify(args):
 
 def cmd_decompose(args):
     dec = h_proper_decomposition(jsonio.load_matrix(args.input))
-    _emit(
-        {
-            "command": "decompose",
-            **VERSIONS,
-            "pairs": [[lam, mu] for lam, mu in dec.pairs],
-            "basis": [list(map(float, x)) for x in dec.basis],
-        }
-    )
+    _emit({"command": "decompose", **VERSIONS, "pairs": [[lam, mu] for lam, mu in dec.pairs],
+           "basis": [list(map(float, x)) for x in dec.basis]})
     return 0
 
 

@@ -275,13 +275,15 @@ def h_proper_decomposition(S):
 
     Maps S to its m x m complex symmetric matrix, diagonalizes, and
     orthonormalizes each eigenspace under the complex bilinear form.  The
-    complex eigenvalue lambda - i mu yields the real pair (lambda, mu).
+    complex eigenvalue lambda - i mu yields the real pair (lambda, mu).  The
+    h-symmetry gate (1e-9), the grouping of eigenvalues and the reconstruction
+    gate (1e-8) are relative to max|S|, so t S has t times the pairs of S.
     """
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
         # a NaN residual would pass the h-symmetry gate below
         raise NordenError("the operator must be finite")
-    s = max(1.0, float(np.max(np.abs(S))))
+    s = float(np.max(np.abs(S)))
     r_comm, r_sym = h_symmetry_residual(S)
     if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:
         raise NordenError(f"not h-symmetric: residuals: commutator {r_comm:.3e}, "
@@ -292,18 +294,16 @@ def h_proper_decomposition(S):
     order = np.lexsort((evals.imag, evals.real))
     evals, evecs = evals[order], evecs[:, order]
 
-    group_tol = 1e-8 * s
     basis_c, pairs = [], []
     i = 0
     while i < m:
         j = i + 1
-        while j < m and abs(evals[j] - evals[i]) <= group_tol:
+        while j < m and abs(evals[j] - evals[i]) <= 1e-8 * s:
             j += 1
         lam_c = evals[i:j].mean()
         vecs = bilinear_orthonormalize(evecs[:, i:j])
-        for v in vecs:
-            basis_c.append(v)
-            pairs.append((float(lam_c.real), float(-lam_c.imag)))
+        basis_c += vecs
+        pairs += [(float(lam_c.real), float(-lam_c.imag))] * len(vecs)
         i = j
 
     V = np.column_stack(basis_c)

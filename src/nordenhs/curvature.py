@@ -87,14 +87,14 @@ def gauss_curvature_from_shape(A, tangent_basis, ambient=0):
         raise NordenError("tangent basis size does not match A")
     # coords: ambient tangent vectors -> basis coordinates
     coords, J_rep, Gt = tangent_reps(rows)
-    s = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
 
-    def off(M):
-        return (np.abs(M).max(axis=(-2, -1)) > 1e-6 * s).any()
+    def off(M, B):  # M of products of A and B against 1e-6 max|A| max|B|; a NaN fails
+        r, a, b = (np.abs(X).max(axis=(-2, -1)) for X in (M, A, B))
+        return not (r <= 1e-6 * a * b).all()
 
-    if off(A @ J_rep - J_rep @ A):
+    if off(A @ J_rep - J_rep @ A, J_rep):
         raise NordenError("A does not commute with J on the tangent space")
-    if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt):
+    if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt, Gt):
         raise NordenError("A is not g-self-adjoint on the tangent space")
     # ambient-acting form of A (valid on tangent vectors)
     return GaussShapeCurvature(ambient, np.swapaxes(rows, -1, -2) @ A @ coords)

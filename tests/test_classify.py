@@ -1,6 +1,7 @@
 """Tests for the classification pipeline."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("c",[1e-3, 1.0, 1e10, 1e12, 1e100, 1e200])
     def test_scaled_normal_accepted(self, c):
-        # the spread of the stored normals c xi is compared with tol * max(1, max|c xi|),
+        # the spread of the stored normals c xi is compared with tol * max|c xi|,
         # and g(c xi, c xi), which overflows at c = 1e200, is not computed
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 30, seed=4)
@@ -188,13 +189,18 @@ class TestReconstruct:
             assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
 
     def test_huge_points_take_the_hyperplane_route(self):
-        # R overflows to inf at points of size 1e200; kappa = 0 is still flat
+        # R and max|p| are taken of the points scaled by a power of two, so no
+        # square overflows at points of size 1e160 to 1e300, and no warning
+        # is raised on the way
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 12, seed=4)
-        with np.errstate(over="ignore"):
-            result = classify(dataclasses.replace(samples, points=1e200 * samples.points))
-        assert result.verdict == VERDICT_HYPERPLANE and result.totally_geodesic
-        assert result.recovered.d == pytest.approx(2e200, rel=1e-14)
+        for size in (1e160, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = classify(dataclasses.replace(samples, points=size * samples.points))
+            assert result.verdict == VERDICT_HYPERPLANE and result.totally_geodesic
+            assert result.recovered.d == pytest.approx(2 * size, rel=1e-14)
+            assert result.recovered.dt == pytest.approx(-size, rel=1e-14)
 
     def test_empty_hyperplane_stack_rejected(self):
         with pytest.raises(NordenError, match="no samples"):
@@ -245,21 +251,22 @@ class TestGateBoundaries:
 
     def test_normal_spread_gate(self):
         # one of N normals moved by delta: its distance from the mean is
-        # delta (N - 1) / N = 10 tol max(1, max|xi|), and max|xi| < 1
+        # delta (N - 1) / N = 10 tol max|xi|, max|xi| = 1 / sqrt(1.09)
         _, st = self._hyperplane()
         xi, n = st.xi.copy(), len(st)
-        xi[3, 2] += 10 * self.tol * max(1.0, float(np.max(np.abs(xi)))) * n / (n - 1)
+        xi[3, 2] += 10 * self.tol * float(np.max(np.abs(xi))) * n / (n - 1)
         self._spread_fails(dataclasses.replace(st, xi=xi), "normal spread",
-                           "normal spread 1.000e-05 > tol 1.000e-06")
+                           "normal spread 9.578e-06 > tol 9.578e-07")
 
     def test_offset_spread_gate(self):
         # one point moved by delta xi, xi g-unit with gt(xi, xi) = 0, moves its
-        # d by delta = 10 tol max(1, |d|, |dt|) and its dt not at all
+        # d by delta = 10 tol R, R = 3.536 the radius of the points, and its dt
+        # not at all
         hp, st = self._hyperplane()
         P = st.points.copy()
-        P[3] += 10 * self.tol * 1.5 * hp.xi
+        P[3] += 10 * self.tol * _radius(st) * hp.xi
         self._spread_fails(dataclasses.replace(st, points=P), "offset spread",
-                           "offset spread 1.500e-05 > tol 1.500e-06")
+                           "offset spread 3.536e-05 > tol 3.536e-06")
 
 
 # J-commuting and trace-free, so only the umbilicity residual of a sample moves
@@ -440,6 +447,86 @@ class TestScaleFreeVerdicts:
         _, ss = sphere_set(3.0, 4.0, count=1)
         with pytest.raises(NordenError, match="need two distinct sample points"):
             classify(_concat(*[ss] * copies))
+
+
+def _plane(d, scale=1.0):
+    """The normal e1 + 0.3 e2 of the plane g(xi, Z) = d, gt(xi, Z) = 0, and
+    12 of its samples with every point scaled by `scale`: R = 3.536 scale."""
+    hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], d, 0.0)
+    st = hyperplane_samples(hp, 12, seed=4)
+    return hp.xi, dataclasses.replace(st, points=scale * st.points)
+
+
+def _point_off(st, xi, delta):
+    """st with sample 3 moved by delta along the g-unit normal xi: its d
+    moves by delta, its dt not at all."""
+    P = st.points.copy()
+    P[3] += delta * xi
+    return dataclasses.replace(st, points=P)
+
+
+class TestFlatRouteScales:
+    """The hyperplane route's gates away from unit scale: the normal spread
+    against tol max|xi|, the offset spread against tol R after the
+    round-off 4 eps |xi| max|p| is taken off it; default tol = 1e-6."""
+
+    tol = 1e-6
+
+    @pytest.mark.parametrize("d,scale", [(0.0, 1e-6), (1e6, 1.0)], ids=["R=3.5e-6", "d=1e6"])
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_offset_gate(self, k, d, scale):
+        xi, st = _plane(d, scale)
+        planted = _point_off(st, xi, k * self.tol * _radius(st))
+        result = classify(planted)
+        check = result.checks[-1]
+        assert check.name == "offset spread"
+        assert check.tol == pytest.approx(self.tol * _radius(planted), rel=1e-12)
+        assert 0.9 * k < check.residual / check.tol < 1.1 * k
+        assert result.verdict == (VERDICT_OFF_SURFACE if k > 1 else VERDICT_HYPERPLANE)
+
+    @pytest.mark.parametrize("d,scale,delta", [(1e6, 1.0, 0.5), (0.0, 1e-6, 1e-7)],
+                             ids=["d=1e6", "R=3.5e-6"])
+    def test_point_off_the_plane(self, d, scale, delta):
+        # a point 0.5 off a plane at d = 1e6, and one 2.8 % of R off a plane
+        # of radius 3.5e-6: below a unit floor of tol max(1, |d|), far above tol R
+        xi, st = _plane(d, scale)
+        result = classify(_point_off(st, xi, delta))
+        assert result.verdict == VERDICT_OFF_SURFACE
+        assert result.notes[0].startswith("no single HolomorphicHyperplane holds the "
+                                          "samples: offset spread")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("d", [0.0, 1e3, 1e6, 1e9, 1e12])
+    def test_far_plane_passes(self, d, scale):
+        # the offsets of points of size d carry round-off of about eps |xi| d,
+        # 1e-4 at d = 1e12, far above tol R = 3.5e-6: the allowance takes it off
+        radius = scale * _radius(_plane(d)[1])  # the norms of the scaled points over- or underflow
+        result = classify(_plane(d, scale)[1])
+        assert result.verdict == VERDICT_HYPERPLANE
+        assert result.residual("offset spread") <= self.tol * radius
+        assert abs(result.recovered.d - d * scale) <= 1e-12 * max(d * scale, radius)
+
+    def test_roundoff_allowance_is_not_larger(self):
+        # at d = 1e10 the allowance, 4 eps |xi| max|p| = 8.9e-6, is 2.5 tol R:
+        # a point 10 tol R off the plane is still caught
+        xi, st = _plane(1e10)
+        result = classify(_point_off(st, xi, 10 * self.tol * _radius(st)))
+        assert result.verdict == VERDICT_OFF_SURFACE
+        assert result.residual("offset spread") > 5 * self.tol * _radius(st)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-3, 1e200])
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_normal_gate_at_scale(self, k, c):
+        # one of N stored normals c xi moved by delta: its distance from the
+        # mean is delta (N - 1) / N = k tol max|c xi|
+        _, st = _plane(1.5)
+        xi, n = c * st.xi, len(st)
+        xi[3, 2] += k * self.tol * float(np.max(np.abs(xi))) * n / (n - 1)
+        result = classify(dataclasses.replace(st, xi=xi))
+        check = result.checks[2]
+        assert check.name == "normal spread"
+        assert 0.9 * k < check.residual / check.tol < 1.1 * k
+        assert result.verdict == (VERDICT_OFF_SURFACE if k > 1 else VERDICT_HYPERPLANE)
 
 
 def _concat(*stacks):

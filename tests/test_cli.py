@@ -566,6 +566,21 @@ def run_python(tmp_path, *args):
                           env=env, cwd=tmp_path, timeout=120)
 
 
+@pytest.mark.parametrize("size", [1e160, 1e300])
+def test_classify_huge_points_writes_no_warning(tmp_path, size):
+    # R and max|p| are taken after a power-of-two scaling: numpy has no
+    # overflow to report on stderr
+    hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
+    st = hyperplane_samples(hp, 12, seed=4)
+    st = type(st)(size * st.points, st.xi, st.tangent_bases, st.A)
+    jsonio.write_json(str(tmp_path / "h.json"), jsonio.samples_to_doc(4, st))
+    proc = run_python(tmp_path, "-m", "nordenhs", "classify", "--in", "h.json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "HolomorphicHyperplane"
+    assert doc["recovered"]["d"] == pytest.approx(2 * size, rel=1e-14)
+
+
 def test_python_dash_m(tmp_path):
     proc = run_python(tmp_path, "-m", "nordenhs", "sphere", "info", "--a", "3", "--b", "4")
     assert proc.returncode == 0, proc.stderr
@@ -735,6 +750,14 @@ def _not_h_symmetric(tmp_path):
     return str(f)
 
 
+def _small_random(tmp_path):
+    # 1e-12 times a random matrix: as far from h-symmetric as the matrix
+    f = tmp_path / "op.json"
+    S = 1e-12 * np.random.default_rng(5).standard_normal((8, 8))
+    jsonio.write_json(str(f), {"matrix": S.tolist()})
+    return str(f)
+
+
 FAILURES = {
     "sample --fd without --with-frames": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--count", "2", "--fd",
@@ -742,6 +765,8 @@ FAILURES = {
         2, "--fd needs --with-frames"),
     "decompose not h-symmetric": (
         lambda tmp: ["decompose", "--in", _not_h_symmetric(tmp)], 2, "not h-symmetric"),
+    "decompose small and not h-symmetric": (
+        lambda tmp: ["decompose", "--in", _small_random(tmp)], 2, "not h-symmetric"),
     "sample --out into a missing directory": (
         lambda tmp: ["sample", "--a", "3", "--b", "4", "--out", str(tmp / "missing" / "x.json")],
         3, "x.json"),

@@ -113,6 +113,19 @@ class TestSpaceForm:
             sectional_curvatures(R, *planes)
 
 
+def _h_symmetry_defect(gate, d):
+    """A 6 x 6 defect on one gate.  In an adapted g-orthonormal basis G_t =
+    diag(I, -I) and J_rep = [[0, -I], [I, 0]]: diag(P, -P) with P = d e11 is
+    G_t-self-adjoint, and its commutator with J_rep is off by 2d; diag(K, K)
+    with K = d (e12 - e21) commutes with J_rep, and G_t A - A^T G_t is off by 2d."""
+    E = np.zeros((6, 6))
+    if gate == "commutator":
+        E[0, 0], E[3, 3] = d, -d
+    else:
+        E[0, 1], E[1, 0], E[3, 4], E[4, 3] = d, -d, d, -d
+    return E
+
+
 class TestGaussCurvature:
     def test_umbilical_shape_gives_space_form_values(self):
         # A = 0.4 I + 0.2 J on an h-sphere tangent space should produce
@@ -161,25 +174,50 @@ class TestGaussCurvature:
     @pytest.mark.parametrize("gate,msg", [("commutator", "does not commute with J"),
                                           ("self-adjoint", "not g-self-adjoint")])
     def test_h_symmetry_gate_boundaries(self, gate, msg, factor, fails):
-        # the gates read 1e-6 s, s = max(1, max|A|) = 1 on the (3, 4) sphere;
-        # in the adapted g-orthonormal basis, G_t = diag(I, -I) and J_rep =
-        # [[0, -I], [I, 0]].  diag(P, -P) with P = d e11 is G_t-self-adjoint,
-        # its commutator with J_rep is off by 2d; diag(K, K) with K = d (e12 -
-        # e21) commutes with J_rep, and G_t A - A^T G_t is off by 2d
+        # the gates read 1e-6 max|A| max|B|, B = J_rep or G_t, with max|B| = 1
+        # in the adapted g-orthonormal basis of a (3, 4) sphere sample
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
         smp = surface_sample(sph, sample(sph, 1, 10)[0])
-        assert np.max(np.abs(smp.A)) < 1.0
-        d = factor * 1e-6 / 2
-        E = np.zeros((6, 6))
-        if gate == "commutator":
-            E[0, 0], E[3, 3] = d, -d
-        else:
-            E[0, 1], E[1, 0], E[3, 4], E[4, 3] = d, -d, d, -d
+        E = _h_symmetry_defect(gate, factor * 1e-6 * np.max(np.abs(smp.A)) / 2)
         if fails:
             with pytest.raises(NordenError, match=msg):
                 gauss_curvature_from_shape(smp.A + E, smp.tangent_bases)
         else:
             gauss_curvature_from_shape(smp.A + E, smp.tangent_bases)
+
+    @pytest.mark.parametrize("a,b,t", [(1e12, 0.0, 1.0), (3.0, 4.0, 1e-4), (3.0, 4.0, 1e4)],
+                             ids=["c=1e12", "basis*1e-4", "basis*1e4"])
+    @pytest.mark.parametrize("factor,fails", [(10.0, True), (0.1, False)])
+    @pytest.mark.parametrize("gate,msg", [("commutator", "does not commute with J"),
+                                          ("self-adjoint", "not g-self-adjoint")])
+    def test_h_symmetry_gates_at_scale(self, gate, msg, factor, fails, a, b, t):
+        # max|A| = 1e-6 at c = (1e12, 0); the basis scaled by t keeps A and
+        # J_rep and scales G_t by t^2, and with it both sides of the
+        # self-adjointness gate
+        sph = make_h_sphere(np.zeros(8), a, b)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        E = _h_symmetry_defect(gate, factor * 1e-6 * np.max(np.abs(smp.A)) / 2)
+        if fails:
+            with pytest.raises(NordenError, match=msg):
+                gauss_curvature_from_shape(smp.A + E, t * smp.tangent_bases)
+        else:
+            gauss_curvature_from_shape(smp.A + E, t * smp.tangent_bases)
+
+    def test_far_from_j_commuting_at_large_c(self):
+        # 50 % of max|A| = 1e-6 off J-commuting, below a unit floor of 1e-6
+        sph = make_h_sphere(np.zeros(8), 1e12, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        E = _h_symmetry_defect("commutator", 0.25 * np.max(np.abs(smp.A)))
+        with pytest.raises(NordenError, match="does not commute with J"):
+            gauss_curvature_from_shape(smp.A + E, smp.tangent_bases)
+
+    def test_nan_shape_rejected(self):
+        sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
+        smp = surface_sample(sph, sample(sph, 1, 10)[0])
+        A = smp.A.copy()
+        A[2, 4] = np.nan
+        with pytest.raises(NordenError, match="does not commute with J"):
+            gauss_curvature_from_shape(A, smp.tangent_bases)
 
     def test_plane_rebasing_invariance(self):
         # sectional curvature depends on the plane, not the spanning pair

@@ -418,6 +418,29 @@ class TestShapeOperator:
         with pytest.raises(NordenError, match="eta is not normal to the tangent space"):
             shape_operator_wrt(smp, np.asarray(smp.tangent_bases[0]))
 
+    @pytest.mark.parametrize("size", [1e-9, 1.0, 1e9])
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_wrt_normality_gate(self, k, size):
+        # eta = size (xi + c t_1): g(t_1, eta) = size c, as g(t_1, t_1) = 1 and
+        # the other rows are g-orthogonal to t_1, against 1e-8 max|eta| max|t_1|
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, seed=16)[0])
+        t1 = smp.tangent_bases[0]
+        c = k * 1e-8 * np.max(np.abs(smp.xi)) * np.max(np.abs(t1))
+        eta = size * (smp.xi + c * t1)
+        if k > 1:
+            with pytest.raises(NordenError, match="eta is not normal to the tangent space"):
+                shape_operator_wrt(smp, eta)
+        else:
+            assert np.max(np.abs(shape_operator_wrt(smp, eta) - size * smp.A)) <= 1e-12 * size
+
+    def test_wrt_rejects_small_tangent_vector(self):
+        # 1e-9 t_1 is tangent at any size
+        sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
+        smp = surface_sample(sph, sample(sph, 1, seed=16)[0])
+        with pytest.raises(NordenError, match="eta is not normal to the tangent space"):
+            shape_operator_wrt(smp, 1e-9 * smp.tangent_bases[0])
+
     def test_wrt_rejects_nan_normal(self):
         sph = make_h_sphere(np.zeros(8), 1.0, 0.0)
         smp = surface_sample(sph, sample(sph, 1, seed=16)[0])

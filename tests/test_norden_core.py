@@ -466,3 +466,86 @@ def test_reconstruct_matches_manual():
     assert np.allclose(
         dec.reconstruct(), 2.0 * np.eye(4) + 3.0 * apply_J(np.eye(4)).T, atol=1e-12
     )
+
+
+# the pairs (lambda, mu) of diag(1, 3, 2 - i, 5), sorted
+DIAG_PAIRS = [(1.0, 0.0), (2.0, 1.0), (3.0, 0.0), (5.0, 0.0)]
+
+
+class TestDecompositionScales:
+    """h_proper_decomposition's gates are relative to max|S|: t S has t
+    times the pairs of S, and each gate rejects an input at 10 times its
+    bound and passes one at 0.1 times it, at max|S| = 1e-9 as at 1."""
+
+    @pytest.mark.parametrize("t", [1e-150, 1e-12, 1e-9, 1.0, 1e150])
+    def test_scaled_diagonal(self, t):
+        # below a unit floor of the grouping (1e-8), t diag(1, 3, 2 - i, 5)
+        # came out as four equal pairs t (2.75, 0.25)
+        S = complex_op_to_real(t * np.diag([1.0, 3.0, 2.0 - 1.0j, 5.0]))
+        got = np.array(sorted(h_proper_decomposition(S).pairs))
+        assert np.max(np.abs(got - t * np.array(DIAG_PAIRS))) <= 1e-12 * 5 * t
+
+    def test_small_random_operator_rejected(self):
+        # 1e-12 times a random matrix is as far from h-symmetric as the matrix
+        S = 1e-12 * np.random.default_rng(5).standard_normal((8, 8))
+        with pytest.raises(NordenError, match="not h-symmetric"):
+            h_proper_decomposition(S)
+
+    @pytest.mark.parametrize("gate", ["commutator", "self-adjointness"])
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_h_symmetry_gates(self, k, gate):
+        # S = 1e-9 diag(1, 3, 2 - i, 5) in real form, max|S| = 5e-9.  e on
+        # S[m, m] alone is off the J-commuting form by e and keeps GS
+        # symmetric; e on P[0, 1] (S[0, 1] and S[m, m + 1]) keeps the form
+        # and makes GS - GS^T e
+        S = complex_op_to_real(1e-9 * np.diag([1.0, 3.0, 2.0 - 1.0j, 5.0]))
+        e = k * 1e-9 * np.max(np.abs(S))
+        if gate == "commutator":
+            S[4, 4] += e
+        else:
+            S[0, 1] += e
+            S[4, 5] += e
+        r_comm, r_sym = h_symmetry_residual(S)
+        assert (r_comm if gate == "commutator" else r_sym) == pytest.approx(e, rel=1e-12)
+        if k > 1:
+            with pytest.raises(NordenError, match="not h-symmetric"):
+                h_proper_decomposition(S)
+        else:
+            got = np.array(sorted(h_proper_decomposition(S).pairs))
+            assert np.max(np.abs(got - 1e-9 * np.array(DIAG_PAIRS))) <= 1e-3 * 1e-9
+
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_grouping(self, k):
+        # eigenvalues t and t (1 + k 5e-8), k 1e-8 max|S| apart, max|S| = 5t:
+        # two pairs at 10 times the grouping bound, one group at 0.1 times
+        t = 1e-9
+        S = complex_op_to_real(t * np.diag([1.0, 1.0 + k * 5e-8, 3.0, 5.0]))
+        pairs = sorted(h_proper_decomposition(S).pairs)
+        if k > 1:
+            assert np.max(np.abs(np.array(pairs[:2]) - [(t, 0.0), (t * (1 + k * 5e-8), 0.0)])) \
+                <= 1e-15 * t
+        else:
+            assert pairs[0] == pairs[1]
+
+    @pytest.mark.parametrize("k", [10.0, 0.1])
+    def test_reconstruction_gate(self, k):
+        # C = t (R diag(1, 1 + delta) R^T + diag(3, 5)), R the complex Givens
+        # rotation by i theta in the (0, 1) plane.  The eigenvalues 1 and
+        # 1 + delta are one group (delta < 1e-8 max|S|), whose mean 1 + delta/2
+        # misses C by (delta / 2) cosh(2 theta) t: k 1e-8 max|S| for this delta
+        t, cosh2 = 1e-9, 40.0
+        R = complex_givens(4, 0, 1, 1j * np.arccosh(cosh2) / 2)
+        delta = k * 1e-7 / cosh2
+        C = t * (R @ np.diag([1.0, 1.0 + delta, 3.0, 5.0]) @ R.T)
+        S = complex_op_to_real(C)
+        s = np.max(np.abs(S))
+        assert s == pytest.approx(5 * t, rel=1e-6)
+        if k > 1:
+            with pytest.raises(NotHDiagonalizable, match="reconstruction residual") as err:
+                h_proper_decomposition(S)
+            residual = float(str(err.value).split()[-1])
+        else:
+            dec = h_proper_decomposition(S)
+            assert dec.pairs[0] == dec.pairs[1]
+            residual = np.max(np.abs(dec.reconstruct() - S))
+        assert 0.9 * k < residual / (1e-8 * s) < 1.1 * k

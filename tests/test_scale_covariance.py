@@ -11,6 +11,13 @@ term the moved samples are no h-sphere's whenever Im w != 0.
 
 The range property runs classify and `verify all` on spheres with |c|
 log-uniform over what make_h_sphere accepts, a^2 + b^2 > 1e-24, up to 1e150.
+
+A holomorphic hyperplane q(xi, Z) = d + i dt goes under p -> w p + v to the
+one with the same normal and the offset w (d + i dt) + q(xi, v); its
+samples keep xi (stored as c xi for any c > 0), their bases and A = 0.
+classify must keep its verdict on honest stacks and on stacks with one
+point or one normal off by 10 or 0.1 times its gate.  The decomposition of
+t S has t times the pairs of S.
 """
 
 import math
@@ -18,12 +25,21 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from nordenhs.classify import VERDICT_SPHERE, classify
-from nordenhs.core import complex_scale
+from nordenhs.classify import VERDICT_HYPERPLANE, VERDICT_OFF_SURFACE, VERDICT_SPHERE, classify
+from nordenhs.core import (
+    bilinear,
+    complex_op_to_real,
+    complex_scale,
+    h_proper_decomposition,
+    random_complex_orthogonal,
+    to_complex,
+)
 from nordenhs.hypersurface import (
     SampleStack,
     adapted_j_rep,
+    hyperplane_samples,
     make_h_sphere,
+    make_hyperplane,
     make_surface_samples,
 )
 from nordenhs.verify import run_suite
@@ -92,3 +108,65 @@ def test_every_accepted_sphere_classifies(m, seed, log_c, theta, fd):
     assert abs(complex(rec.a, rec.b) - complex(a, b)) <= 1e-8 * r
     checks, _ = run_suite("all", a=a, b=b, m=m, seed=seed, fd=fd)
     assert all(ch.passed for ch in checks), [ch for ch in checks if not ch.passed]
+
+
+def _radius(P):
+    return float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=-1)))
+
+
+def _planted_plane(m, seed, defect, k):
+    """12 samples of a random hyperplane, with one point moved by k tol R
+    along xi, or one normal entry by k tol max|xi| (N / (N - 1))."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, m))
+    y *= 0.5 * np.linalg.norm(x) / np.linalg.norm(y)  # g(xi, xi) = 0.75 |x|^2 > 0
+    hp = make_hyperplane(np.concatenate([x, y]), *rng.uniform(-2.0, 2.0, 2))
+    st = hyperplane_samples(hp, 12, seed)
+    P, xi = st.points.copy(), st.xi.copy()
+    if defect == "point":
+        P[3] += k * 1e-6 * _radius(P) * hp.xi
+    elif defect == "normal":
+        xi[3, 1] += k * 1e-6 * np.max(np.abs(xi)) * 12 / 11
+    return SampleStack(P, xi, st.tangent_bases, st.A)
+
+
+@settings(EXAMPLES, max_examples=60)
+@given(m=st.integers(4, 6), seed=SEEDS, defect=st.sampled_from(["none", "point", "normal"]),
+       k=st.sampled_from([10.0, 0.1]), log_w=uniform(-5.0, 60.0), phi=ANGLES,
+       log_v=uniform(-3.0, 6.0), log_c=uniform(-3.0, 200.0))
+@example(m=4, seed=1, defect="point", k=10.0, log_w=-5.0, phi=0.5, log_v=6.0, log_c=200.0)
+@example(m=5, seed=2, defect="point", k=0.1, log_w=60.0, phi=-2.0, log_v=6.0, log_c=-3.0)
+@example(m=6, seed=3, defect="none", k=10.0, log_w=60.0, phi=3.0, log_v=6.0, log_c=200.0)
+def test_hyperplane_verdicts_commute_with_similarities(m, seed, defect, k, log_w, phi,
+                                                       log_v, log_c):
+    stack = _planted_plane(m, seed, defect, k)
+    w = 10.0 ** log_w * complex(math.cos(phi), math.sin(phi))
+    P = complex_scale(w, stack.points)
+    v = np.random.default_rng(seed + 1).standard_normal(2 * m)
+    v *= 10.0 ** log_v * _radius(P) / np.linalg.norm(v)
+    moved = SampleStack(P + v, 10.0 ** log_c * stack.xi, stack.tangent_bases, stack.A)
+    before, after = classify(stack), classify(moved)
+    verdict = VERDICT_OFF_SURFACE if defect != "none" and k > 1 else VERDICT_HYPERPLANE
+    assert before.verdict == after.verdict == verdict, after.notes
+    assert [ch.name for ch in after.checks] == [ch.name for ch in before.checks]
+    if verdict == VERDICT_HYPERPLANE:
+        rec0, rec1 = before.recovered, after.recovered
+        assert np.max(np.abs(rec1.xi - rec0.xi)) <= 1e-14 * np.max(np.abs(rec0.xi))
+        want = w * complex(rec0.d, rec0.dt) + complex(bilinear(to_complex(rec0.xi), to_complex(v)))
+        reach = np.max(np.linalg.norm(moved.points, axis=-1))
+        assert abs(complex(rec1.d, rec1.dt) - want) <= 1e-13 * reach
+
+
+@settings(EXAMPLES, max_examples=40)
+@given(m=st.integers(2, 5), seed=SEEDS, log_t=uniform(-150.0, 150.0))
+@example(m=4, seed=0, log_t=-150.0)
+@example(m=4, seed=0, log_t=150.0)
+def test_decomposition_commutes_with_scaling(m, seed, log_t):
+    rng = np.random.default_rng(seed)
+    D = np.diag(rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(-2.0, 2.0, m))
+    Q = random_complex_orthogonal(m, rng)
+    S = complex_op_to_real(Q @ D @ Q.T)
+    t = 10.0 ** log_t
+    want = t * np.array(sorted(h_proper_decomposition(S).pairs))
+    got = np.array(sorted(h_proper_decomposition(t * S).pairs))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -67,10 +67,18 @@ The corpus:
 - (3, 4) sphere files whose text is edited around the A that every record
   shares: another A in the first or the last record, a duplicate "A" key in
   either order, null outside the arrays, and a boolean inside the shared A;
+- hyperplane files away from unit scale: one point 0.5 off a plane at
+  d = 1e6, and one 1e-7 (2.8 % of R) off a plane of radius R = 3.5e-6
+  (SamplesOffSurface: the offset spread is held against tol R); an honest
+  plane at d = 1e12, whose offsets carry round-off far above tol R; and a
+  plane whose points are of size 1e200 (no overflow warning on stderr);
 - `decompose` of h-symmetric, non-h-symmetric, nilpotent and odd matrices,
   and of a complex-symmetric operator R D R^T with a threefold eigenvalue,
   R a product of complex Givens rotations, so that the eigenvectors of the
   repeated eigenvalue go through the bilinear Gram-Schmidt of a group;
+  `decompose` of 1e-9 diag(1, 3, 2 - i, 5), whose eigenvalues are 1e-9 apart,
+  and of 1e-12 times a random matrix (exit 2): the gates are relative to
+  max|S|;
 - inputs that exit 2, 3, 4 and 5, among them a negative --seed to `sample`,
   `verify all`, `verify frame` and `verify curvature`, `sample --fd` without
   --with-frames, and `sample --center-file` of a file with two points.
@@ -174,6 +182,18 @@ def _hyperplane(m, scale, count=30, seed=4, d=1.5):
         st = lib.hypersurface.hyperplane_samples(
             lib.hypersurface.make_hyperplane(xi, d, 0.5), count, seed)
         return dataclasses.replace(st, xi=scale * st.xi)
+    return stack_of
+
+
+def _moved_plane(d, scale=1.0, shift=0.0):
+    """stack_of: 12 samples of the m = 4 hyperplane of _hyperplane at offset
+    d + 0.5 i, every point times scale, then sample 3 moved by shift along
+    its g-unit normal."""
+    def stack_of(lib):
+        st = _hyperplane(4, 1.0, count=12, d=d)(lib)
+        P = scale * st.points
+        P[3] += shift * st.xi[3]
+        return dataclasses.replace(st, points=P)
     return stack_of
 
 
@@ -393,6 +413,14 @@ def _files():
                  _merged(_hyperplane(4, 1.0, count=5), _hyperplane(4, 1.0, count=5, d=2.5))),
         _cli("classify", "--in", "two_offsets.json"),
     ]
+    planes = {
+        "plane_far_off": _moved_plane(1e6, shift=0.5),
+        "plane_small_off": _moved_plane(0.0, scale=1e-6, shift=1e-7),
+        "plane_far": _moved_plane(1e12),
+        "plane_huge": _moved_plane(1.5, scale=1e200),
+    }
+    for name, stack_of in planes.items():
+        steps += [_samples(f"{name}.json", 4, stack_of), _cli("classify", "--in", f"{name}.json")]
     for name, edit in EDITS.items():
         steps += [_edited(f"{name}.json", edit), _cli("classify", "--in", f"{name}.json")]
     rng = np.random.default_rng(16)
@@ -404,6 +432,8 @@ def _files():
         "repeated": _real_form(R @ np.diag([0.4 - 0.2j] * 3 + [1.5 + 0.5j]) @ R.T),
         "nonsym": np.eye(8) + 0.5 * np.eye(8, k=1),
         "nilpotent": _real_form([[1.0, 1j], [1j, -1.0]]),
+        "small_diag": _real_form(1e-9 * np.diag([1.0, 3.0, 2.0 - 1.0j, 5.0])),
+        "small_random": 1e-12 * np.random.default_rng(30).standard_normal((8, 8)),
     }
     for name, S in matrices.items():
         steps += [_matrix(f"{name}.json", S), _cli("decompose", "--in", f"{name}.json")]

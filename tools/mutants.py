@@ -58,10 +58,14 @@ MUTANTS = [
      "constancy gate x100"),
     (SRC + "classify.py", 'Check("umbilicity residual", float(np.max(devs)), tol * s)',
      'Check("umbilicity residual", float(np.max(devs)), 100 * tol * s)', "umbilicity gate x100"),
-    (SRC + "classify.py", 'normal = Check("normal spread", spread, tol * max(',
-     'normal = Check("normal spread", spread, 100 * tol * max(', "normal spread gate x100"),
-    (SRC + "classify.py", "tol * max(1.0, float(np.max(np.abs(ds))),",
-     "100 * tol * max(1.0, float(np.max(np.abs(ds))),", "offset spread gate x100"),
+    (SRC + "classify.py", 'normal = Check("normal spread", spread, tol * float(',
+     'normal = Check("normal spread", spread, 100 * tol * float(', "normal spread gate x100"),
+    (SRC + "classify.py", "max(spread, 0.0), tol * radius)",
+     "max(spread, 0.0), 100 * tol * radius)", "offset spread gate x100"),
+    (SRC + "classify.py", "roundoff = 4 * np.finfo(float).eps",
+     "roundoff = 400 * np.finfo(float).eps", "offset round-off x100"),
+    (SRC + "classify.py", "roundoff = 4 * np.finfo(float).eps",
+     "roundoff = 0.04 * np.finfo(float).eps", "offset round-off /100"),
     (SRC + "classify.py", "float(np.max(scaled_containment_residual(recovered, P))), tol))",
      "float(np.max(scaled_containment_residual(recovered, P))), 100 * tol))",
      "containment gate x100"),
@@ -75,12 +79,21 @@ MUTANTS = [
      "return scaled_containment_residual(s, p) <= 1e-6", "contains at 1e-6"),
     (SRC + "curvature.py", "PLANE_DEGENERACY_THRESHOLD = 1e-8",
      "PLANE_DEGENERACY_THRESHOLD = 1e-10", "PLANE_DEGENERACY_THRESHOLD /100"),
-    (SRC + "curvature.py", "> 1e-6 * s).any()", "> 1e-4 * s).any()",
+    (SRC + "curvature.py", "(r <= 1e-6 * a * b)", "(r <= 1e-4 * a * b)",
      "both h-symmetry gates of gauss_curvature_from_shape x100"),
-    (SRC + "curvature.py", "if off(A @ J_rep - J_rep @ A):",
-     "if off(1e-2 * (A @ J_rep - J_rep @ A)):", "commutator gate x100"),
-    (SRC + "curvature.py", "if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt):",
-     "if off(1e-2 * (Gt @ A - np.swapaxes(A, -1, -2) @ Gt)):", "self-adjointness gate x100"),
+    (SRC + "curvature.py", "if off(A @ J_rep - J_rep @ A, J_rep):",
+     "if off(1e-2 * (A @ J_rep - J_rep @ A), J_rep):", "commutator gate x100"),
+    (SRC + "curvature.py", "if off(Gt @ A - np.swapaxes(A, -1, -2) @ Gt, Gt):",
+     "if off(1e-2 * (Gt @ A - np.swapaxes(A, -1, -2) @ Gt), Gt):", "self-adjointness gate x100"),
+    (SRC + "core.py", "if r_comm > DEFAULT_TOL * s or r_sym > DEFAULT_TOL * s:",
+     "if r_comm > 100 * DEFAULT_TOL * s or r_sym > 100 * DEFAULT_TOL * s:",
+     "decompose h-symmetry gate x100"),
+    (SRC + "core.py", "abs(evals[j] - evals[i]) <= 1e-8 * s:",
+     "abs(evals[j] - evals[i]) <= 1e-6 * s:", "decompose grouping x100"),
+    (SRC + "core.py", "if recon_err > 1e-8 * s:", "if recon_err > 1e-6 * s:",
+     "decompose reconstruction gate x100"),
+    (SRC + "hypersurface.py", "(off <= 1e-8 * np.max(np.abs(eta))",
+     "(off <= 1e-6 * np.max(np.abs(eta))", "shape_operator_wrt normality x100"),
     (SRC + "hypersurface.py", "    tol = 1e-8\n    eta = np.asarray(eta, dtype=float)",
      "    tol = 1e-6\n    eta = np.asarray(eta, dtype=float)", "normalize_normal_frame tol x100"),
     (SRC + "verify.py", "(1e-5 if fd else 1e-9)", "(1e-5 if fd else 1e-7)",
