@@ -101,6 +101,12 @@ def _extent(P):
     return tuple(float(np.ldexp(x, e)) for x in lengths)
 
 
+def _mean(x):
+    """np.mean(x), taken of x scaled as _extent scales P, so that no sum overflows."""
+    e = np.frexp(np.max(np.abs(x)))[1]
+    return float(np.ldexp(np.mean(np.ldexp(x, -e)), e))
+
+
 def reconstruct_hyperplane(stack, tol=1e-6):
     """Average the (constant) normal field and the plane offsets of a stack:
     (plane, checks) with the gates that ran; plane is None if one fails.  The
@@ -125,7 +131,7 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     offset = Check("offset spread", max(spread, 0.0), tol * radius)  # a NaN spread stays
     if not offset.passed:
         return None, (normal, offset)
-    return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts))), (normal, offset)
+    return make_hyperplane(xi_mean, _mean(ds), _mean(dts)), (normal, offset)
 
 
 def classify(stack, tol=1e-6):

@@ -10,11 +10,12 @@ itself.  A sample document is written in blocks of records, each block one
 kernel pass whose lines fill a cached template.  An A equal in every record
 bit for bit is formatted once, and a basis whose second half is J of its
 first half bit for bit reuses that half's text, -x by its sign.  The reader
-parses and converts a repeated A text once, and gives the same arrays.
-Numeric arrays read from a file must hold JSON numbers, not strings or booleans.
-A reader runs with the cyclic garbage collector paused, from the parse until
-the parsed document is freed: that document holds no reference cycles, and
-reference counting frees it.
+parses with orjson, and a repeated A text once; a text with a backslash or
+nested beyond _DEPTH, and any file that fails a check, are read by json, so
+that arrays and errors are json's.  Numeric arrays read from a file must hold
+JSON numbers, not strings or booleans.  A reader runs with the cyclic garbage
+collector paused, from the parse until the parsed document is freed: that
+document holds no reference cycles, and reference counting frees it.
 """
 
 import contextlib
@@ -346,23 +347,6 @@ def samples_to_doc(m, stack):
     return {"version": VERSION, "m": int(m), "kind": "samples", "samples": stack}
 
 
-def _no_cyclic_gc(reader):
-    """reader with the cyclic collector paused until it returns, by which time
-    the lists and dicts its parse made are freed, so that their allocation
-    triggers no collection before or after.  A collector that was disabled
-    stays disabled."""
-    @functools.wraps(reader)
-    def read(path):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return reader(path)
-        finally:
-            if enabled:
-                gc.enable()
-    return read
-
-
 def _require(cond, msg):
     if not cond:
         raise FormatError(msg)
@@ -372,36 +356,91 @@ def _reject_constant(name):
     raise FormatError(f"non-finite number {name} in input")
 
 
-def _shared_a_doc(text):
-    """text's document, each copy of its first "A": value text read as "A": NaN and
-    each NaN as the value; None unless the parse met no other NaN or Infinity."""
-    met = []
-    with contextlib.suppress(ValueError, RecursionError):
-        start = text.index('"A": ') + 5
-        value, end = json.JSONDecoder(parse_constant=met.append).raw_decode(text, start)
-        if not text.startswith(a := text[start - 5:end], text.index('"A": ', end)):
-            return None  # the next record's A differs, as in an FD file: parse in full
-        parts = text.split(a)
-        copies, text = len(parts) - 1, '"A": NaN'.join(parts)
-        del parts  # held through the parse, the pieces raised the peak RSS
-        doc = json.loads(text, parse_constant=lambda c: met.append(c) or value)
-        if len(met) == copies:
-            return doc
+# orjson's recursive conversion overflows the C stack: deeper texts go to json
+_DEPTH = 64
+_NOT_MARKS = bytes(range(256)).translate(None, b'"[]{}')  # deleted by _depth
+_STEPS = np.zeros(256, np.int8)  # +1 at an opening bracket, -1 at a closing one
+_STEPS[list(b"[{")], _STEPS[list(b"]}")] = 1, -1
+_NUL_A = b'"A": "\\u0000"'
 
 
-def _read(path):
-    """Parse a UTF-8 JSON file into (document, quotes); NaN and Infinity are
-    rejected, and so are undecodable bytes and nesting too deep for the
-    parser.  quotes is the number of '"' in the text, or None when the text
-    has a "u" or an "f", as every true and every false has.  A repeated
-    first "A": text is parsed once, by _shared_a_doc, to the same document."""
+def _depth(data):
+    """The nesting depth of the JSON text data, which has no backslash, exact up
+    to its first syntax error: a bracket after an odd number of quotes is in a
+    string, and dropping two adjacent quotes keeps that parity."""
+    marks = np.frombuffer(data.translate(None, _NOT_MARKS).replace(b'""', b""), np.uint8)
+    steps = _STEPS.take(marks)
+    steps[np.logical_xor.accumulate(marks == ord('"'))] = 0  # in a string
+    return int(np.cumsum(steps, dtype=np.int32).max(initial=0))
+
+
+def _first_a(data):
+    """(text, value) of the first '"A": value' of the JSON text data, if that text
+    is longer than _NUL_A and the next '"A": ' starts with it.  json parses the
+    value from the bytes up to that one, which must be ASCII: characters are bytes."""
+    start = data.find(b'"A": ') + 5
+    if (nxt := data.find(b'"A": ', start)) > 0:
+        with contextlib.suppress(ValueError):
+            value, end = json.JSONDecoder(parse_constant=_reject_constant).raw_decode(
+                data[start:nxt].decode("ascii"))
+            if len(a := data[start - 5:start + end]) > len(_NUL_A) and data.startswith(a, nxt):
+                return a, value
+
+
+def _fast_read(path):
+    """(document, quotes) of the JSON file at path by orjson; FormatError for a text
+    with a backslash or nested beyond _DEPTH.  Each copy of _first_a's text is read
+    as "\\u0000", which a text without a backslash cannot hold otherwise, then as its
+    value if every copy is a record's A.  quotes is the count of '"', or None when
+    the file has a "u" or an "f", as every true and every false has."""
+    import orjson  # only a read loads it
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    quotes = None if b"u" in data or b"f" in data else data.count(b'"')
+    if b"\\" in data or _depth(data) > _DEPTH:
+        raise FormatError("for the stdlib parse")
+    if first := _first_a(data):
+        a, value = first
+        size, data = len(data), data.replace(a, _NUL_A)  # the file's bytes are freed
+        copies = (size - len(data)) // (len(a) - len(_NUL_A))
+        doc = orjson.loads(data)
+        recs = doc.get("samples") if isinstance(doc, dict) else None
+        recs = recs if isinstance(recs, list) else ()
+        held = [r for r in recs if isinstance(r, dict) and r.get("A") == "\0"]
+        if copies == len(held):
+            for r in held:
+                r["A"] = value
+            return doc, quotes
+        data = data.replace(_NUL_A, a)  # each "\\u0000" is a copy: the file's bytes
+    return orjson.loads(data), quotes
+
+
+def _read(path, fast=True):
+    """(document, quotes) of a UTF-8 JSON file by _fast_read, or by json with quotes
+    None; NaN, Infinity, undecodable bytes and too deep a nesting are rejected."""
     try:
+        if fast:
+            return _fast_read(path)
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        doc = _shared_a_doc(text) or json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant), None
     except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return doc, None if "u" in text or "f" in text else text.count('"')
+
+
+def _load(path, check):
+    """check(document, quotes) of the fast read of path, or after any FormatError of
+    json's, with the cyclic collector paused: the parse makes no reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.suppress(FormatError):
+            return check(*_read(path))
+        return check(*_read(path, fast=False))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _numbers_only(quotes, doc, records=()):
@@ -418,10 +457,9 @@ def _floats(rows, shape, msg, numbers_only):
     """rows as a finite float array of shape (len(rows), *shape).  Unless
     numbers_only, every entry is checked to be a JSON number, since the float
     conversion takes numeric strings and booleans.  Rows that are all one
-    object, as a shared A is after _shared_a_doc, are converted once."""
+    object, as a shared A is after _fast_read, are converted once."""
     if len(rows) > 1 and all(r is rows[0] for r in rows):
-        with contextlib.suppress(FormatError):  # the full conversion words the error
-            return np.repeat(_floats(rows[:1], shape, msg, numbers_only), len(rows), axis=0)
+        return np.repeat(_floats(rows[:1], shape, msg, numbers_only), len(rows), axis=0)
     try:
         arr = np.array(rows, dtype=float)
         if not rows:
@@ -440,14 +478,13 @@ def _floats(rows, shape, msg, numbers_only):
     return arr
 
 
-@_no_cyclic_gc
 def load_pointcloud(path):
-    """Read and validate a PointCloudFile; returns (m, kind, payload).
+    """Read and validate a PointCloudFile; returns (m, kind, payload), payload an
+    (N, 2m) array for kind "points" and a SampleStack for kind "samples"."""
+    return _load(path, _pointcloud)
 
-    kind "points" yields an (N, 2m) array; kind "samples" yields a
-    SampleStack.
-    """
-    doc, quotes = _read(path)
+
+def _pointcloud(doc, quotes):
     _require(isinstance(doc, dict), "top level must be an object")
     version, m = doc.get("version"), doc.get("m")
     # JSON true and false load as bool, a subclass of int
@@ -478,10 +515,12 @@ def load_pointcloud(path):
     raise FormatError(f"unknown kind {kind!r}")
 
 
-@_no_cyclic_gc
 def load_matrix(path):
     """Read a square matrix from JSON ({"matrix": [[...]]} or a bare array)."""
-    doc, quotes = _read(path)
+    return _load(path, _matrix)
+
+
+def _matrix(doc, quotes):
     raw = doc.get("matrix") if isinstance(doc, dict) else doc
     msg = "matrix must be square with even size"
     _require(isinstance(raw, list) and raw and len(raw) % 2 == 0, msg)

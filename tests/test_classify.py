@@ -13,6 +13,7 @@ from nordenhs.classify import (
     VERDICT_NON_CONSTANT,
     VERDICT_OFF_SURFACE,
     VERDICT_SPHERE,
+    _mean,
     classify,
     pair_crosscheck,
     reconstruct_hyperplane,
@@ -189,18 +190,24 @@ class TestReconstruct:
             assert rec.dt == pytest.approx(hp.dt, abs=1e-15)
 
     def test_huge_points_take_the_hyperplane_route(self):
-        # R and max|p| are taken of the points scaled by a power of two, so no
-        # square overflows at points of size 1e160 to 1e300, and no warning
-        # is raised on the way
+        # R, max|p| and the mean offsets are taken of values scaled by a power
+        # of two, so no square or sum overflows at points of size 1e160 to
+        # 1e307 (offsets 2e307), and no warning is raised on the way
         hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
         samples = hyperplane_samples(hp, 12, seed=4)
-        for size in (1e160, 1e200, 1e300):
+        for size in (1e160, 1e200, 1e300, 1e307):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = classify(dataclasses.replace(samples, points=size * samples.points))
             assert result.verdict == VERDICT_HYPERPLANE and result.totally_geodesic
             assert result.recovered.d == pytest.approx(2 * size, rel=1e-14)
             assert result.recovered.dt == pytest.approx(-size, rel=1e-14)
+
+    def test_offset_mean_is_np_mean_where_no_sum_overflows(self):
+        rng = np.random.default_rng(31)
+        for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+            x = scale * (rng.standard_normal(50) + rng.choice([0.0, 3.0]))
+            assert _mean(x) == float(np.mean(x))
 
     def test_empty_hyperplane_stack_rejected(self):
         with pytest.raises(NordenError, match="no samples"):

@@ -566,10 +566,10 @@ def run_python(tmp_path, *args):
                           env=env, cwd=tmp_path, timeout=120)
 
 
-@pytest.mark.parametrize("size", [1e160, 1e300])
+@pytest.mark.parametrize("size", [1e160, 1e300, 1e307])
 def test_classify_huge_points_writes_no_warning(tmp_path, size):
-    # R and max|p| are taken after a power-of-two scaling: numpy has no
-    # overflow to report on stderr
+    # R, max|p| and the mean offsets are taken after a power-of-two scaling:
+    # numpy has no overflow to report on stderr
     hp = make_hyperplane(np.eye(8)[0] + 0.3 * np.eye(8)[1], 2.0, -1.0)
     st = hyperplane_samples(hp, 12, seed=4)
     st = type(st)(size * st.points, st.xi, st.tangent_bases, st.A)
@@ -654,6 +654,46 @@ print("nordenhs.curvature" in sys.modules)
     proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False"]
+
+
+def test_only_file_readers_load_orjson(tmp_path):
+    # the reader imports orjson on its first read: sphere info, verify and
+    # sample without a centre file never load it
+    code = """
+import sys
+from nordenhs import cli
+for argv in (["sphere", "info", "--a", "3", "--b", "4"], ["verify", "all"],
+             ["sample", "--a", "3", "--b", "4", "--count", "4", "--with-frames", "--out", "s.json"],
+             ["classify", "--in", "s.json"]):
+    cli.main(argv)
+    print(argv[0], "orjson" in sys.modules, file=sys.stderr)
+"""
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["sphere False", "verify False", "sample False",
+                                        "classify True"]
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 10**6 + b"]" * 10**6,
+    b'["]", ' * 200000 + b"1" + b"]" * 200000,
+], ids=["brackets", "brackets-hidden-by-strings"])
+@pytest.mark.parametrize("cmd", [
+    ("classify", "--in"),
+    ("decompose", "--in"),
+    ("sample", "--a", "3", "--b", "4", "--center-file"),
+], ids=lambda cmd: cmd[0])
+def test_deep_file_exits_3_in_a_fresh_process(tmp_path, cmd, content):
+    # orjson converts a document recursively and overflows the C stack on
+    # either file, the second one valid JSON nested 200000 deep whose string
+    # brackets cancel its own in a count of every bracket; the reader sends
+    # both to json, which raises RecursionError.  A signal would give a
+    # negative return code.
+    (tmp_path / "deep.json").write_bytes(content)
+    proc = run_python(tmp_path, "-m", "nordenhs", *cmd, "deep.json")
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert proc.stderr.count("\n") == 1 and "cannot read deep.json" in proc.stderr
 
 
 @pytest.mark.parametrize("content", [

@@ -66,7 +66,16 @@ The corpus:
   have two offsets;
 - (3, 4) sphere files whose text is edited around the A that every record
   shares: another A in the first or the last record, a duplicate "A" key in
-  either order, null outside the arrays, and a boolean inside the shared A;
+  either order, null outside the arrays, a boolean inside the shared A, and
+  a duplicate key that swallows one copy of the shared A beside a null A;
+- (3, 4) sphere files the reader must take as json takes them: a "\\u0000"
+  note (the string that a copy of the shared A is parsed as, in a text
+  without a backslash), a lone-surrogate note, CRLF line ends, a 30-digit
+  integer in a point, and "m": 100000000000000000000;
+- files nested 200 000 deep, one of them as ["]", ["]", ... whose string
+  brackets cancel its own in a count of every bracket, through `classify`,
+  `decompose` and `sample --center-file` (exit 3); a centre file and a
+  matrix holding 30-digit integers;
 - hyperplane files away from unit scale: one point 0.5 off a plane at
   d = 1e6, and one 1e-7 (2.8 % of R) off a plane of radius R = 3.5e-6
   (SamplesOffSurface: the offset spread is held against tol R); an honest
@@ -107,6 +116,7 @@ import jobs  # noqa: E402
 AB = [(3.0, 4.0), (1.0, 0.0), (0.0, 1.0), (-1.137, 1.885), (0.5, -2.25), (7.0, 0.0)]
 NORMAL = (1.0, 0.3)  # leading entries of the hyperplane normals, padded with zeros
 SCALES = (1e-3, 1.0, 1e10, 1e12, 1e100, 1e200)
+LONG_INT = "123456789012345678901234567890"  # beyond 64 bits: orjson reads it as a float
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -247,6 +257,12 @@ def _moved(a):
     return '"A": ' + json.dumps(value)
 
 
+def _copies(t, a, junctions):
+    """t with the k-th copy of a replaced by junctions[k], where given."""
+    parts = t.split(a)
+    return parts[0] + "".join(junctions.get(k, a) + p for k, p in enumerate(parts[1:]))
+
+
 # edits of a sample file's text t whose records all share the A text a
 EDITS = {
     "a_first": lambda t, a: t.replace(a, _moved(a), 1),
@@ -256,6 +272,12 @@ EDITS = {
     "null_elsewhere": lambda t, a: t.replace('"version": 1', '"note": null, "version": 1')
                                     .replace('"point": ', '"label": null, "point": '),
     "bool_in_a": lambda t, a: t.replace(a, '"A": [[true' + a[a.index(","):]),
+    "swallowed_a_null_a": lambda t, a: _copies(t, a, {1: f"{a}, {_moved(a)}", 4: '"A":null'}),
+    "nul_note": lambda t, a: t.replace('"version": 1', '"note": "\\u0000", "version": 1'),
+    "surrogate_note": lambda t, a: t.replace('"version": 1', '"note": "\\ud800", "version": 1'),
+    "crlf": lambda t, a: t.replace("\n", "\r\n"),
+    "long_int_point": lambda t, a: re.sub(r"(\"point\": \[)[^,]*", r"\g<1>" + LONG_INT, t, 1),
+    "long_int_m": lambda t, a: t.replace('"m": 4', '"m": 100000000000000000000'),
 }
 
 
@@ -476,11 +498,33 @@ def _failures():
     ]
 
 
+def _reader_inputs():
+    """Files nested too deep for a recursive parse, the second one behind
+    string brackets, and 30-digit integers in a centre file and a matrix,
+    each through every command that reads its kind of file."""
+    long_center = json.dumps({"version": 1, "m": 4, "kind": "points",
+                              "points": [[1.0] + [0.0] * 7]}).replace("1.0", LONG_INT)
+    long_matrix = json.dumps({"matrix": np.eye(4).tolist()}).replace("1.0", LONG_INT, 1)
+    files = {"deep.json": "[" * 200000 + "]" * 200000,
+             "deep_strings.json": '["]", ' * 200000 + "1" + "]" * 200000}
+    steps = []
+    for name, text in files.items():
+        steps += [_text(name, text), _cli("classify", "--in", name), _cli("decompose", "--in", name),
+                  _cli("sample", "--a", 3, "--b", 4, "--center-file", name)]
+    return steps + [
+        _text("long_center.json", long_center),
+        _cli("sample", "--a", 3, "--b", 4, "--count", 3, "--center-file", "long_center.json"),
+        _text("long_matrix.json", long_matrix),
+        _cli("decompose", "--in", "long_matrix.json"),
+    ]
+
+
 def corpus(quick=False):
     """The steps, in order: (label, argv or a function of the tree, files written)."""
     if quick:
         return _quick()
-    return _quick() + _perfbench() + _spheres() + _edge_cases() + _files() + _failures()
+    return (_quick() + _perfbench() + _spheres() + _edge_cases() + _files() + _failures()
+            + _reader_inputs())
 
 
 def _run(lib, label, action, files):

@@ -105,6 +105,19 @@ MUTANTS = [
     (SRC + "verify.py", 'return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-4 / c), order]',
      'return [Check(f"Codazzi residual at h={step:g}", r_at, 1e-2 / c), order]',
      "verify codazzi tolerance x100"),
+    # the reader's guards around orjson
+    (SRC + "jsonio.py", "        if copies == len(held):", "        if copies >= len(held):",
+     "shared-A copies check == to >="),
+    (SRC + "jsonio.py", 'if b"\\\\" in data or _depth(data) > _DEPTH:', "if _depth(data) > _DEPTH:",
+     "texts with a backslash parsed by orjson"),
+    (SRC + "jsonio.py", "return check(*_read(path, fast=False))", "return check(*_read(path))",
+     "no stdlib retry after a FormatError"),
+    (SRC + "jsonio.py", "_DEPTH = 64\n", "_DEPTH = 6400\n", "depth bound x100"),
+    (SRC + "jsonio.py", """steps[np.logical_xor.accumulate(marks == ord('"'))] = 0""", "pass",
+     "depth count with the brackets of strings"),
+    (SRC + "classify.py", "return make_hyperplane(xi_mean, _mean(ds), _mean(dts))",
+     "return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))",
+     "hyperplane offsets averaged unscaled"),
 ]
 
 FAILED = re.compile(r"^FAILED (.+?)(?: - |$)", re.MULTILINE)
