@@ -122,7 +122,7 @@ def reconstruct_hyperplane(stack, tol=1e-6):
     normal = Check("normal spread", spread, tol * float(np.max(np.abs(stack.xi))))
     if not normal.passed:
         return None, (normal,)
-    xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi  # g-unit, or NordenError if g <= 0
+    xi_mean = make_hyperplane(xi_mean, 0.0, 0.0).xi  # q(xi, xi) = 1, or NordenError if g <= 0
     off = bilinear(to_complex(stack.points), to_complex(xi_mean))  # g + i gt of (xi, p)
     ds, dts = off.real, off.imag
     radius, reach = _extent(stack.points)

@@ -42,7 +42,8 @@ class HSphere:
 
 @dataclass(frozen=True)
 class HolomorphicHyperplane:
-    """Locus g(xi, Z) = d, gt(xi, Z) = dt with unit normal xi."""
+    """Locus g(xi, Z) = d, gt(xi, Z) = dt with unit normal xi: q(xi, xi) =
+    g(xi, xi) + i gt(xi, xi) = 1."""
 
     xi: np.ndarray
     d: float
@@ -410,16 +411,23 @@ def make_hyperplane(xi, d, dt):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.shape[0] % 2 != 0:
         raise NordenError("xi must have even length")
-    # scaled by a power of two, g(xi, xi) cannot overflow and xi / sqrt(g) keeps every bit
+    # scaled by a power of two, q(xi, xi) cannot overflow and the normal keeps every bit
     xi = np.ldexp(xi, -np.frexp(np.max(np.abs(xi), initial=0.0))[1])
     with np.errstate(invalid="ignore"):
-        g = metric_g(xi, xi)  # not finite when xi is not
+        g, gt = metric_g(xi, xi), metric_gt(xi, xi)  # not finite when xi is not
     if not np.isfinite([d, dt, g]).all():
         raise NordenError(f"xi, d, dt and g(xi, xi) must be finite, got d={d}, dt={dt}, "
                           f"g(xi, xi)={g}")
     if not g > 0:
         raise NordenError("normal must have positive g-square")
-    return HolomorphicHyperplane(xi=xi / np.sqrt(g), d=float(d), dt=float(dt))
+    # xi / sqrt(q(xi, xi)) for the root s + it with s > |t|, by Smith's division.
+    # Where gt = 0 the J term is skipped, as xi + 0 J xi could clear the sign
+    # of a -0.0, so the normal is xi / sqrt(g) bit for bit.
+    root = np.sqrt(complex(g, gt))
+    rat = root.imag / root.real
+    if rat:
+        xi = xi + rat * apply_J(xi)
+    return HolomorphicHyperplane(xi=xi / (root.real + root.imag * rat), d=float(d), dt=float(dt))
 
 
 def hyperplane_base_point(hp):

@@ -1,21 +1,20 @@
 """JSON wire format: point-cloud files, sample files and reports.
 
-Floats are written as %.17g writes them, 17 significant digits, so the text
-holds each double exactly (-0.0 as -0, which the reader reads as 0), and
-repeated runs are byte-identical.  Float arrays and sample records go through
-one numpy kernel (_text), which gives the bytes of format(x, ".17g") a chunk
-of numbers at a time; a number whose inexact product lies within its error
-bound of a rounding tie, and |x| outside [1e-291, 1e308), go to format()
-itself.  A sample document is written in blocks of records, each block one
-kernel pass whose lines fill a cached template.  An A equal in every record
-bit for bit is formatted once, and a basis whose second half is J of its
-first half bit for bit reuses that half's text, -x by its sign.  The reader
-parses with orjson, and a repeated A text once; a text with a backslash or
-nested beyond _DEPTH, and any file that fails a check, are read by json, so
-that arrays and errors are json's.  Numeric arrays read from a file must hold
-JSON numbers, not strings or booleans.  A reader runs with the cyclic garbage
-collector paused, from the parse until the parsed document is freed: that
-document holds no reference cycles, and reference counting frees it.
+Every float is written as orjson writes it, the shortest text that reads
+back as the same double (-0.0 keeps its sign, 3.0 its point), so repeated
+runs are byte-identical; a scalar, a list and an array row spell a number
+alike.  A float array is one orjson pass whose rows fill a cached template,
+a line per row.  A sample document is written in blocks of records, each
+block one pass, and an A equal in every record bit for bit is formatted
+once.  orjson writes NaN as null, so a non-finite number is rejected before
+anything is written.  orjson is imported on the first float written or file
+read.  The reader parses with orjson, and a repeated A text once; a text with
+a backslash or nested beyond _DEPTH, and any file that fails a check, are
+read by json, so that arrays and errors are json's.  Numeric arrays read
+from a file must hold JSON numbers, not strings or booleans.  A reader runs
+with the cyclic garbage collector paused, from the parse until the parsed
+document is freed: that document holds no reference cycles, and reference
+counting frees it.
 """
 
 import contextlib
@@ -28,7 +27,6 @@ import os
 
 import numpy as np
 
-from .core import apply_J
 from .errors import FormatError
 from .hypersurface import SampleStack
 
@@ -50,7 +48,9 @@ def _fmt(x):
     if isinstance(x, (float, np.floating)):
         if not math.isfinite(x):
             raise FormatError(f"non-finite number {x!r} in output")
-        return format(float(x), ".17g")
+        import orjson  # the first float written or file read loads it
+
+        return orjson.dumps(float(x)).decode()
     if isinstance(x, str):
         return json.dumps(x)
     if x is None:
@@ -58,149 +58,16 @@ def _fmt(x):
     raise FormatError(f"unsupported scalar {type(x)}")
 
 
-# The %.17g kernel.  A double x != 0 is written as the 17 digits of
-# D = round-half-even(|x|·10^(16-d)), d = floor(log10|x|), and the exponent
-# X = d (X = d + 1 and D = 10^16 when D rounds up to 10^17), laid out as %g
-# lays them out.  10^(16-d) is held as H + L, H the nearest double and L the
-# double nearest to the rest (L = 0 for 0 <= 16 - d <= 22), and the product
-# as p + t: p = fl(|x|·H), t = its exact error (Dekker) + fl(|x|·L).  As
-# 10^16 <= |x|·10^(16-d) < 2^57, p + t is off by less than 2^-49 (from
-# 10^(16-d) - H - L, at most 2^-106·H) + 2^-50 (rounding |x|·L) + 2^-49
-# (rounding the sum) < 2^-47.  A number whose t lies within _BOUND of a
-# rounding tie goes to format(), as does |x| outside [10^_DMIN, 10^(_DMAX+1)).
-_DMIN, _DMAX = -291, 307  # 10^(16-d) and 10^(d+1) are normal doubles
-_BOUND = 2.0 ** -46
-_CHUNK = 4096  # numbers per pass: its temporaries stay in the cache
-# A number takes a 48-byte slot, 6 little-endian words: byte 0 the sign,
-# 1-5 the lead "0.000" of 0.000ddd, 6-39 the 17 digits, each followed by a
-# point slot, 40-44 the exponent, 45-47 the separator.  _PAD fills the bytes
-# a layout drops, and one bytes.translate deletes it.  _PAD | c == _PAD for
-# every ASCII c, so digits ORed onto a dropped slot, the stripped trailing
-# zeros among them, drop too.
-_PAD, _PAD_BYTE = 0x7F, b"\x7f"
-_COMMA, _NEWLINE = np.frombuffer(b"\0\0\0\0\0, \x7f\0\0\0\0\0\n\x7f\x7f", np.uint64)
+def _lines(x):
+    """The rows along the last axis of the finite float array x, each the
+    text of its numbers joined by ", "."""
+    if not x.size:
+        return []
+    import orjson
 
-
-def _split(a):
-    """a as a1 + a2, each with at most 26 significant bits, a1 being a
-    rounded at its 27th bit."""
-    a1 = ((a.view(np.int64) + (1 << 26)) & -(1 << 27)).view(np.float64)
-    return a1, a - a1
-
-
-def _decimal(k):
-    """10^k as (H, L, C): the double H nearest to it, the double L nearest to
-    10^k - H, and the least double C >= 10^k."""
-    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-    hi = num / den  # int true division rounds correctly
-    hn, hd = hi.as_integer_ratio()
-    rest = num * hd - hn * den
-    return hi, rest / (den * hd), hi if rest <= 0 else math.nextafter(hi, math.inf)
-
-
-@functools.cache
-def _tables():
-    """The kernel's tables.  Indexed by d - _DMIN + 1: ceil (the least double
-    >= 10^d), pow (H, H's two halves and L of 10^(16-d)) and lay (the mask
-    row of X = d, less one).  words: the digit words of 0..9999, of each
-    leading digit, and of each exponent.  sig[j]: n of D's group j + 1 of 4
-    digits, where it is D's last nonzero group.  masks: a row per (sign, %f
-    form with X = -4..16 or exponent form, digits n = 1..17 kept), then +0
-    and -0."""
-    ds = range(_DMIN - 1, _DMAX + 2)
-    hi, lo, ceil = np.array([_decimal(d) for d in ds]).T
-    hi, lo = hi[::-1], lo[::-1]  # k = 16 - d runs over ds backwards
-    X = np.array(ds)
-    lay = np.where((X >= -4) & (X <= 16), X + 4, 21) * 17 - 1
-    g = np.arange(10000)
-    digits = g[:, None] // [1000, 100, 10, 1] % 10
-    tz = np.argmax(digits[:, ::-1] != 0, axis=1)
-    sig = [np.where(g > 0, 4 * j + 5 - tz, 1).astype(np.int8) for j in range(4)]
-    words = np.concatenate([
-        np.stack([digits + 48, 0 * digits], 2).reshape(-1, 8).astype(np.uint8).view(np.uint64).ravel(),
-        (np.arange(48, 58, dtype=np.uint64) << np.uint64(48)),
-        np.frombuffer(b"".join((b"e%+03d" % d).ljust(5, _PAD_BYTE).ljust(8, b"\0") for d in ds),
-                      np.uint64)])
-    neg, form, n = np.indices((2, 22, 17)).reshape(3, -1)
-    n, X, sci = n + 1, form - 4, form == 21
-    kept = np.where(sci | (X < 0), n, np.maximum(n, X + 1))
-    point = np.where(sci, 0, X)
-    point[kept <= point + 1] = -1
-    masks = np.full((len(n) + 2, 48), _PAD, np.uint8)
-    masks[:-2, 0] = np.where(neg, ord("-"), _PAD)
-    masks[:-2, 1:6] = np.where(np.arange(5) < np.where(~sci & (X < 0), 1 - X, 0)[:, None],
-                               np.frombuffer(b"0.000", np.uint8), _PAD)
-    masks[:-2, 6:40:2] = np.where(np.arange(17) < kept[:, None], 0, _PAD)
-    masks[:-2, 7:41:2] = np.where(np.arange(17) == point[:, None], ord("."), _PAD)
-    masks[:-2, 40:45] = np.where(sci, 0, _PAD)[:, None]
-    masks[-2:, :2] = [[_PAD, ord("0")], [ord("-"), ord("0")]]
-    masks[:, 45:] = 0
-    return ceil, np.stack([hi, *_split(hi), lo], 1), lay, words, sig, masks.view(np.uint64)
-
-
-def _text(x, sep):
-    """The %.17g text of the finite doubles x, each followed by the separator
-    word (_COMMA or _NEWLINE) of the same index in sep."""
-    ceil, pow10, lay, words, sig, masks = _tables()
-    a = np.abs(x)
-    ok = (a >= ceil[1]) & (a < ceil[-1])
-    zero = a == 0
-    a = np.where(ok, a, 1.0)
-    # d - _DMIN + 1: for a in [2^E, 2^(E+1)), floor(E·log10 2), exact for
-    # every double's E, is d or d - 1
-    d = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18
-    d += 1 - _DMIN
-    d += a >= ceil.take(d + 1)
-    h, h1, h2, lo = pow10.take(d, axis=0).T
-    a1, a2 = _split(a)
-    p = a * h
-    t = ((((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2) + a * lo
-    r = np.rint(t)
-    fallback = np.flatnonzero(~(ok | zero) | (np.abs(t - r) > 0.5 - _BOUND))
-    D = p.astype(np.int64) + r.astype(np.int64)  # p >= 10^16 is an integer
-    carry = D == 10 ** 17
-    d += carry
-    D -= carry * (9 * 10 ** 16)
-    # indices into words: D's leading digit, its 4 groups of 4 digits, X
-    idx = np.empty((len(x), 6), np.intp)
-    q, g1, g2, g3, g4, e = idx.T
-    hi = D // 10 ** 8
-    np.subtract(D, hi * 10 ** 8, out=g4)
-    np.floor_divide(hi, 10 ** 8, out=q)
-    hi -= q * 10 ** 8
-    np.floor_divide(hi, 10 ** 4, out=g1)
-    np.subtract(hi, g1 * 10 ** 4, out=g2)
-    np.floor_divide(g4, 10 ** 4, out=g3)
-    g4 -= g3 * 10 ** 4
-    case = np.maximum(np.maximum(sig[0].take(g1), sig[1].take(g2)),
-                      np.maximum(sig[2].take(g3), sig[3].take(g4))) + lay.take(d)
-    neg = np.signbit(x)
-    case += neg * (len(masks) // 2 - 1)
-    case[zero] = len(masks) - 2 + neg[zero]
-    q += 10000
-    np.add(d, 10010, out=e)
-    out = masks.take(case, axis=0)
-    out |= words.take(idx)
-    out[:, 5] |= sep
-    for i in fallback.tolist():
-        s = format(x[i], ".17g").encode()
-        out[i].view(np.uint8)[:45] = np.frombuffer(s.ljust(45, _PAD_BYTE), np.uint8)
-    return out.tobytes().translate(None, _PAD_BYTE).decode()
-
-
-def _lines(x, sep):
-    """The lines of the %.17g text of the finite doubles x, joined by ", "
-    and ended after each index where sep is _NEWLINE."""
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    text = "".join(_text(x[i:i + _CHUNK], sep[i:i + _CHUNK]) for i in range(0, len(x), _CHUNK))
-    return text.split("\n")[:-1]
-
-
-def _row_seps(shape):
-    """The separator words of an array of this shape: a line per row."""
-    row = np.full(shape[-1], _COMMA)
-    row[-1:] = _NEWLINE
-    return np.tile(row, math.prod(shape[:-1]))
+    rows = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, x.shape[-1])
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    return text.replace(b",", b", ").decode().split("], [")
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,7 +84,7 @@ def _array_template(shape, indent):
 
 def _array_text(arr, indent):
     """The canonical text of a float array of finite numbers."""
-    return _array_template(arr.shape, indent) % tuple(_lines(arr, _row_seps(arr.shape)))
+    return _array_template(arr.shape, indent) % tuple(_lines(arr))
 
 
 @functools.lru_cache(maxsize=256)
@@ -226,28 +93,23 @@ def _key(k):
 
 
 @functools.lru_cache(maxsize=8)
-def _records_plan(shapes, count, indent, shared, jhalf):
-    """(template, sep, xs, get) of `count` records laid out as by _write,
-    less the brackets.  A block holds the records' points, xi and A (unless
-    shared), record by record, then their bases (the first halves if jhalf);
-    sep makes a line of each point, xi and row of A and of each half row of a
-    basis, and xs slices the x lines out of those lines.  get picks the
-    template's values from the lines, the negated x lines and A's text."""
+def _records_plan(shapes, count, indent, shared):
+    """(template, get) of `count` records laid out as by _write, less the
+    brackets.  get picks the template's values from the rows of a block's
+    points, xi and bases, record by record, then the rows of its A's, or
+    A's text if shared."""
     pad, pad1 = "  " * indent, "  " * (indent + 1)
-    n2, w = shapes[2]
     arrays = [_array_template(s, indent + 1) for s in shapes]
-    arrays[2:] = arrays[2].replace("%s", "%s, %s"), "%s" if shared else arrays[3]
+    if shared:
+        arrays[3] = "%s"
     fields = ",\n".join(f"{pad1}{_key(k)}: {a}" for k, a in zip(SAMPLE_KEYS, arrays))
-    size, rows = 2 + (0 if shared else n2), n2 // (1 + jhalf)
-    cut = np.cumsum([count * size, count * 2 * rows])
-    f, xy, nx = (a.reshape(count, -1) for a in np.split(np.arange(cut[1] + count * rows), cut))
-    jrows = np.stack([xy[:, 1::2], nx], -1).reshape(count, -1)  # J(x; y) = (y; -x)
-    order = np.concatenate([f[:, :2], xy, jrows[:, :jhalf * n2], f[:, 2:],
-                            np.full((count, int(shared)), -1)], 1)
-    record = np.concatenate([_row_seps(s) for s in shapes[:2] + shapes[3:] * (not shared)])
-    sep = np.concatenate([np.tile(record, count), _row_seps((2 * rows * count, w // 2))])
-    return ((",\n" + pad).join(["{\n" + fields + "\n" + pad + "}"] * count), sep,
-            slice(count * size, None, 2), operator.itemgetter(*order.ravel().tolist()))
+    size = 2 + shapes[2][0]  # lines of a record's point, xi and basis
+    k = 1 if shared else shapes[3][0]  # A's text, or its lines after every record's
+    rec = np.arange(count)[:, None]
+    order = np.concatenate([size * rec + np.arange(size),
+                            count * size + (0 if shared else k) * rec + np.arange(k)], 1)
+    return ((",\n" + pad).join(["{\n" + fields + "\n" + pad + "}"] * count),
+            operator.itemgetter(*order.ravel().tolist()))
 
 
 def _write_records(stack, indent, write):
@@ -260,20 +122,15 @@ def _write_records(stack, indent, write):
         write("[]")
         return
     shapes = tuple(f.shape[1:] for f in fields)
-    T, A = (np.asarray(f, dtype=float) for f in fields[2:])
-    h, bits = T.shape[1] // 2, A.reshape(n, -1).view(np.int64)
-    jhalf = bool((T[:, h:].view(np.int64) == apply_J(T[:, :h]).view(np.int64)).all())
+    bits = np.asarray(stack.A, dtype=float).reshape(n, -1).view(np.int64)
     shared = bool((bits == bits[0]).all())
-    a_text = _array_text(A[0], indent + 2)
-    rows = [f.reshape(n, -1) for f in (*fields[:2], A)][:2 if shared else 3]
-    basis = (T[:, :h] if jhalf else T).reshape(n, -1)
+    a_text = [_array_text(stack.A[0], indent + 2)]
     pad1, sep = "  " * (indent + 1), "[\n"
     for start in range(0, n, BLOCK):
-        block = np.concatenate([r[start:start + BLOCK] for r in rows], axis=1)
-        template, seps, xs, get = _records_plan(shapes, len(block), indent + 1, shared, jhalf)
-        lines = _lines(np.concatenate([block.ravel(), basis[start:start + BLOCK].ravel()]), seps)
-        neg = ("-" + "\n-".join(lines[xs])).replace(", ", ", -").replace("--", "").split("\n")
-        write(sep + pad1 + template % get(lines + neg + [a_text]))
+        block = [f[start:start + BLOCK] for f in fields]
+        template, get = _records_plan(shapes, len(block[0]), indent + 1, shared)
+        rows = np.concatenate([f.reshape(len(f), -1, shapes[0][0]) for f in block[:3]], axis=1)
+        write(sep + pad1 + template % get(_lines(rows) + (a_text if shared else _lines(block[3]))))
         sep = ",\n"
     write("\n" + "  " * indent + "]")
 
@@ -314,7 +171,7 @@ def _write(obj, indent, write):
 
 
 def dumps_canonical(obj):
-    """Deterministic JSON writer (17-significant-digit floats)."""
+    """Deterministic JSON writer (shortest round-trip floats)."""
     parts = []
     _write(obj, 0, parts.append)
     return "".join(parts)
@@ -393,7 +250,7 @@ def _fast_read(path):
     as "\\u0000", which a text without a backslash cannot hold otherwise, then as its
     value if every copy is a record's A.  quotes is the count of '"', or None when
     the file has a "u" or an "f", as every true and every false has."""
-    import orjson  # only a read loads it
+    import orjson
 
     with open(path, "rb") as fh:
         data = fh.read()

@@ -5,6 +5,7 @@ import functools
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from nordenhs import jsonio
@@ -871,7 +872,7 @@ def test_suites_reject_empty_count(suite):
 
 def ref_dumps(obj, indent=0):
     """The per-record writer: a stack becomes a list of record dicts, every
-    array a nested list, every float 17 significant digits."""
+    array a nested list, every float as orjson writes it."""
     pad, pad1 = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, SampleStack):
         obj = [{"point": p, "xi": xi, "tangent_basis": t, "A": A}
@@ -882,7 +883,7 @@ def ref_dumps(obj, indent=0):
         items = [f"{pad1}{json.dumps(k)}: {ref_dumps(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, list) and all(isinstance(v, float) for v in obj):
-        return "[" + ", ".join(format(v, ".17g") for v in obj) + "]"
+        return "[" + ", ".join(orjson.dumps(v).decode() for v in obj) + "]"
     if isinstance(obj, list):
         return "[\n" + ",\n".join(pad1 + ref_dumps(v, indent + 1) for v in obj) + "\n" + pad + "]"
     return json.dumps(obj)
@@ -929,13 +930,13 @@ def test_block_writer_rejects_non_finite_last_record(tmp_path, field, bad):
 
 
 # ---------------------------------------------------------------------------
-# sample documents: text reused for a shared A and for J-halves
+# sample documents: text reused for a shared A
 # ---------------------------------------------------------------------------
 
 def edge_stack(case, kind, m, n):
-    """The first n records of stack_2b3(kind, m), changed at the edges of the
-    writer's two bitwise checks: A equal in every record, and a tangent basis
-    whose second half is J of its first half."""
+    """The first n records of stack_2b3(kind, m), changed at the edge of the
+    writer's bitwise check that A is equal in every record, and with signed
+    zeros, J-halves and extreme magnitudes in every field."""
     st = stack_2b3(kind, m)[:n]
     P, xi, T, A = (v.copy() for v in (st.points, st.xi, st.tangent_bases, st.A))
     h = m - 1
@@ -969,15 +970,15 @@ def edge_stack(case, kind, m, n):
     return SampleStack(P, xi, T, A)
 
 
-# (shared A, J-half) that each case gives on n records
+# whether each case has an A shared by its n records
 EDGE_FLAGS = {
-    "model": lambda n: (True, True),
-    "negzero": lambda n: (True, True),
-    "zero_sign": lambda n: (n == 1, False),
-    "ulp_block_end": lambda n: (n == 1, True),
-    "ulp_last": lambda n: (n == 1, True),
-    "ulp_jhalf": lambda n: (True, False),
-    "magnitudes": lambda n: (True, True),
+    "model": lambda n: True,
+    "negzero": lambda n: True,
+    "zero_sign": lambda n: n == 1,
+    "ulp_block_end": lambda n: n == 1,
+    "ulp_last": lambda n: n == 1,
+    "ulp_jhalf": lambda n: True,
+    "magnitudes": lambda n: True,
 }
 
 
@@ -987,9 +988,9 @@ EDGE_FLAGS = {
 def test_reused_text_matches_per_record(tmp_path, monkeypatch, kind, m, case):
     plans, plan = set(), jsonio._records_plan
 
-    def recording_plan(shapes, count, indent, shared, jhalf):
-        plans.add((shared, jhalf))
-        return plan(shapes, count, indent, shared, jhalf)
+    def recording_plan(shapes, count, indent, shared):
+        plans.add(shared)
+        return plan(shapes, count, indent, shared)
 
     monkeypatch.setattr(jsonio, "_records_plan", recording_plan)
     f = tmp_path / "s.json"
@@ -1002,13 +1003,8 @@ def test_reused_text_matches_per_record(tmp_path, monkeypatch, kind, m, case):
         assert plans == {EDGE_FLAGS[case](n)}
         jsonio.write_json(str(f), doc)
         assert f.read_text() == want + "\n"
-        # load_pointcloud reads the literal -0 as 0, so it is bit-identical up
-        # to the sign of zero (x + 0.0 clears only that); the text holds the
-        # sign, read back by a parser that keeps it
+        # the text keeps the sign of zero: read back bit for bit
         got = jsonio.load_pointcloud(str(f))[2]
-        signed = json.loads(f.read_text(), parse_int=lambda s: -0.0 if s == "-0" else int(s))
         for key, (field, arr) in zip(jsonio.SAMPLE_KEYS, vars(st).items()):
             read = getattr(got, field)
-            assert np.array_equal((read + 0.0).view(np.int64), (arr + 0.0).view(np.int64)), key
-            read = np.array([r[key] for r in signed["samples"]], dtype=float)
             assert np.array_equal(read.view(np.int64), arr.view(np.int64)), key

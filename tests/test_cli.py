@@ -656,22 +656,23 @@ print("nordenhs.curvature" in sys.modules)
     assert proc.stdout.splitlines() == ["False"]
 
 
-def test_only_file_readers_load_orjson(tmp_path):
-    # the reader imports orjson on its first read: sphere info, verify and
-    # sample without a centre file never load it
+def test_orjson_loads_on_the_first_float_written_or_file_read(tmp_path):
+    # import nordenhs.cli leaves orjson out; a report, a written sample file
+    # and a read matrix each load it, every one in a fresh process
+    (tmp_path / "m.json").write_text(json.dumps({"matrix": np.eye(4).tolist()}))
     code = """
 import sys
 from nordenhs import cli
-for argv in (["sphere", "info", "--a", "3", "--b", "4"], ["verify", "all"],
-             ["sample", "--a", "3", "--b", "4", "--count", "4", "--with-frames", "--out", "s.json"],
-             ["classify", "--in", "s.json"]):
-    cli.main(argv)
-    print(argv[0], "orjson" in sys.modules, file=sys.stderr)
+print("orjson", "orjson" in sys.modules, file=sys.stderr)
+cli.main(sys.argv[1:])
+print("orjson", "orjson" in sys.modules, file=sys.stderr)
 """
-    proc = run_python(tmp_path, "-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["sphere False", "verify False", "sample False",
-                                        "classify True"]
+    for argv in (["sphere", "info", "--a", "3", "--b", "4"],
+                 ["sample", "--a", "3", "--b", "4", "--count", "4", "--out", "s.json"],
+                 ["decompose", "--in", "m.json"]):
+        proc = run_python(tmp_path, "-c", code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["orjson False", "orjson True"], argv
 
 
 @pytest.mark.parametrize("content", [

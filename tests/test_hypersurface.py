@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nordenhs.classify import shape_invariants
+from nordenhs.classify import classify, shape_invariants
 from nordenhs.core import (
     apply_J,
     h_proper_decomposition,
     is_adapted_basis,
     metric_g,
     metric_gt,
+    q_value,
     tangent_reps,
 )
 from nordenhs.curvature import (
@@ -23,6 +24,7 @@ from nordenhs.curvature import (
 )
 from nordenhs.errors import NordenError
 from nordenhs.hypersurface import (
+    HolomorphicHyperplane,
     adapted_j_rep,
     ambient_shape_operator,
     codazzi_residual,
@@ -108,15 +110,25 @@ class TestConstructors:
         assert np.array_equal(make_hyperplane(1e200 * np.eye(8)[0], 1.0, 0.0).xi, np.eye(8)[0])
 
     def test_normal_scaling_keeps_bits(self):
-        # scaling xi by a power of two before g(xi, xi) leaves xi / sqrt(g) unchanged
+        # scaling xi by a power of two before q(xi, xi) leaves the normal
+        # unchanged, and where gt(xi, xi) = 0 (x and y on disjoint entries,
+        # signed zeros among them) it is xi / sqrt(g) bit for bit
         rng = np.random.default_rng(41)
         for _ in range(2000):
             m = int(rng.integers(1, 7))
             xi = rng.standard_normal(2 * m) * np.repeat([3.0, 1.0], m)
             xi *= 10.0 ** rng.uniform(-150, 150)
+            if rng.random() < 0.5:
+                on_x = rng.random(m) < 0.5
+                xi[np.r_[~on_x, on_x]] = rng.choice([0.0, -0.0])
             g = metric_g(xi, xi)
             if g > 0:
-                assert np.array_equal(make_hyperplane(xi, 0.0, 0.0).xi, xi / np.sqrt(g))
+                got = make_hyperplane(xi, 0.0, 0.0).xi
+                k = int(rng.integers(-100, 100))
+                assert np.array_equal(make_hyperplane(np.ldexp(xi, k), 0.0, 0.0).xi.view(np.int64),
+                                      got.view(np.int64))
+                if metric_gt(xi, xi) == 0:
+                    assert np.array_equal(got.view(np.int64), (xi / np.sqrt(g)).view(np.int64))
 
     def test_conjugate_flips_nut(self):
         sph = make_h_sphere(np.zeros(8), 3.0, 4.0)
@@ -593,6 +605,19 @@ class TestHyperplane:
     def test_normalizes_normal(self):
         hp = make_hyperplane(2.0 * basis_vec(8, 0), 4.0, 2.0)
         assert metric_g(hp.xi, hp.xi) == pytest.approx(1.0, abs=1e-14)
+
+    def test_normal_with_gt_lies_on_the_declared_plane(self):
+        # q(xi, xi) = g + i gt is made 1, not g alone: with gt != 0 the samples
+        # lie on q(xi, p) = d + i dt, not on (d + i dt) q(xi, xi)
+        hp = make_hyperplane(np.array([1.0, 0.3, 0, 0, 0.5, 0.2, 0, 0]), 1.5, 0.5)
+        assert abs(q_value(hp.xi) - 1.0) <= 4 * np.finfo(float).eps
+        samples = hyperplane_samples(hp, 30, seed=4)
+        off = metric_g(hp.xi, samples.points) + 1j * metric_gt(hp.xi, samples.points)
+        assert np.max(np.abs(off - (1.5 + 0.5j))) <= 1e-14
+        rec = classify(samples).recovered
+        assert isinstance(rec, HolomorphicHyperplane)
+        assert abs(complex(rec.d, rec.dt) - (1.5 + 0.5j)) <= 1e-14
+        assert np.max(np.abs(rec.xi - hp.xi)) <= 1e-15
 
     def test_rejects_nonpositive_normal(self):
         with pytest.raises(NordenError, match="positive g-square"):

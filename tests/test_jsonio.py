@@ -9,8 +9,9 @@ types and key order included, but for integer literals outside
 [-2^63, 2^64), which orjson reads as floats; the stdlib read, which the
 reader falls back to on any FormatError, reads them as ints.
 
-The writer's %.17g kernel must give the bytes of format(x, ".17g") for every
-finite double; its reference is that call, row by row.
+Every finite double the writer writes, signed zeros included, reads back
+bit for bit, and so does a file written by the %.17g writer of earlier
+versions (where -0 reads as 0).
 """
 
 import decimal
@@ -394,15 +395,10 @@ def test_brackets_in_strings_hide_no_nesting():
     assert jsonio._depth(('["]", ' * 5000 + "1" + "]" * 5000).encode()) == 5000
 
 
-def _kernel_text(x):
-    """A points file of the doubles x, 8 to a point, as the writer writes it."""
-    return jsonio.dumps_canonical(jsonio.points_to_doc(4, x.reshape(-1, 8)))
-
-
 def test_fast_read_round_trips_the_kernel_sweep(tmp_path):
-    # every double the kernel writes is read back bit for bit by orjson, not
-    # by the stdlib fallback: bits, log-uniform magnitudes, subnormals and
-    # rounding ties (-0 reads as the integer 0, so zeros are left out)
+    # every finite double that write_json writes is read back bit for bit by
+    # both reads, orjson's and json's: bits, log-uniform magnitudes,
+    # subnormals, rounding ties, scaled normals, signed zeros and the extremes
     rng = np.random.default_rng(31201)
     n = 320_000
     bits = rng.integers(0, 2**63, n).view(np.float64)
@@ -410,14 +406,44 @@ def test_fast_read_round_trips_the_kernel_sweep(tmp_path):
     subnormals = rng.integers(1, 2**52, n // 5).view(np.float64)
     ties = np.ldexp([1.0, 3.0, 5.0, 7.0], np.arange(-1074, 1021)[:, None]).ravel()
     scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
-    x = np.concatenate([bits, magnitudes, subnormals, ties, scaled])
-    x = x[np.isfinite(x) & (x != 0)]
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    extremes = np.repeat([0.0, tiny, np.finfo(float).smallest_normal, huge, 1e16, 1e-5], 8)
+    x = np.concatenate([bits, magnitudes, subnormals, ties, scaled, extremes])
+    x = x[np.isfinite(x)]
     x *= rng.choice([-1.0, 1.0], len(x))
-    assert len(x) >= 10**6
+    assert len(x) >= 10**6 and np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
     x = x[: len(x) // 8 * 8]
+    path = str(tmp_path / "s.json")
     for chunk in np.split(x, np.arange(8 * 40_000, len(x), 8 * 40_000)):
-        path = _write(tmp_path, _kernel_text(chunk))
-        assert np.array(jsonio._fast_read(path)[0]["points"]).tobytes() == chunk.tobytes()
+        jsonio.write_json(path, jsonio.points_to_doc(4, chunk.reshape(-1, 8)))
+        for fast in (True, False):
+            got = np.array(jsonio._read(path, fast)[0]["points"])
+            assert got.dtype == np.float64 and got.tobytes() == chunk.tobytes()
+
+
+def test_files_of_the_17_digit_writer_still_read(monkeypatch, tmp_path):
+    # earlier versions wrote format(x, ".17g"): 17 digits, integral values
+    # without a point and -0.0 as -0, which reads as the integer 0
+    x = np.random.default_rng(32001).standard_normal((50, 8)) * 10.0 ** np.arange(-3, 5)
+    x[:, 0], x[0, 1:4] = -0.0, (3.0, 1e22, 5e-324)
+    text = ('{\n  "version": 1,\n  "m": 4,\n  "kind": "points",\n  "points": [\n'
+            + ",\n".join("    [" + ", ".join(format(v, ".17g") for v in row) + "]"
+                         for row in x.tolist()) + "\n  ]\n}\n")
+    assert "[-0, 3, 1e+22, 4.9406564584124654e-324, " in text
+    path = _write(tmp_path, text)
+    got = _assert_same_as_full_parse(monkeypatch, path)[2][0]
+    assert got[2] == (x + 0.0).tobytes()
+
+
+def test_hyperplane_negative_zeros_round_trip(tmp_path):
+    # the bases of a plane with normal e2 hold 9 negative zeros a record
+    st = hyperplane_samples(make_hyperplane(np.eye(8)[1], 1.5, 0.5), 100, 3)
+    assert sum(int((np.signbit(a) & (a == 0)).sum()) for a in vars(st).values()) == 900
+    path = str(tmp_path / "s.json")
+    jsonio.write_json(path, jsonio.samples_to_doc(4, st))
+    got = jsonio.load_pointcloud(path)[2]
+    for field, arr in vars(st).items():
+        assert getattr(got, field).tobytes() == arr.tobytes(), field
 
 
 def _midpoints(rng, count):
@@ -567,81 +593,3 @@ def test_no_collection_while_reading(gc_state, tmp_path):
     finally:
         gc.callbacks.remove(count)
     assert not any(starts)
-
-
-# ---------------------------------------------------------------------------
-# the writer's %.17g kernel
-# ---------------------------------------------------------------------------
-
-def _assert_rows_formatted(x):
-    """Each row of the 2-d array x is written as format(v, ".17g") joined by ", "."""
-    lines = jsonio._lines(x, jsonio._row_seps(x.shape))
-    want = [", ".join(format(v, ".17g") for v in row) for row in x.tolist()]
-    assert len(lines) == len(want)
-    bad = [(got, ref) for got, ref in zip(lines, want) if got != ref]
-    assert not bad, bad[:5]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
-def test_kernel_matches_format_on_any_finite_double(values):
-    _assert_rows_formatted(np.array(values).reshape(1, -1))
-
-
-def test_kernel_matches_format_on_a_sweep():
-    rng = np.random.default_rng(20281)
-    n = 335_000
-    bits = rng.integers(0, 2**63, n).view(np.float64)  # NaN and inf are dropped below
-    magnitudes = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), n))
-    ties = np.ldexp([1.0, 3.0, 5.0, 7.0], np.arange(-1074, 1021)[:, None]).ravel()
-    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    x = np.concatenate([bits, magnitudes, ties, scaled])
-    x = x[np.isfinite(x)]
-    x *= rng.choice([-1.0, 1.0], len(x))
-    assert len(x) >= 10**6
-    _assert_rows_formatted(x[: len(x) // 8 * 8].reshape(-1, 8))
-
-
-def test_kernel_matches_format_at_the_edges():
-    tens = np.array([float(f"1e{k}") for k in range(-307, 308)])
-    edges = np.array([9.999999999999999e16, 1e16, 1e17, 1e-4, 1e-5, 1e308, 5e-324,
-                      2.2250738585072014e-308, 2.2250738585072009e-308,
-                      1.7976931348623157e308, 0.0, 1.0, 0.5, 1e22, 1e23])
-    x = np.concatenate([tens, edges])
-    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.finfo(float).max)])
-    x = np.concatenate([x, -x])
-    _assert_rows_formatted(x.reshape(-1, 6))
-
-
-def test_kernel_tables_are_exact():
-    # at index d - _DMIN + 1, for each d the kernel serves: H + L is 10^(16-d)
-    # within 2^-106·H, the bound its tie test rests on, H's halves add up to
-    # H, and C is the least double >= 10^d
-    ceil, pow10 = jsonio._tables()[:2]
-
-    def ratio(k):
-        return (10**k, 1) if k >= 0 else (1, 10**-k)
-
-    for i, d in enumerate(range(jsonio._DMIN - 1, jsonio._DMAX + 2)):
-        num, den = ratio(d)
-        (cn, cd), (bn, bd) = (float(c).as_integer_ratio() for c in (ceil[i], np.nextafter(ceil[i], 0)))
-        assert cn * den >= num * cd and bn * den < num * bd
-        hi, h1, h2, lo = pow10[i].tolist()
-        assert h1 + h2 == hi
-        if jsonio._DMIN <= d <= jsonio._DMAX:
-            num, den = ratio(16 - d)
-            (hn, hd), (ln, ld) = hi.as_integer_ratio(), lo.as_integer_ratio()
-            err = abs(num * hd * ld - hn * den * ld - ln * den * hd)  # |10^k - H - L|·den·hd·ld
-            assert err * 2**106 <= hn * den * ld
-
-
-def test_model_sample_files_need_no_fallback(monkeypatch):
-    # every number of a model surface's sample file, closed form and FD, comes
-    # from the kernel: format() is only its fallback
-    calls = []
-    monkeypatch.setattr(jsonio, "format", lambda *a: calls.append(a) or format(*a), raising=False)
-    for fd in (False, True):
-        _sphere_text(count=40, fd=fd)
-    assert not calls
-    jsonio._lines(np.array([5e-324]), np.array([jsonio._NEWLINE]))
-    assert calls == [(5e-324, ".17g")]

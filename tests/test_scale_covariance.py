@@ -115,19 +115,25 @@ def _radius(P):
 
 
 def _planted_plane(m, seed, defect, k):
-    """12 samples of a random hyperplane, with one point moved by k tol R
-    along xi, or one normal entry by k tol max|xi| (N / (N - 1))."""
+    """(own, 12 samples) of a random hyperplane with gt(xi, xi) != 0, with
+    one point moved by k tol R along xi, or one normal entry by k tol max|xi|
+    (N / (N - 1)).  own is the plane's own (xi, d + i dt), the mean offset
+    moved by the planted point's share, or None for a planted normal."""
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((2, m))
     y *= 0.5 * np.linalg.norm(x) / np.linalg.norm(y)  # g(xi, xi) = 0.75 |x|^2 > 0
     hp = make_hyperplane(np.concatenate([x, y]), *rng.uniform(-2.0, 2.0, 2))
     st = hyperplane_samples(hp, 12, seed)
     P, xi = st.points.copy(), st.xi.copy()
+    own = hp.xi, complex(hp.d, hp.dt)
     if defect == "point":
-        P[3] += k * 1e-6 * _radius(P) * hp.xi
+        shift = k * 1e-6 * _radius(P)
+        P[3] += shift * hp.xi  # q(xi, xi) = 1: the offset of P[3] moves by shift
+        own = hp.xi, own[1] + shift / 12
     elif defect == "normal":
         xi[3, 1] += k * 1e-6 * np.max(np.abs(xi)) * 12 / 11
-    return SampleStack(P, xi, st.tangent_bases, st.A)
+        own = None
+    return own, SampleStack(P, xi, st.tangent_bases, st.A)
 
 
 @settings(EXAMPLES, max_examples=60)
@@ -139,7 +145,7 @@ def _planted_plane(m, seed, defect, k):
 @example(m=6, seed=3, defect="none", k=10.0, log_w=60.0, phi=3.0, log_v=6.0, log_c=200.0)
 def test_hyperplane_verdicts_commute_with_similarities(m, seed, defect, k, log_w, phi,
                                                        log_v, log_c):
-    stack = _planted_plane(m, seed, defect, k)
+    own, stack = _planted_plane(m, seed, defect, k)
     w = 10.0 ** log_w * complex(math.cos(phi), math.sin(phi))
     P = complex_scale(w, stack.points)
     v = np.random.default_rng(seed + 1).standard_normal(2 * m)
@@ -150,11 +156,16 @@ def test_hyperplane_verdicts_commute_with_similarities(m, seed, defect, k, log_w
     assert before.verdict == after.verdict == verdict, after.notes
     assert [ch.name for ch in after.checks] == [ch.name for ch in before.checks]
     if verdict == VERDICT_HYPERPLANE:
-        rec0, rec1 = before.recovered, after.recovered
-        assert np.max(np.abs(rec1.xi - rec0.xi)) <= 1e-14 * np.max(np.abs(rec0.xi))
-        want = w * complex(rec0.d, rec0.dt) + complex(bilinear(to_complex(rec0.xi), to_complex(v)))
-        reach = np.max(np.linalg.norm(moved.points, axis=-1))
-        assert abs(complex(rec1.d, rec1.dt) - want) <= 1e-13 * reach
+        # the plane's own (xi, d + i dt), and moved; a planted normal moves the
+        # recovered normal, so there the moved plane is the recovered one's
+        rec0 = before.recovered
+        xi0, offset0 = own or (rec0.xi, complex(rec0.d, rec0.dt))
+        want = w * offset0 + complex(bilinear(to_complex(xi0), to_complex(v)))
+        for rec, offset, P in ((rec0, offset0, stack.points),
+                               (after.recovered, want, moved.points)):
+            assert np.max(np.abs(rec.xi - xi0)) <= 1e-14 * np.max(np.abs(xi0))
+            reach = np.max(np.linalg.norm(P, axis=-1))
+            assert abs(complex(rec.d, rec.dt) - offset) <= 1e-13 * reach
 
 
 @settings(EXAMPLES, max_examples=40)

@@ -46,13 +46,14 @@ The corpus:
   only with --fd;
 - `sample --with-frames --fd` at (1e150, 0) and (1e-11, 0.5e-11), and
   points-only `sample` at (1e150, 0) and (1e-11, 0): numbers of size 1e75
-  and 1e-6 and FD A entries far below them, with exponents of three digits,
-  all through the writer's kernel; and `decompose` of an operator with the
-  eigenvalue 1e-300 - 3·2^-24 i, whose arrays hold 1e-300, below the
-  kernel's range, and 3·2^-24, a rounding tie: both go to format();
+  and 1e-6 and FD A entries far below them, with exponents of three digits;
+  and `decompose` of an operator with the eigenvalue 1e-300 - 3·2^-24 i,
+  whose arrays hold 1e-300 and 3·2^-24, a rounding tie at 17 digits;
 - `verify` calls whose flags are taken by some suites only, so the `params`
   echo lists the parameters each suite takes;
-- hyperplane sample files, with unit and scaled normals;
+- hyperplane sample files, with unit and scaled normals, and one whose
+  normal (1, 0.3, 0, 0; 0.5, 0.2, 0, 0) has gt(xi, xi) != 0, which
+  make_hyperplane divides by the root of q(xi, xi) = g + i gt;
 - a file with an umbilicity defect of 1e-5, classified with and without --tol;
 - verdicts that must not depend on the units of the samples: an umbilicity
   defect of 0.1 % of |kappa| on one sample at (1e8, 0) and (1e10, 0)
@@ -115,6 +116,7 @@ import jobs  # noqa: E402
 
 AB = [(3.0, 4.0), (1.0, 0.0), (0.0, 1.0), (-1.137, 1.885), (0.5, -2.25), (7.0, 0.0)]
 NORMAL = (1.0, 0.3)  # leading entries of the hyperplane normals, padded with zeros
+NORMAL_Y = (0.5, 0.2)  # leading entries of the y half of a normal with gt(xi, xi) != 0
 SCALES = (1e-3, 1.0, 1e10, 1e12, 1e100, 1e200)
 LONG_INT = "123456789012345678901234567890"  # beyond 64 bits: orjson reads it as a float
 
@@ -185,10 +187,10 @@ def _samples(name, m, stack_of):
     return (f"write {name}", write, [name])
 
 
-def _hyperplane(m, scale, count=30, seed=4, d=1.5):
+def _hyperplane(m, scale, count=30, seed=4, d=1.5, y=(0.0, 0.0)):
     def stack_of(lib):
         xi = np.zeros(2 * m)
-        xi[:2] = NORMAL
+        xi[:2], xi[m:m + 2] = NORMAL, y
         st = lib.hypersurface.hyperplane_samples(
             lib.hypersurface.make_hyperplane(xi, d, 0.5), count, seed)
         return dataclasses.replace(st, xi=scale * st.xi)
@@ -434,6 +436,8 @@ def _files():
         _samples("two_offsets.json", 4,
                  _merged(_hyperplane(4, 1.0, count=5), _hyperplane(4, 1.0, count=5, d=2.5))),
         _cli("classify", "--in", "two_offsets.json"),
+        _samples("h_gt.json", 4, _hyperplane(4, 1.0, y=NORMAL_Y)),
+        _cli("classify", "--in", "h_gt.json"),
     ]
     planes = {
         "plane_far_off": _moved_plane(1e6, shift=0.5),

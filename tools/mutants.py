@@ -115,6 +115,17 @@ MUTANTS = [
     (SRC + "jsonio.py", "_DEPTH = 64\n", "_DEPTH = 6400\n", "depth bound x100"),
     (SRC + "jsonio.py", """steps[np.logical_xor.accumulate(marks == ord('"'))] = 0""", "pass",
      "depth count with the brackets of strings"),
+    # the writer's guards around orjson, which writes NaN as null
+    (SRC + "jsonio.py", "    if not all(np.isfinite(f).all() for f in fields):\n"
+     "        raise FormatError(\"non-finite number in output\")\n", "",
+     "sample records written without the non-finite check"),
+    (SRC + "jsonio.py", "        if not math.isfinite(x):\n"
+     "            raise FormatError(f\"non-finite number {x!r} in output\")\n", "",
+     "scalars written without the non-finite check"),
+    (SRC + "jsonio.py", "bits = np.asarray(stack.A, dtype=float).reshape(n, -1).view(np.int64)",
+     "bits = np.asarray(stack.A, dtype=float).reshape(n, -1)", "shared A tested by value"),
+    (SRC + "hypersurface.py", "root = np.sqrt(complex(g, gt))", "root = np.sqrt(complex(g, 0.0))",
+     "hyperplane normal divided by sqrt(g) only"),
     (SRC + "classify.py", "return make_hyperplane(xi_mean, _mean(ds), _mean(dts))",
      "return make_hyperplane(xi_mean, float(np.mean(ds)), float(np.mean(dts)))",
      "hyperplane offsets averaged unscaled"),
